@@ -6,7 +6,6 @@ Dirichlet problem on the unit ball, and sweep reflecting hyperplanes to
 diagnose radial symmetry.
 """
 
-from ._backend import get_backend, set_backend
 from .errors import (CheckFailedError, EvaluationError, FracvexpError,
                      NumericError, PreconditionError, TailError)
 from .exponents import (ExponentSpec, ValidationReport, eval_p, make_spec,
@@ -24,7 +23,6 @@ __all__ = [
     "NumericError", "PlaneGeometry", "PreconditionError", "QuadratureConfig",
     "ReflectedFunction", "SampledFunction", "TailError", "TailReport",
     "ValidationReport", "axis_plane", "eval_p", "eval_plap", "eval_plap_field",
-    "f_power", "get_backend", "kernel", "make_spec", "reflect", "set_backend",
-    "spec_from_config", "tail_integrability_check", "validate", "validate_p1",
-    "validate_p2",
+    "f_power", "kernel", "make_spec", "reflect", "spec_from_config",
+    "tail_integrability_check", "validate", "validate_p1", "validate_p2",
 ]

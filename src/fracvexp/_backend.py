@@ -1,70 +1,27 @@
-"""Plan-application kernels: a per-node loop kernel and a pure-numpy twin.
+"""The plan-application kernel and its per-node reference.
 
-The loop kernel `_apply_loop` is plain Python; when numba is importable
-(it is optional: ``pip install -e '.[numba]'``) it is also compiled as
-`_apply_numba`.  The backend is selected by the FRACVEXP_BACKEND
-environment variable (``numba``, ``numpy`` or ``auto``) or
-programmatically via set_backend.  FRACVEXP_THREADS caps the numba thread
-count.  Per-point summation order is identical in both kernels (node
-enumeration order), so results are deterministic for a fixed backend
-regardless of scheduling.  The loop kernel's parity with the numpy kernel
-is tested with or without numba; only the compiled-kernel parity test
-needs numba.
+`_apply_numpy` is the kernel every caller runs through `apply_plan`.
+`_apply_loop` computes the same sums one node at a time in plain Python;
+it is the reference the tests compare the numpy kernel against.  Both sum
+each point's nodes in enumeration order, so results are deterministic.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from .errors import PreconditionError
 
-try:
-    import numba
-    from numba import njit, prange
-
-    # workqueue avoids TBB version probing noise; fine at desk scale
-    numba.config.THREADING_LAYER = "workqueue"
-    _threads = os.environ.get("FRACVEXP_THREADS")
-    if _threads:
-        numba.set_num_threads(max(1, min(int(_threads), numba.config.NUMBA_NUM_THREADS)))
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    prange = range
-    HAVE_NUMBA = False
-
-
-def _resolve(name: str) -> str:
-    if name == "auto":
-        return "numba" if HAVE_NUMBA else "numpy"
-    if name not in ("numba", "numpy"):
-        raise PreconditionError(f"unknown backend {name!r}")
-    if name == "numba" and not HAVE_NUMBA:
-        raise PreconditionError("numba backend requested but numba is not importable")
-    return name
-
-
-_BACKEND = _resolve(os.environ.get("FRACVEXP_BACKEND", "auto").strip().lower())
-
-
-def get_backend() -> str:
-    return _BACKEND
-
-
-def set_backend(name: str) -> str:
-    """Switch backends at runtime (used by tests and the benchmark)."""
-    global _BACKEND
-    _BACKEND = _resolve(name.strip().lower())
-    return _BACKEND
-
-
-def _apply_numpy(ptr, idx, coef, ext, bias, wk, pm2, tag, rho, cidx, ccoef, cbias, values):
+def _node_terms(ptr, idx, coef, ext, bias, wk, pm2, cidx, ccoef, cbias, values):
+    """Per-node terms wk·|t|^(p-2)·t and the center values they difference against."""
     c = np.einsum("ps,ps->p", ccoef, values[cidx]) + cbias
     crep = np.repeat(c, np.diff(ptr))
     t = np.einsum("js,js->j", coef, crep[:, None] - values[idx])
     t = t + ext * (crep - bias)
-    contrib = wk * np.abs(t) ** pm2 * t
+    return wk * np.abs(t) ** pm2 * t, c
+
+
+def _apply_numpy(ptr, idx, coef, ext, bias, wk, pm2, tag, rho, cidx, ccoef, cbias, values):
+    contrib, c = _node_terms(ptr, idx, coef, ext, bias, wk, pm2, cidx, ccoef, cbias, values)
     out = np.add.reduceat(contrib, ptr[:-1])
     # remainder of the dyadic grading below the innermost level: live
     # innermost-level sum times the plan's frozen geometric ratio
@@ -74,12 +31,12 @@ def _apply_numpy(ptr, idx, coef, ext, bias, wk, pm2, tag, rho, cidx, ccoef, cbia
 
 
 def _apply_loop(ptr, idx, coef, ext, bias, wk, pm2, tag, rho, cidx, ccoef, cbias, values):
-    """Per-node loop twin of `_apply_numpy`; numba compiles it when present."""
+    """Per-node loop twin of `_apply_numpy`."""
     npts = len(ptr) - 1
     S = cidx.shape[1]
     out = np.empty(npts)
     cout = np.empty(npts)
-    for i in prange(npts):
+    for i in range(npts):
         c = cbias[i]
         for k in range(S):
             c += ccoef[i, k] * values[cidx[i, k]]
@@ -100,10 +57,6 @@ def _apply_loop(ptr, idx, coef, ext, bias, wk, pm2, tag, rho, cidx, ccoef, cbias
     return out, cout
 
 
-if HAVE_NUMBA:
-    _apply_numba = njit(parallel=True, cache=True)(_apply_loop)
-
-
 def apply_plan(plan, values: np.ndarray):
     """Evaluate the planned quadrature on a value vector.
 
@@ -111,9 +64,6 @@ def apply_plan(plan, values: np.ndarray):
     u(x_i) the plan resolved (useful to callers forming residuals).
     """
     values = np.ascontiguousarray(values, dtype=float)
-    args = (plan.ptr, plan.idx, plan.coef, plan.ext, plan.bias,
-            plan.wk, plan.pm2, plan.level_tag, plan.rho, plan.cidx,
-            plan.ccoef, plan.cbias, values)
-    if _BACKEND == "numba":
-        return _apply_numba(*args)
-    return _apply_numpy(*args)
+    return _apply_numpy(plan.ptr, plan.idx, plan.coef, plan.ext, plan.bias,
+                        plan.wk, plan.pm2, plan.level_tag, plan.rho, plan.cidx,
+                        plan.ccoef, plan.cbias, values)

@@ -2,8 +2,8 @@
 
 Exit codes: 0 all checks pass, 2 a requested check failed, 3 precondition
 violated, 4 numerical failure, 5 I/O failure, 64 usage error.  Reports are
-byte-deterministic for a fixed config, seed, and backend; timestamps go to
-a separate run_meta.json.
+byte-deterministic for a fixed config and seed; timestamps go to a
+separate run_meta.json.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._backend import get_backend, set_backend
 from .ball_solver import (GENERAL_F, MANUFACTURED, POWER, ProblemSpec,
                           bump_profile, interior_mask, manufacture, residual,
                           solve)
@@ -64,7 +63,6 @@ def _write_json(path: Path, payload: dict) -> None:
 def _stamp(report: dict, cfg: RunConfig) -> dict:
     report.setdefault("config_hash", cfg.config_hash())
     report.setdefault("seed", cfg.seed)
-    report.setdefault("backend", get_backend())
     report.setdefault("version", __version__)
     return report
 
@@ -486,7 +484,6 @@ def build_parser() -> _Parser:
         sp.add_argument("--config", help="INI or JSON config file")
         sp.add_argument("--output-dir", help="artifact directory (overrides config)")
         sp.add_argument("--seed", type=int, help="seed override")
-        sp.add_argument("--backend", choices=("auto", "numba", "numpy"))
 
     sp = sub.add_parser("validate-exponent", help="check the exponent hypotheses")
     common(sp)
@@ -566,8 +563,6 @@ def main(argv=None) -> int:
             cfg.override("run", "seed", args.seed)
         if args.output_dir is not None:
             cfg.override("run", "output_dir", args.output_dir)
-        if args.backend:
-            set_backend(args.backend)
         outdir = cfg.output_dir
         outdir.mkdir(parents=True, exist_ok=True)
 

@@ -43,7 +43,7 @@ def classify_case(t1: float, t2: float) -> str:
     if t1 * t2 < 0.0:
         return OPPOSITE_SIGN
     ts, tb = sorted((abs(t1), abs(t2)))
-    return SAME_SIGN_CLOSE if ts >= 0.5 * tb else FAR_APART
+    return SAME_SIGN_CLOSE if 2.0 * ts >= tb else FAR_APART
 
 
 def _mv_slope(t1, t2, p):
@@ -321,7 +321,7 @@ def run_mean_value_suite(n: int = 100_000, seed: int = 0,
     opp = t1 * t2 < 0.0
     ts = np.minimum(np.abs(t1), np.abs(t2))
     tb = np.maximum(np.abs(t1), np.abs(t2))
-    close = ~opp & (ts >= 0.5 * tb)
+    close = ~opp & (2.0 * ts >= tb)
     c0 = np.where(opp, 1.0 / (2.0 * (p - 1.0)),
                   np.where(close, 0.5 ** (p - 2.0),
                            (2.0 ** (p - 1.0) - 1.0) / ((p - 1.0) * 2.0 ** p)))

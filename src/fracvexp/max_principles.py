@@ -19,8 +19,8 @@ from .exponents import ExponentSpec
 from .geometry import PlaneGeometry, axis_plane, reflect
 from .grids import ReflectedFunction, SampledFunction
 from .nonlocal_operator import eval_plap, eval_plap_field
-from .quadrature import (QuadratureConfig, _f_abs_max, directions,
-                         radial_rule, tail_radius_needed)
+from .quadrature import (QuadratureConfig, directions, paired_nodes,
+                         truncation_radius)
 
 __all__ = [
     "PlaneGeometry", "axis_plane", "reflect", "MPReport", "ProbeReport",
@@ -230,17 +230,9 @@ def j1_j2_split(spec: ExponentSpec, u: SampledFunction, plane: PlaneGeometry,
     if not plane.in_halfspace(x0, strict=False):
         raise PreconditionError("x0 must lie in the closed half-space")
 
-    u_abs = float(np.max(np.abs(u.values)))
-    f_max = _f_abs_max(2.2 * max(u_abs, 1e-30), spec.p_minus, spec.p_plus)
-    r_eff = max(cfg.tail_radius,
-                tail_radius_needed(f_max, N, s, spec.p_minus, cfg.tail_tolerance))
-    dist_box = float(np.min(u.extent - np.abs(x0)))
-    delta = min(cfg.pairing_radius, 0.5 * dist_box)
-    rs, wr = radial_rule(delta, r_eff, cfg)
     dirs, aw = directions(N, cfg.angular_nodes)
-
-    pos = (x0[None, None, :] + rs[:, None, None] * dirs[None, :, :]).reshape(-1, N)
-    w_node = ((wr * rs ** (N - 1))[:, None] * aw[None, :]).ravel()
+    r_eff = truncation_radius(spec, u.values, cfg)
+    rs, pos, w_node = paired_nodes(x0, u.extent, r_eff, cfg, dirs, aw)
     in_h = pos @ plane.e < plane.offset
     y = pos[in_h]
     w = w_node[in_h]

@@ -16,7 +16,7 @@ from ._backend import apply_plan
 from .errors import NumericError, PreconditionError
 from .exponents import ExponentSpec
 from .grids import ReflectedFunction, SampledFunction
-from .quadrature import QuadratureConfig, build_plan, directions
+from .quadrature import QuadratureConfig, _gauss_on, build_plan, directions
 
 
 def f_power(t: float, p: float) -> float:
@@ -43,24 +43,19 @@ def eval_plap(spec: ExponentSpec, u, x, cfg: QuadratureConfig | None = None) -> 
     exactly zero (every node contributes f(0) = 0) and negating `u` negates
     the result bit-for-bit, both by construction of the paired plan.
     """
-    cfg = cfg or QuadratureConfig()
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    plan = build_plan(spec, u, x[None, :], cfg)
-    base = u.base if isinstance(u, ReflectedFunction) else u
-    out, _ = apply_plan(plan, base.values)
-    return float(out[0])
+    return float(eval_plap_field(spec, u, x, cfg)[0])
 
 
 def eval_plap_field(spec: ExponentSpec, u, points,
                     cfg: QuadratureConfig | None = None) -> np.ndarray:
     """Map eval_plap over a batch of points with one shared plan.
 
-    Per-point summation order is fixed by the plan, so results match the
-    sequential evaluation regardless of backend scheduling.
+    Per-point summation order is fixed by the plan, so each result matches
+    the evaluation of its point alone.  A single point may be given flat.
     """
     cfg = cfg or QuadratureConfig()
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.size == 0:
+    if len(pts) == 0:
         return np.zeros(0)
     plan = build_plan(spec, u, pts, cfg)
     base = u.base if isinstance(u, ReflectedFunction) else u
@@ -115,9 +110,7 @@ def tail_integrability_check(spec: ExponentSpec, u, x, radii,
             if a > 0 else np.concatenate([[0.0], np.geomspace(b * 1e-4, b, 25)])
         total, near, far = 0.0, 0.0, 0.0
         for lo, hi in zip(edges[:-1], edges[1:]):
-            gx, gw = np.polynomial.legendre.leggauss(8)
-            rr = 0.5 * (lo + hi) + 0.5 * (hi - lo) * gx
-            ww = 0.5 * (hi - lo) * gw
+            rr, ww = _gauss_on(lo, hi, 8)
             pos = rr[:, None, None] * dirs[None, :, :]
             pts = pos.reshape(-1, N)
             w_node = (ww * rr ** (N - 1))[:, None] * aw[None, :]

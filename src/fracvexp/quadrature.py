@@ -8,8 +8,8 @@ discarded far tail certified by the kernel decay r^(-(N + s p_minus)).
 
 A plan freezes, per evaluation point, every quadrature node's kernel
 weight, exponent, and interpolation stencil into flat arrays; applying a
-plan to a value vector is then a pure gather/power/reduce kernel which is
-what the numba and numpy backends execute.
+plan to a value vector is then a pure gather/power/reduce kernel
+(`_backend.apply_plan`).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._backend import _node_terms
 from .errors import PreconditionError, TailError
 from .exponents import ExponentSpec
 from .geometry import PlaneGeometry
@@ -164,6 +165,41 @@ def _f_abs_max(t_bound: float, p_minus: float, p_plus: float) -> float:
     return max(t_bound ** (p_minus - 1.0), t_bound ** (p_plus - 1.0))
 
 
+def truncation_radius(spec: ExponentSpec, values: np.ndarray, cfg: QuadratureConfig,
+                      values_bound: float = 0.0) -> float:
+    """Outer radius that keeps the discarded tail within cfg.tail_tolerance.
+
+    Sized for every value vector with |u| below max(|values|, values_bound).
+    """
+    # conservative bound on |u(x)-u(y)|; 10% headroom absorbs interpolation overshoot
+    u_abs = float(np.max(np.abs(values))) if values.size else 0.0
+    t_bound = 2.2 * max(u_abs, values_bound, 1e-30)
+    f_max = _f_abs_max(t_bound, spec.p_minus, spec.p_plus)
+    r_eff = max(cfg.tail_radius, tail_radius_needed(
+        f_max, spec.dimension, spec.order, spec.p_minus, cfg.tail_tolerance))
+    if r_eff > R_EFF_CAP:
+        raise TailError(
+            f"tail bound needs truncation radius {r_eff:.3g} beyond the supported cap; "
+            "raise tail_tolerance or rescale the data")
+    return r_eff
+
+
+def paired_nodes(x: np.ndarray, extent: float, r_eff: float, cfg: QuadratureConfig,
+                 dirs: np.ndarray, aw: np.ndarray):
+    """Radii, positions and r^(N-1) dr dtheta weights of the nodes around x.
+
+    The pairing radius is capped at half the distance from x to the box
+    edge.  Nodes are enumerated radius-major, then by direction: this is
+    the fixed summation order of every plan.
+    """
+    N = len(x)
+    delta = min(cfg.pairing_radius, 0.5 * float(np.min(extent - np.abs(x))))
+    rs, wr = radial_rule(delta, r_eff, cfg)
+    pos = (x[None, None, :] + rs[:, None, None] * dirs[None, :, :]).reshape(-1, N)
+    w_node = ((wr * rs ** (N - 1))[:, None] * aw[None, :]).ravel()
+    return rs, pos, w_node
+
+
 def build_plan(spec: ExponentSpec, u, points, cfg: QuadratureConfig,
                raise_on_tail: bool = True, values_bound: float = 0.0) -> EvalPlan:
     """Assemble the quadrature plan for `points` (each strictly inside the box).
@@ -195,17 +231,7 @@ def build_plan(spec: ExponentSpec, u, points, cfg: QuadratureConfig,
 
     s, N = spec.order, spec.dimension
     values = u.values
-
-    # conservative bound on |u(x)-u(y)|; 10% headroom absorbs interpolation overshoot
-    u_abs = float(np.max(np.abs(values))) if values.size else 0.0
-    t_bound = 2.2 * max(u_abs, values_bound, 1e-30)
-    f_max = _f_abs_max(t_bound, spec.p_minus, spec.p_plus)
-    r_eff = max(cfg.tail_radius,
-                tail_radius_needed(f_max, N, s, spec.p_minus, cfg.tail_tolerance))
-    if r_eff > R_EFF_CAP:
-        raise TailError(
-            f"tail bound needs truncation radius {r_eff:.3g} beyond the supported cap; "
-            "raise tail_tolerance or rescale the data")
+    r_eff = truncation_radius(spec, values, cfg, values_bound)
 
     dirs, aw = directions(N, cfg.angular_nodes)
     n_dirs = len(dirs)
@@ -222,19 +248,12 @@ def build_plan(spec: ExponentSpec, u, points, cfg: QuadratureConfig,
     rule = u.exterior_rule
     ext_fn = u.exterior_fn
     for i, x in enumerate(pts):
-        dist_box = float(np.min(u.extent - np.abs(x)))
-        delta = min(cfg.pairing_radius, 0.5 * dist_box)
-        rs, wr = radial_rule(delta, r_eff, cfg)
+        rs, pos, w_node = paired_nodes(x, u.extent, r_eff, cfg, dirs, aw)
         q_r = np.asarray(spec.q(rs), dtype=float)
         kern = rs ** (-(N + s * q_r))
         tag_r = np.zeros(len(rs), dtype=np.int8)
         tag_r[:cfg.nodes_per_level] = 2                      # innermost level
         tag_r[cfg.nodes_per_level:2 * cfg.nodes_per_level] = 1
-        # node enumeration is radius-major then direction: fixed summation order
-        pos = x[None, None, :] + rs[:, None, None] * dirs[None, :, :]
-        w_node = (wr * rs ** (N - 1))[:, None] * aw[None, :]
-        pos = pos.reshape(-1, N)
-        w_node = w_node.ravel()
         kern_n = np.repeat(kern, n_dirs)
         pm2_n = np.repeat(q_r - 2.0, n_dirs)
         tag_n = np.repeat(tag_r, n_dirs)
@@ -321,11 +340,9 @@ def _frozen_ratio(plan: EvalPlan, values: np.ndarray) -> np.ndarray:
     (solver iterations would otherwise chatter on the acceptance gates);
     the remainder itself still scales with the live level sum.
     """
-    c = np.einsum("ps,ps->p", plan.ccoef, values[plan.cidx]) + plan.cbias
-    crep = np.repeat(c, np.diff(plan.ptr))
-    t = np.einsum("js,js->j", plan.coef, crep[:, None] - values[plan.idx])
-    t = t + plan.ext * (crep - plan.bias)
-    contrib = plan.wk * np.abs(t) ** plan.pm2 * t
+    contrib, _ = _node_terms(plan.ptr, plan.idx, plan.coef, plan.ext, plan.bias,
+                             plan.wk, plan.pm2, plan.cidx, plan.ccoef, plan.cbias,
+                             values)
     a1 = np.add.reduceat(np.where(plan.level_tag == 2, contrib, 0.0), plan.ptr[:-1])
     a2 = np.add.reduceat(np.where(plan.level_tag == 1, contrib, 0.0), plan.ptr[:-1])
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -105,6 +105,8 @@ class TestExitCodes:
         u = make_bump_csv(tmp_path)
         code = main(["eval", "--config", str(cfg), "--input", str(u), "--at", "5.0"])
         assert code == 3
+        code = main(["eval", "--config", str(cfg), "--input", str(u), "--at", ","])
+        assert code == 3
 
 
 class TestEval:

@@ -75,6 +75,8 @@ class TestClassification:
         assert ls.classify_case(-1.0, 1.0) == ls.OPPOSITE_SIGN
         assert ls.classify_case(0.1, 2.0) == ls.FAR_APART
         assert ls.classify_case(0.0, 2.0) == ls.FAR_APART  # zero counts as far
+        assert ls.classify_case(0.0, 5e-324) == ls.FAR_APART
+        assert ls.classify_case(5e-324, 0.0) == ls.FAR_APART
 
     def test_constants(self):
         assert ls.c0_constant(ls.SAME_SIGN_CLOSE, 3.0, 3.0) == pytest.approx(0.5)

@@ -194,8 +194,8 @@ class TestTailIntegrability:
 
 class TestBackends:
     def test_parity(self, spec_1d, u_bump_1d, qcfg):
-        # the loop kernel runs as plain Python here, so its arithmetic (per-node
-        # order, exterior branch, graded remainder) is checked without numba
+        # the per-node loop is the reference for the numpy kernel's arithmetic
+        # (per-node order, exterior branch, graded remainder)
         pts = np.array([[-0.3], [0.2], [0.8]])
         plan = build_plan(spec_1d, u_bump_1d, pts, qcfg)
         args = (plan.ptr, plan.idx, plan.coef, plan.ext, plan.bias,
@@ -205,21 +205,3 @@ class TestBackends:
         b, cb = _apply_numpy(*args)
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-13)
         np.testing.assert_allclose(ca, cb, rtol=1e-12, atol=1e-13)
-
-    def test_compiled_parity(self, spec_1d, u_bump_1d, qcfg):
-        pytest.importorskip("numba")
-        pts = np.array([[-0.3], [0.2], [0.8]])
-        before = fx.get_backend()
-        try:
-            fx.set_backend("numba")
-            a = fx.eval_plap_field(spec_1d, u_bump_1d, pts, qcfg)
-            fx.set_backend("numpy")
-            b = fx.eval_plap_field(spec_1d, u_bump_1d, pts, qcfg)
-        finally:
-            fx.set_backend(before)
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-13)
-
-    def test_unknown_backend(self):
-        with pytest.raises(fx.PreconditionError):
-            fx.set_backend("cuda")
-        assert fx.get_backend() in ("numba", "numpy")
