@@ -3,7 +3,7 @@
 `_apply_numpy` is the kernel every caller runs through `apply_plan`.
 `_apply_loop` computes the same sums one node at a time in plain Python;
 it is the reference the tests compare the numpy kernel against.  Both sum
-each point's nodes in enumeration order, so results are deterministic.
+each point's rows in plan row order, so results are deterministic.
 """
 
 from __future__ import annotations

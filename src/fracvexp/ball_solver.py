@@ -90,6 +90,7 @@ class SolveReport:
     tau_final: float = 0.0
     applies: int = 0
     message: str = ""
+    plan: dict = field(default_factory=dict)      # EvalPlan.counters() of the solver plan
 
     def to_dict(self):
         return {
@@ -103,6 +104,7 @@ class SolveReport:
             "tau_final": self.tau_final,
             "applies": self.applies,
             "message": self.message,
+            "plan": dict(self.plan),
             "grid": {"shape": list(self.solution.shape),
                      "extent": self.solution.extent},
         }
@@ -260,4 +262,5 @@ def solve(problem: ProblemSpec, initial_guess: SampledFunction,
     return SolveReport(
         iterations=accepted, final_residual_sup=res_sup, converged=converged,
         solution=solution, range_ok=True, trivial_limit=trivial,
-        history=history, tau_final=tau, applies=applies, message=message)
+        history=history, tau_final=tau, applies=applies, message=message,
+        plan=plan.counters())

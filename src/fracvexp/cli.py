@@ -141,13 +141,35 @@ _EXPR_NAMES = {name: getattr(np, name) for name in
                 "minimum", "maximum", "pi", "e")}
 
 
+def _code_names(code) -> set:
+    """Global and attribute names a code object (and any nested one) looks up."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if hasattr(const, "co_names"):
+            names |= _code_names(const)
+    return names
+
+
 def _expr_function(expr: str, variables: tuple):
-    """Tiny numpy-expression evaluator for CLI-provided scalar fields."""
+    """Tiny numpy-expression evaluator for CLI-provided scalar fields.
+
+    The expression may use `variables` and the names in `_EXPR_NAMES` only;
+    a malformed expression or any other name is a usage error (exit 64), an
+    expression that fails on the data is a precondition error (exit 3).
+    """
     try:
         return _constant(float(expr))
     except ValueError:
         pass
-    code = compile(expr, "<cli-expr>", "eval")
+    try:
+        code = compile(expr, "<cli-expr>", "eval")
+    except (SyntaxError, ValueError) as exc:
+        raise SystemExit_Usage(f"cannot parse expression {expr!r}: {exc}") from exc
+    unknown = _code_names(code) - set(_EXPR_NAMES) - set(variables)
+    if unknown:
+        raise SystemExit_Usage(
+            f"expression {expr!r} uses unknown names {sorted(unknown)}; "
+            f"allowed: {sorted(set(_EXPR_NAMES) | set(variables))}")
 
     def fn(arr):
         arr = np.atleast_2d(np.asarray(arr, dtype=float))
@@ -159,7 +181,10 @@ def _expr_function(expr: str, variables: tuple):
             if arr.shape[1] > 1:
                 env["y"] = arr[:, 1]
             env["r"] = np.linalg.norm(arr, axis=1)
-        return np.asarray(eval(code, {"__builtins__": {}}, env), dtype=float)
+        try:
+            return np.asarray(eval(code, {"__builtins__": {}}, env), dtype=float)
+        except (ArithmeticError, TypeError, ValueError) as exc:
+            raise PreconditionError(f"cannot evaluate expression {expr!r}: {exc}") from exc
 
     return fn
 
@@ -277,10 +302,13 @@ def _cmd_solve(args, cfg: RunConfig, outdir: Path) -> bool:
             np.clip(u_star.values + pert, 0.0, 1.0 - sol["eta"]))
     else:
         if mode == POWER:
+            space = ("x", "r") if spec.dimension == 1 else ("x", "y", "r")
             problem = ProblemSpec(exponent=spec, rhs_mode=mode,
-                                  q_function=_expr_function(args.q, ("x",)),
+                                  q_function=_expr_function(args.q, space),
                                   domain=f"ball_{spec.dimension}d")
         else:
+            if args.f_expr is None:
+                raise SystemExit_Usage("--mode general-f needs --f-expr")
             problem = ProblemSpec(exponent=spec, rhs_mode=mode,
                                   f=_expr_function(args.f_expr, ("t",)),
                                   f_prime=_expr_function(args.fp_expr, ("t",))
@@ -516,7 +544,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--mode", default="manufactured",
                     choices=("power", "manufactured", "general-f"))
     sp.add_argument("--grid", type=int, help="nodes per axis")
-    sp.add_argument("--q", default="2.0", help="power-mode exponent: constant or expression in x")
+    sp.add_argument("--q", default="2.0",
+                    help="power-mode exponent: constant or expression in x, r (and y in 2-d)")
     sp.add_argument("--f-expr", help="general-f reaction f(t)")
     sp.add_argument("--fp-expr", help="optional f'(t) for the sign check")
     sp.add_argument("--out", help="solution CSV name")
@@ -573,6 +602,9 @@ def main(argv=None) -> int:
             ok = _HANDLERS[args.command](args, cfg, outdir)
         _write_meta(outdir, argv, t0)
         return EXIT_OK if ok else EXIT_CHECK
+    except SystemExit_Usage as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except PreconditionError as exc:
         print(f"precondition error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

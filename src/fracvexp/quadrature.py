@@ -10,10 +10,20 @@ A plan freezes, per evaluation point, every quadrature node's kernel
 weight, exponent, and interpolation stencil into flat arrays; applying a
 plan to a value vector is then a pure gather/power/reduce kernel
 (`_backend.apply_plan`).
+
+Each point's segment of rows holds its interior nodes first (those whose
+value comes from the interpolant), in node enumeration order.  After them
+comes one row per distinct exterior key (p - 2, exterior value, level tag),
+in order of first appearance: every exterior node contributes
+wk·|c - bias|^(p-2)·(c - bias), so nodes sharing a key merge into one row
+whose weight is the sum of theirs, added in enumeration order.  Under the
+zero and constant exterior rules this removes most exterior nodes; the Gauss
+reference rule behind every radial interval is computed once per order.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,12 +88,12 @@ class EvalPlan:
     (paired decay exponent p - 1 - s p can be close to zero).
     """
 
-    ptr: np.ndarray        # (npts+1,) segment offsets into the node arrays
-    idx: np.ndarray        # (nnz, S) flat grid indices (dummy 0 for exterior)
-    coef: np.ndarray       # (nnz, S) stencil coefficients (0 for exterior)
-    ext: np.ndarray        # (nnz,) 1.0 where the exterior rule supplies the value
-    bias: np.ndarray       # (nnz,) exterior value at the node
-    wk: np.ndarray         # (nnz,) quadrature weight times kernel
+    ptr: np.ndarray        # (npts+1,) segment offsets into the row arrays
+    idx: np.ndarray        # (nnz, S) flat grid indices (dummy 0 on merged exterior rows)
+    coef: np.ndarray       # (nnz, S) stencil coefficients (0 on merged exterior rows)
+    ext: np.ndarray        # (nnz,) 1.0 on the merged exterior rows after the interior ones
+    bias: np.ndarray       # (nnz,) exterior value of the row's key
+    wk: np.ndarray         # (nnz,) quadrature weight times kernel, summed over a merged key
     pm2: np.ndarray        # (nnz,) p(r) - 2
     level_tag: np.ndarray  # (nnz,) int8: 2 innermost level, 1 second, 0 rest
     cidx: np.ndarray       # (npts, S) center stencil indices
@@ -98,9 +108,24 @@ class EvalPlan:
     def n_points(self) -> int:
         return len(self.ptr) - 1
 
+    def counters(self) -> dict:
+        """Deterministic size counters and plan constants, for reports."""
+        return {"points": self.n_points, "nodes": self.wk.size,
+                "nodes_uncollapsed": self.meta["nodes_uncollapsed"],
+                "r_eff": self.r_eff, "tail_bound": self.tail_bound}
+
+
+@functools.lru_cache(maxsize=None)
+def _legendre_rule(n: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per n (read-only)."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
 
 def _gauss_on(a: float, b: float, n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _legendre_rule(n)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w
 
@@ -189,8 +214,9 @@ def paired_nodes(x: np.ndarray, extent: float, r_eff: float, cfg: QuadratureConf
     """Radii, positions and r^(N-1) dr dtheta weights of the nodes around x.
 
     The pairing radius is capped at half the distance from x to the box
-    edge.  Nodes are enumerated radius-major, then by direction: this is
-    the fixed summation order of every plan.
+    edge.  Nodes are enumerated radius-major, then by direction.  A plan
+    sums its interior nodes in this order, then its merged exterior rows in
+    order of first appearance (see the module docs).
     """
     N = len(x)
     delta = min(cfg.pairing_radius, 0.5 * float(np.min(extent - np.abs(x))))
@@ -244,6 +270,7 @@ def build_plan(spec: ExponentSpec, u, points, cfg: QuadratureConfig,
     ccoef = np.zeros((len(pts), S))
     cbias = np.zeros(len(pts))
     tail_reported = 0.0
+    n_uncollapsed = 0
 
     rule = u.exterior_rule
     ext_fn = u.exterior_fn
@@ -271,22 +298,27 @@ def build_plan(spec: ExponentSpec, u, points, cfg: QuadratureConfig,
                 bias_v[out_mask] = np.asarray(ext_fn(zpos[out_mask]), dtype=float).ravel()
 
         zc = plane.reflect(x[None, :])[0] if plane is not None else x
-        idx_n = np.zeros((len(zpos), S), dtype=np.int64)
-        coef_n = np.zeros((len(zpos), S))
-        if np.any(interp_mask):
-            ii, cc = u.stencils(zpos[interp_mask])
-            idx_n[interp_mask] = ii
-            coef_n[interp_mask] = cc
-        ext_n = (~interp_mask).astype(float)
+        # interior rows in enumeration order, then one merged row per exterior key
+        ext_rows = np.nonzero(~interp_mask)[0]
+        wk_n = w_node * kern_n
+        first, wk_ext = _merge_exterior(pm2_n[ext_rows], bias_v[ext_rows],
+                                        tag_n[ext_rows], wk_n[ext_rows])
+        rows = np.concatenate([np.nonzero(interp_mask)[0], ext_rows[first]])
+        n_in = len(rows) - len(first)
+        idx_n = np.zeros((len(rows), S), dtype=np.int64)
+        coef_n = np.zeros((len(rows), S))
+        if n_in:
+            idx_n[:n_in], coef_n[:n_in] = u.stencils(zpos[interp_mask])
 
         seg_idx.append(idx_n)
         seg_coef.append(coef_n)
-        seg_ext.append(ext_n)
-        seg_bias.append(bias_v)
-        seg_wk.append(w_node * kern_n)
-        seg_pm2.append(pm2_n)
-        seg_tag.append(tag_n)
-        ptr.append(ptr[-1] + len(zpos))
+        seg_ext.append((~interp_mask[rows]).astype(float))
+        seg_bias.append(bias_v[rows])
+        seg_wk.append(np.concatenate([wk_n[interp_mask], wk_ext]))
+        seg_pm2.append(pm2_n[rows])
+        seg_tag.append(tag_n[rows])
+        ptr.append(ptr[-1] + len(rows))
+        n_uncollapsed += len(zpos)
 
         # center value u(x) (or u(reflect(x)) for the view)
         c_in = bool(u.inside_box(zc[None, :])[0])
@@ -327,10 +359,26 @@ def build_plan(spec: ExponentSpec, u, points, cfg: QuadratureConfig,
         cidx=cidx, ccoef=ccoef, cbias=cbias,
         rho=np.zeros(len(pts)),
         r_eff=float(r_eff), tail_bound=float(tail_reported),
-        meta={"n_points": len(pts), "dim": N},
+        meta={"n_points": len(pts), "dim": N, "nodes_uncollapsed": n_uncollapsed},
     )
     plan.rho = _frozen_ratio(plan, values)
     return plan
+
+
+def _merge_exterior(pm2: np.ndarray, bias: np.ndarray, tag: np.ndarray, wk: np.ndarray):
+    """Merge exterior rows that share (pm2, bias, level_tag).
+
+    Such rows differ only in their weight (the term is wk·|c-bias|^pm2·(c-bias)),
+    so each key keeps one row with the summed weight.  Returns the index of
+    each key's first row, in order of first appearance, and the merged
+    weights, summed in row order.
+    """
+    keys = np.column_stack([pm2, bias, tag])
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], np.bincount(rank[inverse.ravel()], weights=wk, minlength=len(order))
 
 
 def _frozen_ratio(plan: EvalPlan, values: np.ndarray) -> np.ndarray:

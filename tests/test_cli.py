@@ -108,6 +108,23 @@ class TestExitCodes:
         code = main(["eval", "--config", str(cfg), "--input", str(u), "--at", ","])
         assert code == 3
 
+    @pytest.mark.parametrize("extra", [
+        ["--mode", "power", "--q", "2+"],
+        ["--mode", "power", "--q", "__import__('os')"],
+        ["--mode", "power", "--q", "x.__class__"],
+        ["--mode", "general-f", "--f-expr", "foo(t)"],
+        ["--mode", "general-f"],
+    ])
+    def test_bad_expression_is_usage_error(self, tmp_path, extra):
+        # malformed expressions and names outside the whitelist stop before any work
+        cfg = small_config(tmp_path)
+        assert main(["solve", "--config", str(cfg), *extra]) == 64
+
+    @pytest.mark.parametrize("q", ["1/0", "log"])
+    def test_expression_failing_on_data_is_precondition(self, tmp_path, q):
+        cfg = small_config(tmp_path)
+        assert main(["solve", "--config", str(cfg), "--mode", "power", "--q", q]) == 3
+
 
 class TestEval:
     def test_constant_function_zero(self, tmp_path):
@@ -190,6 +207,10 @@ class TestSolveCommand:
         out = tmp_path / "out"
         rep = json.loads((out / "solve.json").read_text())
         assert rep["converged"] and rep["sup_error_vs_target"] <= 5e-3
+        plan = rep["plan"]
+        assert sorted(plan) == ["nodes", "nodes_uncollapsed", "points", "r_eff", "tail_bound"]
+        assert plan["points"] == 67  # interior nodes of the 101-node grid
+        assert 0 < plan["nodes"] < plan["nodes_uncollapsed"]
         u = fx.SampledFunction.load(out / "u.csv")
         assert u.values.size == 101
         hist = (out / "residual_history.csv").read_text().splitlines()

@@ -7,8 +7,9 @@ from scipy import integrate
 
 import fracvexp as fx
 from fracvexp._backend import _apply_loop, _apply_numpy, apply_plan
+from fracvexp.ball_solver import bump_profile, interior_mask
 from fracvexp.oracles import brute_force_plap, constant_p_plap
-from fracvexp.quadrature import build_plan
+from fracvexp.quadrature import _gauss_on, _legendre_rule, build_plan, directions, paired_nodes
 
 
 class TestFPower:
@@ -205,3 +206,95 @@ class TestBackends:
         b, cb = _apply_numpy(*args)
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-13)
         np.testing.assert_allclose(ca, cb, rtol=1e-12, atol=1e-13)
+
+
+def _uncollapsed_nodes(spec, plan, x, extent, cfg):
+    """Positions, weights w_node * kernel, p - 2 and level tags of every node around x."""
+    dirs, aw = directions(spec.dimension, cfg.angular_nodes)
+    rs, pos, w_node = paired_nodes(x, extent, plan.r_eff, cfg, dirs, aw)
+    q = np.asarray(spec.q(rs), dtype=float)
+    kern = rs ** (-(spec.dimension + spec.order * q))
+    tag = np.zeros(len(rs), dtype=np.int8)
+    tag[:cfg.nodes_per_level] = 2
+    tag[cfg.nodes_per_level:2 * cfg.nodes_per_level] = 1
+    rep = len(dirs)
+    return pos, w_node * np.repeat(kern, rep), np.repeat(q - 2.0, rep), np.repeat(tag, rep)
+
+
+class TestPlanLayout:
+    POINTS = np.array([[-0.9], [-0.3], [0.2], [0.8], [1.3]])
+
+    def _views(self, u_bump_1d):
+        const = fx.SampledFunction(u_bump_1d.values + 0.2, u_bump_1d.shape, u_bump_1d.extent,
+                                   exterior_rule="constant:0.2")
+        wavy = fx.SampledFunction(u_bump_1d.values, u_bump_1d.shape, u_bump_1d.extent,
+                                  exterior_rule=lambda p: 0.05 * np.cos(3.0 * p[:, 0]))
+        refl = fx.ReflectedFunction(u_bump_1d, fx.axis_plane(1, -0.2))
+        return {"zero_outside_ball": u_bump_1d, "constant": const, "callable": wavy,
+                "reflected": refl}
+
+    # with a constant exponent every exterior row shares p - 2, so only the
+    # level tag keeps the innermost levels' rows apart
+    @pytest.mark.parametrize("spec_name", ["spec_1d", "const3_1d"])
+    def test_weight_sums_match_uncollapsed_nodes(self, spec_name, u_bump_1d, qcfg, request):
+        # per point and per level tag, so the frozen remainder ratio sees the same sums
+        spec_1d = request.getfixturevalue(spec_name)
+        for name, u in self._views(u_bump_1d).items():
+            plan = build_plan(spec_1d, u, self.POINTS, qcfg)
+            for i, x in enumerate(self.POINTS):
+                _, wk, _, tag = _uncollapsed_nodes(spec_1d, plan, x, u_bump_1d.extent, qcfg)
+                seg = slice(plan.ptr[i], plan.ptr[i + 1])
+                for t in (0, 1, 2):
+                    got = plan.wk[seg][plan.level_tag[seg] == t].sum()
+                    np.testing.assert_allclose(got, wk[tag == t].sum(), rtol=1e-13, atol=0,
+                                               err_msg=f"{name} point {i} tag {t}")
+
+    @pytest.mark.parametrize("spec_name", ["spec_1d", "const3_1d"])
+    def test_apply_matches_direct_node_sum(self, spec_name, u_bump_1d, qcfg, request):
+        spec_1d = request.getfixturevalue(spec_name)
+        for name, u in self._views(u_bump_1d).items():
+            plan = build_plan(spec_1d, u, self.POINTS, qcfg)
+            got, _ = apply_plan(plan, getattr(u, "base", u).values)
+            for i, x in enumerate(self.POINTS):
+                pos, wk, pm2, tag = _uncollapsed_nodes(spec_1d, plan, x, u_bump_1d.extent, qcfg)
+                c = u.point_eval(x[None, :])[0]
+                t = c - u.point_eval(pos)
+                terms = wk * np.abs(t) ** pm2 * t
+                a1 = terms[tag == 2].sum()
+                want = terms.sum() + a1 * plan.rho[i] / (1.0 - plan.rho[i])
+                assert abs(got[i] - want) <= 1e-12 * np.abs(terms).sum(), (name, i)
+
+    def test_one_exterior_row_per_key(self, spec_1d, u_bump_1d, qcfg):
+        for name, u in self._views(u_bump_1d).items():
+            plan = build_plan(spec_1d, u, self.POINTS, qcfg)
+            for a, b in zip(plan.ptr[:-1], plan.ptr[1:]):
+                ext = plan.ext[a:b] == 1.0
+                keys = set(zip(plan.pm2[a:b][ext], plan.bias[a:b][ext], plan.level_tag[a:b][ext]))
+                assert len(keys) == int(ext.sum()), name
+                # interior rows come first, exterior rows after them
+                assert not np.any(np.diff(plan.ext[a:b]) < 0), name
+
+    def test_2d_solver_plan_is_compact(self, spec_2d, qcfg):
+        u = fx.SampledFunction.from_function(bump_profile(0.5, 0.5), 1.5, 15, 2)
+        pts = u.nodes()[interior_mask(u)]
+        plan = build_plan(spec_2d, u, pts, qcfg, values_bound=1.0)
+        full = sum(len(_uncollapsed_nodes(spec_2d, plan, x, u.extent, qcfg)[1]) for x in pts)
+        assert plan.meta["nodes_uncollapsed"] == full
+        assert plan.wk.size <= 0.4 * full
+
+
+class TestGaussCache:
+    def test_bitwise_equal_to_uncached(self):
+        for a, b, n in ((0.0, 1.0, 8), (0.25, 0.5, 8), (3.0, 6.0, 5), (-1.0, 2.5, 12)):
+            x, w = np.polynomial.legendre.leggauss(n)
+            mid, half = 0.5 * (a + b), 0.5 * (b - a)
+            gx, gw = _gauss_on(a, b, n)
+            assert np.array_equal(gx, mid + half * x) and np.array_equal(gw, half * w)
+
+    def test_cached_rule_is_read_only(self):
+        x, w = _legendre_rule(8)
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+        assert _legendre_rule(8)[0] is x
