@@ -192,22 +192,35 @@ class SampledFunction:
             return lambda pts: np.full(len(np.atleast_2d(pts)), v)
         return None
 
+    def linear_form(self, pts):
+        """u at `pts` as stencils into the node values or an exterior value.
+
+        The one place that decides where u comes from: the interpolant inside
+        the box (and inside the unit ball under zero_outside_ball), the
+        exterior rule elsewhere.  Returns (interp, idx, coef, ext): the mask
+        of interpolated points, (m, S) stencils (index 0, coefficient 0 on
+        the other points) and exterior values (0 on interpolated points).
+        """
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        in_box = self.inside_box(pts)
+        interp = in_box
+        if self.exterior_rule == ZERO_BALL:
+            interp = in_box & (np.linalg.norm(pts, axis=1) < 1.0)
+        S = (self.smoothness_hint + 1) ** self.dim
+        idx = np.zeros((len(pts), S), dtype=np.int64)
+        coef = np.zeros((len(pts), S))
+        if np.any(interp):
+            idx[interp], coef[interp] = self.stencils(pts[interp])
+        ext = np.zeros(len(pts))
+        fn = self.exterior_fn
+        if fn is not None and not np.all(in_box):
+            ext[~in_box] = np.asarray(fn(pts[~in_box]), dtype=float).ravel()
+        return interp, idx, coef, ext
+
     def point_eval(self, pts) -> np.ndarray:
         """Evaluate the interpolant with the exterior rule applied pointwise."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        out = np.zeros(len(pts))
-        inside = self.inside_box(pts)
-        if self.exterior_rule == ZERO_BALL:
-            inside &= np.linalg.norm(pts, axis=1) < 1.0
-        if np.any(inside):
-            idx, coef = self.stencils(pts[inside])
-            out[inside] = np.einsum("ms,ms->m", coef, self.values[idx])
-        ext = self.exterior_fn
-        if ext is not None:
-            outside = ~self.inside_box(pts)
-            if np.any(outside):
-                out[outside] = np.asarray(ext(pts[outside]), dtype=float).ravel()
-        return out
+        interp, idx, coef, ext = self.linear_form(pts)
+        return np.where(interp, np.einsum("ms,ms->m", coef, self.values[idx]), ext)
 
     def __call__(self, pts):
         res = self.point_eval(pts)
@@ -251,6 +264,11 @@ class ReflectedFunction:
 
     base: SampledFunction
     plane: PlaneGeometry
+
+    def linear_form(self, pts):
+        """`SampledFunction.linear_form` of the base grid at the reflected points."""
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        return self.base.linear_form(self.plane.reflect(pts))
 
     def point_eval(self, pts) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))

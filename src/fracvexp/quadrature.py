@@ -7,18 +7,22 @@ pair), geometric annuli out to an effective truncation radius, and a
 discarded far tail certified by the kernel decay r^(-(N + s p_minus)).
 
 A plan freezes, per evaluation point, every quadrature node's kernel
-weight, exponent, and interpolation stencil into flat arrays; applying a
-plan to a value vector is then a pure gather/power/reduce kernel
-(`_backend.apply_plan`).
+weight, exponent, and stencil into flat arrays; applying a plan to a value
+vector is then a pure gather/power/reduce kernel (`_backend.apply_plan`).
+Where u comes from at a point (interpolant, exterior rule, mirrored view)
+is decided by `u.linear_form` alone.
 
-Each point's segment of rows holds its interior nodes first (those whose
-value comes from the interpolant), in node enumeration order.  After them
-comes one row per distinct exterior key (p - 2, exterior value, level tag),
-in order of first appearance: every exterior node contributes
-wk·|c - bias|^(p-2)·(c - bias), so nodes sharing a key merge into one row
-whose weight is the sum of theirs, added in enumeration order.  Under the
-zero and constant exterior rules this removes most exterior nodes; the Gauss
-reference rule behind every radial interval is computed once per order.
+Every stencil indexes the extended value vector [u.values, plan.ext_values]:
+slot k past the grid nodes holds the k-th distinct exterior value, in order
+of first use, so an exterior node or center is the stencil (1, 0, ...) on
+its slot.  Each point's segment of rows holds its interior nodes first
+(those whose value comes from the interpolant), in node enumeration order.
+After them comes one row per distinct exterior key (p - 2, slot, level tag),
+in order of first appearance: nodes sharing a key differ only in their
+weight, so they merge into one row whose weight is the sum of theirs, added
+in enumeration order.  Under the zero and constant exterior rules this
+removes most exterior nodes; the Gauss reference rule behind every radial
+interval is computed once per order.
 """
 
 from __future__ import annotations
@@ -31,8 +35,7 @@ import numpy as np
 from ._backend import _node_terms
 from .errors import PreconditionError, TailError
 from .exponents import ExponentSpec
-from .geometry import PlaneGeometry
-from .grids import ZERO_BALL, ReflectedFunction, SampledFunction
+from .grids import ReflectedFunction, SampledFunction
 
 #: Hard ceiling on the auto-raised truncation radius.  Annuli grow
 #: geometrically, so even radii this large cost only ~50 intervals.
@@ -89,17 +92,15 @@ class EvalPlan:
     """
 
     ptr: np.ndarray        # (npts+1,) segment offsets into the row arrays
-    idx: np.ndarray        # (nnz, S) flat grid indices (dummy 0 on merged exterior rows)
-    coef: np.ndarray       # (nnz, S) stencil coefficients (0 on merged exterior rows)
-    ext: np.ndarray        # (nnz,) 1.0 on the merged exterior rows after the interior ones
-    bias: np.ndarray       # (nnz,) exterior value of the row's key
+    idx: np.ndarray        # (nnz, S) indices into [values, ext_values] (n + slot on exterior rows)
+    coef: np.ndarray       # (nnz, S) stencil coefficients ((1, 0, ...) on exterior rows)
     wk: np.ndarray         # (nnz,) quadrature weight times kernel, summed over a merged key
     pm2: np.ndarray        # (nnz,) p(r) - 2
     level_tag: np.ndarray  # (nnz,) int8: 2 innermost level, 1 second, 0 rest
-    cidx: np.ndarray       # (npts, S) center stencil indices
-    ccoef: np.ndarray      # (npts, S) center stencil coefficients
-    cbias: np.ndarray      # (npts,) center exterior value
+    cidx: np.ndarray       # (npts, S) center stencil indices, as idx
+    ccoef: np.ndarray      # (npts, S) center stencil coefficients, as coef
     rho: np.ndarray        # (npts,) frozen level-contribution ratio (0: off)
+    ext_values: np.ndarray  # (slots,) exterior values, slot k read as value n + k
     r_eff: float
     tail_bound: float
     meta: dict = field(default_factory=dict)
@@ -230,115 +231,42 @@ def build_plan(spec: ExponentSpec, u, points, cfg: QuadratureConfig,
                raise_on_tail: bool = True, values_bound: float = 0.0) -> EvalPlan:
     """Assemble the quadrature plan for `points` (each strictly inside the box).
 
-    `u` may be a SampledFunction or a ReflectedFunction view; for the view,
-    the reflection is applied to quadrature positions before the exterior
-    rule and interpolation, so no resampling happens.  `values_bound` widens
-    the tail budget so the plan stays valid when it is re-applied to other
-    value vectors with |u| below the bound (solver iterates).
+    `u` may be a SampledFunction or a ReflectedFunction view; its
+    `linear_form` gives every node row and center, so the view needs no
+    resampling.  `values_bound` widens the tail budget so the plan
+    stays valid when it is re-applied to other value vectors with |u| below
+    the bound (solver iterates).
     """
-    plane: PlaneGeometry | None = None
-    if isinstance(u, ReflectedFunction):
-        plane, u = u.plane, u.base
-    if not isinstance(u, SampledFunction):
+    grid = u.base if isinstance(u, ReflectedFunction) else u
+    if not isinstance(grid, SampledFunction):
         raise PreconditionError("u must be a SampledFunction or ReflectedFunction")
-    if u.dim != spec.dimension:
+    if grid.dim != spec.dimension:
         raise PreconditionError(
-            f"grid dimension {u.dim} does not match spec dimension {spec.dimension}")
-    cfg.validate_for_extent(u.extent)
+            f"grid dimension {grid.dim} does not match spec dimension {spec.dimension}")
+    cfg.validate_for_extent(grid.extent)
 
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != u.dim:
-        raise PreconditionError(f"points must have {u.dim} coordinates")
-    inside = u.inside_box(pts, strict=True)
+    if pts.shape[1] != grid.dim:
+        raise PreconditionError(f"points must have {grid.dim} coordinates")
+    inside = grid.inside_box(pts, strict=True)
     if not np.all(inside):
         bad = np.nonzero(~inside)[0]
         raise PreconditionError(
             f"evaluation points must be strictly inside the grid box; offenders: {bad.tolist()}")
 
     s, N = spec.order, spec.dimension
-    values = u.values
+    values = grid.values
     r_eff = truncation_radius(spec, values, cfg, values_bound)
-
     dirs, aw = directions(N, cfg.angular_nodes)
     n_dirs = len(dirs)
 
-    S = (u.smoothness_hint + 1) ** u.dim
-    seg_idx, seg_coef, seg_ext, seg_bias, seg_wk, seg_pm2 = [], [], [], [], [], []
-    seg_tag = []
-    ptr = [0]
-    cidx = np.zeros((len(pts), S), dtype=np.int64)
-    ccoef = np.zeros((len(pts), S))
-    cbias = np.zeros(len(pts))
+    # certify the discarded tail at every point before building any row
+    c_val = u.point_eval(pts)
+    far = u.point_eval((pts[:, None, :] + r_eff * dirs[None, :, :]).reshape(-1, N))
+    t_far = np.max(np.abs(c_val[:, None] - far.reshape(len(pts), n_dirs)), axis=1)
     tail_reported = 0.0
-    n_uncollapsed = 0
-
-    rule = u.exterior_rule
-    ext_fn = u.exterior_fn
-    for i, x in enumerate(pts):
-        rs, pos, w_node = paired_nodes(x, u.extent, r_eff, cfg, dirs, aw)
-        q_r = np.asarray(spec.q(rs), dtype=float)
-        kern = rs ** (-(N + s * q_r))
-        tag_r = np.zeros(len(rs), dtype=np.int8)
-        tag_r[:cfg.nodes_per_level] = 2                      # innermost level
-        tag_r[cfg.nodes_per_level:2 * cfg.nodes_per_level] = 1
-        kern_n = np.repeat(kern, n_dirs)
-        pm2_n = np.repeat(q_r - 2.0, n_dirs)
-        tag_n = np.repeat(tag_r, n_dirs)
-
-        zpos = plane.reflect(pos) if plane is not None else pos
-        in_box = u.inside_box(zpos)
-        if rule == ZERO_BALL:
-            interp_mask = in_box & (np.linalg.norm(zpos, axis=1) < 1.0)
-        else:
-            interp_mask = in_box
-        bias_v = np.zeros(len(zpos))
-        if ext_fn is not None:
-            out_mask = ~in_box
-            if np.any(out_mask):
-                bias_v[out_mask] = np.asarray(ext_fn(zpos[out_mask]), dtype=float).ravel()
-
-        zc = plane.reflect(x[None, :])[0] if plane is not None else x
-        # interior rows in enumeration order, then one merged row per exterior key
-        ext_rows = np.nonzero(~interp_mask)[0]
-        wk_n = w_node * kern_n
-        first, wk_ext = _merge_exterior(pm2_n[ext_rows], bias_v[ext_rows],
-                                        tag_n[ext_rows], wk_n[ext_rows])
-        rows = np.concatenate([np.nonzero(interp_mask)[0], ext_rows[first]])
-        n_in = len(rows) - len(first)
-        idx_n = np.zeros((len(rows), S), dtype=np.int64)
-        coef_n = np.zeros((len(rows), S))
-        if n_in:
-            idx_n[:n_in], coef_n[:n_in] = u.stencils(zpos[interp_mask])
-
-        seg_idx.append(idx_n)
-        seg_coef.append(coef_n)
-        seg_ext.append((~interp_mask[rows]).astype(float))
-        seg_bias.append(bias_v[rows])
-        seg_wk.append(np.concatenate([wk_n[interp_mask], wk_ext]))
-        seg_pm2.append(pm2_n[rows])
-        seg_tag.append(tag_n[rows])
-        ptr.append(ptr[-1] + len(rows))
-        n_uncollapsed += len(zpos)
-
-        # center value u(x) (or u(reflect(x)) for the view)
-        c_in = bool(u.inside_box(zc[None, :])[0])
-        c_interp = c_in and (rule != ZERO_BALL or float(np.linalg.norm(zc)) < 1.0)
-        if c_interp:
-            ci, cw = u.stencils(zc[None, :])
-            cidx[i], ccoef[i] = ci[0], cw[0]
-        elif ext_fn is not None and not c_in:
-            cbias[i] = float(np.asarray(ext_fn(zc[None, :])).ravel()[0])
-        c_val = float(ccoef[i] @ values[cidx[i]] + cbias[i])
-
-        # certify the discarded tail for this point
-        if ext_fn is not None:
-            ray = x[None, :] + r_eff * dirs
-            zray = plane.reflect(ray) if plane is not None else ray
-            u_far = np.asarray(ext_fn(zray), dtype=float).ravel()
-            t_far = float(np.max(np.abs(c_val - u_far)))
-        else:
-            t_far = abs(c_val)
-        fb = _f_abs_max(t_far, spec.p_minus, spec.p_plus)
+    for t in t_far:
+        fb = _f_abs_max(float(t), spec.p_minus, spec.p_plus)
         bound = tail_bound_at(fb, N, s, spec.p_minus, r_eff)
         tail_reported = max(tail_reported, bound)
         if raise_on_tail and bound > cfg.tail_tolerance * (1.0 + 1e-9):
@@ -347,38 +275,81 @@ def build_plan(spec: ExponentSpec, u, points, cfg: QuadratureConfig,
                 f"discarded tail bound {bound:.3g} exceeds tolerance at R = {r_eff:.6g}; "
                 f"use tail_radius >= {need:.6g}")
 
+    seg_idx, seg_coef, seg_out, seg_ext, seg_wk, seg_pm2, seg_tag = [], [], [], [], [], [], []
+    ptr = [0]
+    n_uncollapsed = 0
+    for x in pts:
+        rs, pos, w_node = paired_nodes(x, grid.extent, r_eff, cfg, dirs, aw)
+        q_r = np.asarray(spec.q(rs), dtype=float)
+        kern = rs ** (-(N + s * q_r))
+        tag_r = np.zeros(len(rs), dtype=np.int8)
+        tag_r[:cfg.nodes_per_level] = 2                      # innermost level
+        tag_r[cfg.nodes_per_level:2 * cfg.nodes_per_level] = 1
+        wk_n = w_node * np.repeat(kern, n_dirs)
+        pm2_n = np.repeat(q_r - 2.0, n_dirs)
+        tag_n = np.repeat(tag_r, n_dirs)
+
+        # interior rows in enumeration order, then one merged row per exterior key
+        interp, idx_n, coef_n, ext_n = u.linear_form(pos)
+        out = np.nonzero(~interp)[0]
+        first, group = _first_use_groups(pm2_n[out], ext_n[out], tag_n[out])
+        rows = np.concatenate([np.nonzero(interp)[0], out[first]])
+        seg_idx.append(idx_n[rows])
+        seg_coef.append(coef_n[rows])
+        seg_out.append(~interp[rows])
+        seg_ext.append(ext_n[out[first]])
+        seg_wk.append(np.concatenate([
+            wk_n[interp], np.bincount(group, weights=wk_n[out], minlength=len(first))]))
+        seg_pm2.append(pm2_n[rows])
+        seg_tag.append(tag_n[rows])
+        ptr.append(ptr[-1] + len(rows))
+        n_uncollapsed += len(pos)
+
+    # exterior rows, then exterior centers, become stencils (1, 0, ...) on their slots
+    c_interp, cidx, ccoef, c_ext = u.linear_form(pts)
+    idx, coef = np.concatenate(seg_idx), np.concatenate(seg_coef)
+    out = np.concatenate(seg_out)
+    ext_all = np.concatenate(seg_ext + [c_ext[~c_interp]])
+    first, slot = _first_use_groups(ext_all)
+    n_out = int(out.sum())
+    idx[out], coef[out, 0] = values.size + slot[:n_out, None], 1.0
+    cidx[~c_interp], ccoef[~c_interp, 0] = values.size + slot[n_out:, None], 1.0
+
     plan = EvalPlan(
         ptr=np.asarray(ptr, dtype=np.int64),
-        idx=np.concatenate(seg_idx, axis=0),
-        coef=np.concatenate(seg_coef, axis=0),
-        ext=np.concatenate(seg_ext),
-        bias=np.concatenate(seg_bias),
+        idx=idx, coef=coef,
         wk=np.concatenate(seg_wk),
         pm2=np.concatenate(seg_pm2),
         level_tag=np.concatenate(seg_tag),
-        cidx=cidx, ccoef=ccoef, cbias=cbias,
+        cidx=cidx, ccoef=ccoef,
         rho=np.zeros(len(pts)),
+        ext_values=ext_all[first],
         r_eff=float(r_eff), tail_bound=float(tail_reported),
-        meta={"n_points": len(pts), "dim": N, "nodes_uncollapsed": n_uncollapsed},
+        meta={"dim": N, "nodes_uncollapsed": n_uncollapsed},
     )
     plan.rho = _frozen_ratio(plan, values)
     return plan
 
 
-def _merge_exterior(pm2: np.ndarray, bias: np.ndarray, tag: np.ndarray, wk: np.ndarray):
-    """Merge exterior rows that share (pm2, bias, level_tag).
+def _first_use_groups(*keys):
+    """Group the rows whose keys are all equal.
 
-    Such rows differ only in their weight (the term is wk·|c-bias|^pm2·(c-bias)),
-    so each key keeps one row with the summed weight.  Returns the index of
-    each key's first row, in order of first appearance, and the merged
-    weights, summed in row order.
+    Returns the first row of each group, groups in order of first
+    appearance, and each row's group number.  The sort is stable, so
+    summing per group with `np.bincount` adds each group's rows in row
+    order and plans stay byte-deterministic.
     """
-    keys = np.column_stack([pm2, bias, tag])
-    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return first[order], np.bincount(rank[inverse.ravel()], weights=wk, minlength=len(order))
+    order = np.lexsort(keys)
+    k = np.column_stack(keys)[order]
+    head = np.ones(len(order), dtype=bool)
+    head[1:] = np.any(k[1:] != k[:-1], axis=1)
+    first = order[head]
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(len(first))
+    group = np.empty(len(order), dtype=np.int64)
+    group[order] = rank[np.cumsum(head) - 1]
+    return first[by_first], group
 
 
 def _frozen_ratio(plan: EvalPlan, values: np.ndarray) -> np.ndarray:
@@ -388,9 +359,7 @@ def _frozen_ratio(plan: EvalPlan, values: np.ndarray) -> np.ndarray:
     (solver iterations would otherwise chatter on the acceptance gates);
     the remainder itself still scales with the live level sum.
     """
-    contrib, _ = _node_terms(plan.ptr, plan.idx, plan.coef, plan.ext, plan.bias,
-                             plan.wk, plan.pm2, plan.cidx, plan.ccoef, plan.cbias,
-                             values)
+    contrib, _ = _node_terms(plan, np.concatenate([values, plan.ext_values]))
     a1 = np.add.reduceat(np.where(plan.level_tag == 2, contrib, 0.0), plan.ptr[:-1])
     a2 = np.add.reduceat(np.where(plan.level_tag == 1, contrib, 0.0), plan.ptr[:-1])
     with np.errstate(divide="ignore", invalid="ignore"):

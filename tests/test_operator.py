@@ -196,16 +196,15 @@ class TestTailIntegrability:
 class TestBackends:
     def test_parity(self, spec_1d, u_bump_1d, qcfg):
         # the per-node loop is the reference for the numpy kernel's arithmetic
-        # (per-node order, exterior branch, graded remainder)
-        pts = np.array([[-0.3], [0.2], [0.8]])
-        plan = build_plan(spec_1d, u_bump_1d, pts, qcfg)
-        args = (plan.ptr, plan.idx, plan.coef, plan.ext, plan.bias,
-                plan.wk, plan.pm2, plan.level_tag, plan.rho, plan.cidx,
-                plan.ccoef, plan.cbias, u_bump_1d.values)
-        a, ca = _apply_loop(*args)
-        b, cb = _apply_numpy(*args)
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-13)
-        np.testing.assert_allclose(ca, cb, rtol=1e-12, atol=1e-13)
+        # (per-node order, exterior slots, graded remainder); x = 1.3 has an
+        # exterior center under zero_outside_ball, so center slots are read too
+        for name, u in TestPlanLayout._views(u_bump_1d).items():
+            plan = build_plan(spec_1d, u, TestPlanLayout.POINTS, qcfg)
+            v = np.concatenate([getattr(u, "base", u).values, plan.ext_values])
+            a, ca = _apply_loop(plan, v)
+            b, cb = _apply_numpy(plan, v)
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-13, err_msg=name)
+            np.testing.assert_allclose(ca, cb, rtol=1e-12, atol=1e-13, err_msg=name)
 
 
 def _uncollapsed_nodes(spec, plan, x, extent, cfg):
@@ -221,16 +220,32 @@ def _uncollapsed_nodes(spec, plan, x, extent, cfg):
     return pos, w_node * np.repeat(kern, rep), np.repeat(q - 2.0, rep), np.repeat(tag, rep)
 
 
+def _exterior_rule(u, pos):
+    """Which positions take the exterior rule, and its values there, from the rule's definition."""
+    base = getattr(u, "base", u)
+    z = u.plane.reflect(pos) if hasattr(u, "plane") else pos
+    out = np.any(np.abs(z) > base.extent, axis=1)
+    rule = base.exterior_rule
+    if rule == "zero_outside_ball":
+        return out | (np.linalg.norm(z, axis=1) >= 1.0), np.zeros(len(z))
+    if callable(rule):
+        val = rule(z)
+    else:
+        val = np.full(len(z), float(rule.removeprefix("constant:")))
+    return out, np.where(out, val, 0.0)
+
+
 class TestPlanLayout:
     POINTS = np.array([[-0.9], [-0.3], [0.2], [0.8], [1.3]])
 
-    def _views(self, u_bump_1d):
-        const = fx.SampledFunction(u_bump_1d.values + 0.2, u_bump_1d.shape, u_bump_1d.extent,
+    @staticmethod
+    def _views(u):
+        const = fx.SampledFunction(u.values + 0.2, u.shape, u.extent,
                                    exterior_rule="constant:0.2")
-        wavy = fx.SampledFunction(u_bump_1d.values, u_bump_1d.shape, u_bump_1d.extent,
+        wavy = fx.SampledFunction(u.values, u.shape, u.extent,
                                   exterior_rule=lambda p: 0.05 * np.cos(3.0 * p[:, 0]))
-        refl = fx.ReflectedFunction(u_bump_1d, fx.axis_plane(1, -0.2))
-        return {"zero_outside_ball": u_bump_1d, "constant": const, "callable": wavy,
+        refl = fx.ReflectedFunction(u, fx.axis_plane(u.dim, -0.2))
+        return {"zero_outside_ball": u, "constant": const, "callable": wavy,
                 "reflected": refl}
 
     # with a constant exponent every exterior row shares p - 2, so only the
@@ -266,13 +281,34 @@ class TestPlanLayout:
 
     def test_one_exterior_row_per_key(self, spec_1d, u_bump_1d, qcfg):
         for name, u in self._views(u_bump_1d).items():
+            base = getattr(u, "base", u)
+            n = base.values.size
             plan = build_plan(spec_1d, u, self.POINTS, qcfg)
-            for a, b in zip(plan.ptr[:-1], plan.ptr[1:]):
-                ext = plan.ext[a:b] == 1.0
-                keys = set(zip(plan.pm2[a:b][ext], plan.bias[a:b][ext], plan.level_tag[a:b][ext]))
-                assert len(keys) == int(ext.sum()), name
+            for i, (a, b) in enumerate(zip(plan.ptr[:-1], plan.ptr[1:])):
+                ext = plan.idx[a:b, 0] >= n
                 # interior rows come first, exterior rows after them
-                assert not np.any(np.diff(plan.ext[a:b]) < 0), name
+                assert not np.any(np.diff(ext.astype(int)) < 0), name
+                assert np.all(plan.idx[a:b][~ext] < n), name
+                # an exterior row is the stencil (1, 0, ...) on its slot
+                slot = plan.idx[a:b][ext] - n
+                assert np.all(slot == slot[:, :1]), name
+                np.testing.assert_array_equal(plan.coef[a:b][ext][:, 0], 1.0)
+                np.testing.assert_array_equal(plan.coef[a:b][ext][:, 1:], 0.0)
+                keys = set(zip(plan.pm2[a:b][ext], slot[:, 0], plan.level_tag[a:b][ext]))
+                assert len(keys) == int(ext.sum()), name
+                # the slots hold the exterior rule's values, one row per key of the nodes
+                pos, _, pm2, tag = _uncollapsed_nodes(spec_1d, plan, self.POINTS[i],
+                                                      base.extent, qcfg)
+                out, val = _exterior_rule(u, pos)
+                got = zip(plan.pm2[a:b][ext], plan.ext_values[slot[:, 0]], plan.level_tag[a:b][ext])
+                assert set(got) == set(zip(pm2[out], val[out], tag[out])), (name, i)
+
+    def test_centers_are_point_eval(self, spec_1d, u_bump_1d, qcfg):
+        # the kernel's centers and point_eval come from one linear form
+        for name, u in self._views(u_bump_1d).items():
+            plan = build_plan(spec_1d, u, self.POINTS, qcfg)
+            _, c = apply_plan(plan, getattr(u, "base", u).values)
+            np.testing.assert_array_equal(c, u.point_eval(self.POINTS), err_msg=name)
 
     def test_2d_solver_plan_is_compact(self, spec_2d, qcfg):
         u = fx.SampledFunction.from_function(bump_profile(0.5, 0.5), 1.5, 15, 2)
@@ -281,6 +317,23 @@ class TestPlanLayout:
         full = sum(len(_uncollapsed_nodes(spec_2d, plan, x, u.extent, qcfg)[1]) for x in pts)
         assert plan.meta["nodes_uncollapsed"] == full
         assert plan.wk.size <= 0.4 * full
+
+
+class TestLinearForm:
+    @pytest.mark.parametrize("grid", ["u_bump_1d", "u_bump_2d"])
+    def test_reproduces_point_eval(self, grid, request):
+        # random points inside the ball, inside the box only, and outside the box [-1.5, 1.5]^N
+        u0 = request.getfixturevalue(grid)
+        pts = np.random.default_rng(7).uniform(-2.0, 2.0, size=(400, u0.dim))
+        for name, u in TestPlanLayout._views(u0).items():
+            interp, idx, coef, ext = u.linear_form(pts)
+            values = getattr(u, "base", u).values
+            got = np.where(interp, np.einsum("ms,ms->m", coef, values[idx]), ext)
+            np.testing.assert_array_equal(got, u.point_eval(pts), err_msg=name)
+            out, val = _exterior_rule(u, pts)
+            np.testing.assert_array_equal(interp, ~out, err_msg=name)
+            np.testing.assert_array_equal(ext, val, err_msg=name)
+            assert 0 < out.sum() < len(pts), name
 
 
 class TestGaussCache:
