@@ -10,7 +10,7 @@ from .errors import (CheckFailedError, EvaluationError, FracvexpError,
                      NumericError, PreconditionError, TailError)
 from .exponents import (ExponentSpec, ValidationReport, eval_p, make_spec,
                         spec_from_config, validate, validate_p1, validate_p2)
-from .geometry import PlaneGeometry, axis_plane, reflect
+from .geometry import PlaneGeometry, axis_plane
 from .grids import ReflectedFunction, SampledFunction
 from .nonlocal_operator import (TailReport, eval_plap, eval_plap_field,
                                 f_power, kernel, tail_integrability_check)
@@ -23,6 +23,6 @@ __all__ = [
     "NumericError", "PlaneGeometry", "PreconditionError", "QuadratureConfig",
     "ReflectedFunction", "SampledFunction", "TailError", "TailReport",
     "ValidationReport", "axis_plane", "eval_p", "eval_plap", "eval_plap_field",
-    "f_power", "kernel", "make_spec", "reflect", "spec_from_config",
+    "f_power", "kernel", "make_spec", "spec_from_config",
     "tail_integrability_check", "validate", "validate_p1", "validate_p2",
 ]

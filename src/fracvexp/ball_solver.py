@@ -1,9 +1,9 @@
 """Desk-scale collocation solver for the model Dirichlet problem on the
 unit ball: operator(u) = rhs(u) at interior nodes, u = 0 outside.
 
-The scheme is a damped explicit pseudo-time flow with an adaptive step
-(halved on residual increase, grown 1.2x on decrease) and a hard clip
-into [0, 1-eta].  Existence of a nontrivial discrete solution is not
+The scheme is projected Newton on [0, 1-eta] with the exact Jacobian of the
+plan (`_backend.jacobian`) and a backtracking line search; it has no
+step-size schedule.  Existence of a nontrivial discrete solution is not
 guaranteed; non-convergence and collapse to the trivial solution are
 reported honestly, never masked.  A manufactured mode (radial bump whose
 operator image is taken as right-hand side) validates recovery.
@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._backend import apply_plan
+from ._backend import apply_plan, jacobian
 from .errors import NumericError, PreconditionError
 from .exponents import ExponentSpec
 from .grids import SampledFunction, ZERO_BALL
@@ -25,6 +25,11 @@ from .quadrature import QuadratureConfig, _frozen_ratio, build_plan
 POWER = "power"
 MANUFACTURED = "manufactured"
 GENERAL_F = "general_f"
+
+#: Most halvings of one Newton step before the line search gives up.
+MAX_HALVINGS = 30
+#: Step of the central difference quotient of the rhs when f' is not given.
+FD_STEP = 1e-6
 
 
 @dataclass
@@ -77,6 +82,16 @@ class ProblemSpec:
             return np.asarray(self.h_field, dtype=float).ravel()[interior_idx]
         return np.asarray(self.f(u_vals), dtype=float).ravel()
 
+    def rhs_derivative(self, pts: np.ndarray, u_vals: np.ndarray, interior_idx) -> np.ndarray:
+        """d rhs / du at u_vals: the diagonal of the rhs Jacobian (0 if manufactured)."""
+        if self.rhs_mode == POWER:
+            q = self.q_values(pts)
+            return q * u_vals ** (q - 1.0)
+        if self.rhs_mode == GENERAL_F and self.f_prime is not None:
+            return np.asarray(self.f_prime(u_vals), dtype=float).ravel()
+        return (self.rhs(pts, u_vals + FD_STEP, interior_idx)
+                - self.rhs(pts, u_vals - FD_STEP, interior_idx)) / (2.0 * FD_STEP)
+
 
 @dataclass
 class SolveReport:
@@ -86,8 +101,7 @@ class SolveReport:
     solution: SampledFunction
     range_ok: bool
     trivial_limit: bool = False
-    history: list = field(default_factory=list)   # rows: [iter, res_sup, err_sup]
-    tau_final: float = 0.0
+    history: list = field(default_factory=list)   # rows: [step, res_sup, err_sup]
     applies: int = 0
     message: str = ""
     plan: dict = field(default_factory=dict)      # EvalPlan.counters() of the solver plan
@@ -101,7 +115,6 @@ class SolveReport:
             "trivial_limit": bool(self.trivial_limit),
             "history": [[int(i), float(r), None if e is None else float(e)]
                         for i, r, e in self.history],
-            "tau_final": self.tau_final,
             "applies": self.applies,
             "message": self.message,
             "plan": dict(self.plan),
@@ -139,11 +152,9 @@ def manufacture(spec: ExponentSpec, n: int, extent: float = 1.5,
     u_star = SampledFunction.from_function(
         bump_profile(amplitude, s_prof), extent, n, spec.dimension, ZERO_BALL)
     mask = interior_mask(u_star)
-    pts = u_star.nodes()[mask]
-    plan = build_plan(spec, u_star, pts, cfg, values_bound=1.0)
-    h_int, _ = apply_plan(plan, u_star.values)
+    plan = build_plan(spec, u_star, u_star.nodes()[mask], cfg, values_bound=1.0)
     h = np.zeros(u_star.values.size)
-    h[np.nonzero(mask)[0]] = h_int
+    h[mask] = apply_plan(plan, u_star.values)[0]
     return u_star, h
 
 
@@ -151,8 +162,7 @@ def residual(problem: ProblemSpec, u: SampledFunction,
              cfg: QuadratureConfig | None = None, plan=None) -> np.ndarray:
     """r(x_i) = operator(u)(x_i) - rhs(x_i) over interior ball nodes."""
     cfg = cfg or QuadratureConfig()
-    mask = interior_mask(u)
-    idx = np.nonzero(mask)[0]
+    idx = np.nonzero(interior_mask(u))[0]
     pts = u.nodes()[idx]
     if plan is None:
         plan = build_plan(problem.exponent, u, pts, cfg, values_bound=1.0)
@@ -162,105 +172,69 @@ def residual(problem: ProblemSpec, u: SampledFunction,
 
 def solve(problem: ProblemSpec, initial_guess: SampledFunction,
           cfg: QuadratureConfig | None = None, tol_res: float = 1e-4,
-          max_iters: int = 50_000, tau0: float | None = None,
-          eta: float = 1e-3, checkpoint_every: int = 25,
+          max_iters: int = 50_000, eta: float = 1e-3, checkpoint_every: int = 25,
           u_star: SampledFunction | None = None) -> SolveReport:
-    """Damped pseudo-time iteration u <- clip(u - tau r, 0, 1-eta).
+    """Projected Newton on [0, 1-eta] with a backtracking line search.
 
-    Stops at sup-norm residual <= tol_res or at the apply budget.
-    `u_star`, when given, adds a sup-error column to the checkpoint
-    history (manufactured-mode validation).
+    Each step solves J d = r with the exact Jacobian (`lstsq` if singular)
+    and halves d, at most MAX_HALVINGS times, until the sup residual of
+    clip(u - d, 0, 1-eta) falls, with the plan's frozen ratio rho held fixed.
+    rho re-freezes on each accepted iterate before its residual is taken, so
+    every `history` row [step, sup residual, sup error to `u_star` or None]
+    equals an independent `residual()`.  Stops at tol_res, at `max_iters`
+    applies, or when the line search finds no decrease.  `checkpoint_every`
+    is ignored.
     """
     cfg = cfg or QuadratureConfig()
-    spec = problem.exponent
+    values = initial_guess.values.copy()
+    idx = np.nonzero(interior_mask(initial_guess))[0]
+    pts = initial_guess.nodes()[idx]
     if initial_guess.dim != problem.dim:
         raise PreconditionError("initial guess dimension mismatch")
-    vals0 = initial_guess.values
-    if np.any(vals0 < 0.0) or np.any(vals0 > 1.0 - eta):
+    if np.any(values < 0.0) or np.any(values > 1.0 - eta):
         raise PreconditionError("initial guess must take values in [0, 1-eta]")
-
-    mask = interior_mask(initial_guess)
-    idx = np.nonzero(mask)[0]
-    pts = initial_guess.nodes()[idx]
-    if np.any(vals0[~mask] != 0.0):
+    if np.any(np.delete(values, idx) != 0.0):
         raise PreconditionError("initial guess must vanish outside the unit ball")
+    plan = build_plan(problem.exponent, initial_guess, pts, cfg, values_bound=1.0)
+    applies, history = 0, []
 
-    plan = build_plan(spec, initial_guess, pts, cfg, values_bound=1.0)
-
-    h = initial_guess.spacing
-    tau = tau0 if tau0 is not None else 0.1 * h ** (spec.order * spec.p_minus)
-
-    values = vals0.copy()
-
-    def residual_of(v: np.ndarray) -> np.ndarray:
-        a_vals, centers = apply_plan(plan, v)
-        return a_vals - problem.rhs(pts, centers, idx)
-
-    def sup_err(v: np.ndarray):
-        if u_star is None:
-            return None
-        return float(np.max(np.abs(v - u_star.values)))
-
-    res = residual_of(values)
-    applies = 1
-    if not np.all(np.isfinite(res)):
-        raise NumericError("non-finite residual at iteration 0")
-    res_sup = float(np.max(np.abs(res)))
-    history = [(0, res_sup, sup_err(values))]
-    accepted = 0
-    message = ""
-
-    while applies < max_iters:
-        if res_sup <= tol_res:
-            # the truncation-remainder ratio is frozen per plan; re-freezing
-            # on the candidate solution makes the reported residual match an
-            # independent recompute on the returned iterate
-            plan.rho = _frozen_ratio(plan, values)
-            res = residual_of(values)
-            applies += 1
-            res_sup = float(np.max(np.abs(res)))
-            if res_sup <= tol_res:
-                break
-        trial = values.copy()
-        trial[idx] = np.clip(values[idx] - tau * res, 0.0, 1.0 - eta)
-        res_new = residual_of(trial)
+    def sup_residual(v: np.ndarray):
+        nonlocal applies
         applies += 1
-        if not np.all(np.isfinite(res_new)):
+        res = residual(problem, initial_guess.with_values(v), cfg, plan)
+        if not np.all(np.isfinite(res)):
             raise NumericError(f"non-finite residual at apply {applies}")
-        new_sup = float(np.max(np.abs(res_new)))
-        if new_sup > res_sup:
-            tau *= 0.5
-            if tau < 1e-18:
-                message = "step collapsed: iteration stalled"
+        return res, float(np.max(np.abs(res)))
+
+    while True:
+        res, res_sup = sup_residual(values)
+        history.append((len(history), res_sup, None if u_star is None
+                        else float(np.max(np.abs(values - u_star.values)))))
+        if res_sup <= tol_res or applies >= max_iters:
+            break
+        jac = jacobian(plan, values)[:, idx]
+        jac.flat[::len(idx) + 1] -= problem.rhs_derivative(pts, values[idx], idx)
+        try:
+            step = np.linalg.solve(jac, res)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(jac, res, rcond=None)[0]
+        for _ in range(MAX_HALVINGS + 1):
+            trial = values.copy()
+            trial[idx] = np.clip(values[idx] - step, 0.0, 1.0 - eta)
+            decreased = sup_residual(trial)[1] < res_sup
+            if decreased or applies >= max_iters:
                 break
-            continue
+            step = 0.5 * step
+        if not decreased:
+            break
         values = trial
-        res = res_new
-        res_sup = new_sup
-        tau *= 1.2
-        accepted += 1
-        if np.any(values < 0.0) or np.any(values > 1.0 - eta):
-            raise NumericError("range invariant violated")  # unreachable: clip
-        if accepted % checkpoint_every == 0:
-            # keep the frozen remainder ratio tracking the iterate so no
-            # single late re-freeze bumps the recorded residual
-            plan.rho = _frozen_ratio(plan, values)
-            res = residual_of(values)
-            applies += 1
-            res_sup = float(np.max(np.abs(res)))
-            history.append((accepted, res_sup, sup_err(values)))
+        plan.rho = _frozen_ratio(plan, values)
 
-    if not history or history[-1][0] != accepted:
-        history.append((accepted, res_sup, sup_err(values)))
-
-    solution = initial_guess.with_values(values)
     converged = res_sup <= tol_res
-    trivial = (problem.rhs_mode == POWER and converged
-               and float(np.max(values)) <= 10.0 * eta)
-    if not converged and not message:
-        message = "apply budget exhausted before tolerance"
+    message = ("" if converged else "apply budget exhausted before tolerance"
+               if applies >= max_iters else "line search found no decrease")
     return SolveReport(
-        iterations=accepted, final_residual_sup=res_sup, converged=converged,
-        solution=solution, range_ok=True, trivial_limit=trivial,
-        history=history, tau_final=tau, applies=applies, message=message,
-        plan=plan.counters())
+        iterations=len(history) - 1, final_residual_sup=res_sup, converged=converged,
+        solution=initial_guess.with_values(values), range_ok=True,
+        trivial_limit=bool(converged and problem.rhs_mode == POWER and np.max(values) <= 10 * eta),
+        history=history, applies=applies, message=message, plan=plan.counters())

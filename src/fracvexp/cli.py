@@ -92,22 +92,6 @@ def write_profile_csv(u: SampledFunction, path: Path, center=None) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def emit_plot_data(report: dict, out_dir, prefix: str = "") -> list:
-    """Write the plot CSVs a report supports; returns the paths written."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    if "lambda_grid" in report:
-        p = out_dir / f"{prefix}sweep.csv"
-        write_sweep_csv(report, p)
-        written.append(p)
-    if "history" in report:
-        p = out_dir / f"{prefix}residual_history.csv"
-        write_residual_csv(report["history"], p)
-        written.append(p)
-    return written
-
-
 # ---------------------------------------------------------------------------
 # argument helpers
 # ---------------------------------------------------------------------------
@@ -286,7 +270,6 @@ def _cmd_check_mp(args, cfg: RunConfig, outdir: Path) -> bool:
 
 def _cmd_solve(args, cfg: RunConfig, outdir: Path) -> bool:
     spec = cfg.exponent_spec()
-    qcfg = cfg.quadrature()
     sol = cfg.section("solver")
     n = args.grid or sol["nodes"]
     mode = {"power": POWER, "manufactured": MANUFACTURED,
@@ -294,12 +277,7 @@ def _cmd_solve(args, cfg: RunConfig, outdir: Path) -> bool:
 
     u_star = None
     if mode == MANUFACTURED:
-        u_star, h = manufacture(spec, n, sol["extent"], sol["amplitude"], cfg=qcfg)
-        problem = ProblemSpec(exponent=spec, rhs_mode=mode, h_field=h,
-                              domain=f"ball_{spec.dimension}d")
-        pert = _perturbation(u_star, sol["perturbation"])
-        guess = u_star.with_values(
-            np.clip(u_star.values + pert, 0.0, 1.0 - sol["eta"]))
+        u_star, problem, guess = _manufactured_problem(cfg, n)
     else:
         if mode == POWER:
             space = ("x", "r") if spec.dimension == 1 else ("x", "y", "r")
@@ -317,20 +295,40 @@ def _cmd_solve(args, cfg: RunConfig, outdir: Path) -> bool:
         guess = SampledFunction.from_function(
             bump_profile(sol["amplitude"], spec.order), sol["extent"], n,
             spec.dimension)
+    report, _ = _solve_and_write(cfg, problem, guess, u_star, outdir,
+                                 args.report or "solve.json", args.out or "u.csv",
+                                 mode=args.mode)
+    return report.converged
 
-    report = solve(problem, guess, qcfg, tol_res=sol["tol_res"],
-                   max_iters=sol["max_iters"], eta=sol["eta"],
-                   checkpoint_every=sol["checkpoint_every"], u_star=u_star)
-    payload = _stamp(report.to_dict(), cfg)
-    payload["mode"] = args.mode
+
+def _manufactured_problem(cfg: RunConfig, n: int):
+    """u*, its manufactured problem, and u* plus the odd perturbation as the guess."""
+    spec, sol = cfg.exponent_spec(), cfg.section("solver")
+    u_star, h = manufacture(spec, n, sol["extent"], sol["amplitude"], cfg=cfg.quadrature())
+    problem = ProblemSpec(exponent=spec, rhs_mode=MANUFACTURED, h_field=h,
+                          domain=f"ball_{spec.dimension}d")
+    guess = u_star.with_values(np.clip(
+        u_star.values + _perturbation(u_star, sol["perturbation"]), 0.0, 1.0 - sol["eta"]))
+    return u_star, problem, guess
+
+
+def _solve_and_write(cfg: RunConfig, problem, guess, u_star, outdir: Path,
+                     report_name: str = "solve.json", u_name: str = "u.csv", **extra):
+    """Solve with the [solver] settings; write the report, u, residual history and
+    profile.  Returns the report and, given u_star, the sup error to it."""
+    sol = cfg.section("solver")
+    report = solve(problem, guess, cfg.quadrature(), tol_res=sol["tol_res"],
+                   max_iters=sol["max_iters"], eta=sol["eta"], u_star=u_star)
+    payload = _stamp({**report.to_dict(), **extra}, cfg)
+    sup_err = None
     if u_star is not None:
-        payload["sup_error_vs_target"] = float(
-            np.max(np.abs(report.solution.values - u_star.values)))
-    _write_json(outdir / (args.report or "solve.json"), payload)
-    report.solution.save(outdir / (args.out or "u.csv"))
+        sup_err = float(np.max(np.abs(report.solution.values - u_star.values)))
+        payload["sup_error_vs_target"] = sup_err
+    _write_json(outdir / report_name, payload)
+    report.solution.save(outdir / u_name)
     write_residual_csv(report.history, outdir / "residual_history.csv")
     write_profile_csv(report.solution, outdir / "profile.csv")
-    return report.converged
+    return report, sup_err
 
 
 def _perturbation(u_star: SampledFunction, amplitude: float) -> np.ndarray:
@@ -396,23 +394,8 @@ def run_reproduce_all(cfg: RunConfig, outdir: Path) -> dict:
          {"suites": [s["name"] for s in lrep["suites"]]})
 
     # 3. manufactured solve from an asymmetrically perturbed guess
-    u_star, h = manufacture(spec, sol["nodes"], sol["extent"],
-                            sol["amplitude"], cfg=qcfg)
-    problem = ProblemSpec(exponent=spec, rhs_mode=MANUFACTURED, h_field=h,
-                          domain=f"ball_{spec.dimension}d")
-    guess = u_star.with_values(np.clip(
-        u_star.values + _perturbation(u_star, sol["perturbation"]),
-        0.0, 1.0 - sol["eta"]))
-    srep = solve(problem, guess, qcfg, tol_res=sol["tol_res"],
-                 max_iters=sol["max_iters"], eta=sol["eta"],
-                 checkpoint_every=sol["checkpoint_every"], u_star=u_star)
-    sup_err = float(np.max(np.abs(srep.solution.values - u_star.values)))
-    spayload = _stamp(srep.to_dict(), cfg)
-    spayload["sup_error_vs_target"] = sup_err
-    _write_json(outdir / "solve.json", spayload)
-    srep.solution.save(outdir / "u.csv")
-    write_residual_csv(srep.history, outdir / "residual_history.csv")
-    write_profile_csv(srep.solution, outdir / "profile.csv")
+    u_star, problem, guess = _manufactured_problem(cfg, sol["nodes"])
+    srep, sup_err = _solve_and_write(cfg, problem, guess, u_star, outdir)
     step("manufactured_solve", srep.converged and sup_err <= 5e-3,
          {"sup_error": sup_err, "iterations": srep.iterations,
           "residual": srep.final_residual_sup})

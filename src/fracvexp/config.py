@@ -22,6 +22,8 @@ DEFAULTS = {
     "quadrature": {"pairing_radius": 0.25, "graded_levels": 12,
                    "nodes_per_level": 8, "angular_nodes": 32,
                    "tail_radius": 4.0, "tail_tolerance": 1e-8},
+    # checkpoint_every is read by nothing in the package (the Newton solver
+    # has no checkpoints); it stays a valid key so older configs still load
     "solver": {"nodes": 201, "extent": 1.5, "amplitude": 0.5,
                "tol_res": 1e-4, "max_iters": 50000, "eta": 1e-3,
                "checkpoint_every": 25, "perturbation": 0.05},

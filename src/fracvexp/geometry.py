@@ -47,17 +47,8 @@ class PlaneGeometry:
         c = self.coord(x)
         return c < self.offset if strict else c <= self.offset
 
-    def on_plane(self, x, tol: float = 0.0):
-        c = self.coord(x)
-        return np.abs(np.asarray(c) - self.offset) <= tol
-
 
 def axis_plane(dim: int, offset: float, axis: int = 0) -> PlaneGeometry:
     e = np.zeros(dim)
     e[axis] = 1.0
     return PlaneGeometry(tuple(e), float(offset))
-
-
-def reflect(plane: PlaneGeometry, x):
-    """Functional form of PlaneGeometry.reflect."""
-    return plane.reflect(x)

@@ -16,14 +16,14 @@ import numpy as np
 
 from .errors import NumericError, PreconditionError
 from .exponents import ExponentSpec
-from .geometry import PlaneGeometry, axis_plane, reflect
+from .geometry import PlaneGeometry, axis_plane
 from .grids import ReflectedFunction, SampledFunction
 from .nonlocal_operator import eval_plap, eval_plap_field
 from .quadrature import (QuadratureConfig, directions, paired_nodes,
                          truncation_radius)
 
 __all__ = [
-    "PlaneGeometry", "axis_plane", "reflect", "MPReport", "ProbeReport",
+    "PlaneGeometry", "axis_plane", "MPReport", "ProbeReport",
     "w_lambda", "w_lambda_field", "check_strong_mp", "check_antisym_mp",
     "boundary_estimate_probe", "j1_j2_split",
     "HYPOTHESIS_TOL", "CONCLUSION_TOL",
@@ -231,7 +231,7 @@ def j1_j2_split(spec: ExponentSpec, u: SampledFunction, plane: PlaneGeometry,
         raise PreconditionError("x0 must lie in the closed half-space")
 
     dirs, aw = directions(N, cfg.angular_nodes)
-    r_eff = truncation_radius(spec, u.values, cfg)
+    r_eff = truncation_radius(spec, u.values, u.extent, cfg)
     rs, pos, w_node = paired_nodes(x0, u.extent, r_eff, cfg, dirs, aw)
     in_h = pos @ plane.e < plane.offset
     y = pos[in_h]

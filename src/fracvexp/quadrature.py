@@ -191,17 +191,19 @@ def _f_abs_max(t_bound: float, p_minus: float, p_plus: float) -> float:
     return max(t_bound ** (p_minus - 1.0), t_bound ** (p_plus - 1.0))
 
 
-def truncation_radius(spec: ExponentSpec, values: np.ndarray, cfg: QuadratureConfig,
-                      values_bound: float = 0.0) -> float:
+def truncation_radius(spec: ExponentSpec, values: np.ndarray, extent: float,
+                      cfg: QuadratureConfig, values_bound: float = 0.0) -> float:
     """Outer radius that keeps the discarded tail within cfg.tail_tolerance.
 
-    Sized for every value vector with |u| below max(|values|, values_bound).
+    Sized for every value vector with |u| below max(|values|, values_bound),
+    and at least the diameter 2·sqrt(N)·extent of the grid box, so that from
+    any point in the box everything beyond the radius takes the exterior rule.
     """
     # conservative bound on |u(x)-u(y)|; 10% headroom absorbs interpolation overshoot
     u_abs = float(np.max(np.abs(values))) if values.size else 0.0
     t_bound = 2.2 * max(u_abs, values_bound, 1e-30)
     f_max = _f_abs_max(t_bound, spec.p_minus, spec.p_plus)
-    r_eff = max(cfg.tail_radius, tail_radius_needed(
+    r_eff = max(cfg.tail_radius, 2.0 * np.sqrt(spec.dimension) * extent, tail_radius_needed(
         f_max, spec.dimension, spec.order, spec.p_minus, cfg.tail_tolerance))
     if r_eff > R_EFF_CAP:
         raise TailError(
@@ -256,7 +258,7 @@ def build_plan(spec: ExponentSpec, u, points, cfg: QuadratureConfig,
 
     s, N = spec.order, spec.dimension
     values = grid.values
-    r_eff = truncation_radius(spec, values, cfg, values_bound)
+    r_eff = truncation_radius(spec, values, grid.extent, cfg, values_bound)
     dirs, aw = directions(N, cfg.angular_nodes)
     n_dirs = len(dirs)
 

@@ -68,6 +68,22 @@ class TestProblemSpec:
                        f=lambda t: 0.2 - 0.2 * t,
                        f_prime=lambda t: np.full_like(np.asarray(t, float), -0.2))
 
+    def test_rhs_derivative(self, spec_model):
+        pts = np.zeros((4, 1))
+        u = np.array([0.0, 0.1, 0.4, 0.7])
+        power = bs.ProblemSpec(exponent=spec_model, q_function=2.5, rhs_mode=bs.POWER)
+        np.testing.assert_allclose(power.rhs_derivative(pts, u, None), 2.5 * u ** 1.5)
+        h = np.arange(10.0)
+        made = bs.ProblemSpec(exponent=spec_model, rhs_mode=bs.MANUFACTURED, h_field=h)
+        assert np.all(made.rhs_derivative(pts, u, np.arange(4)) == 0.0)
+        # general f: f' when given, a difference quotient of f otherwise
+        f = bs.ProblemSpec(exponent=spec_model, rhs_mode=bs.GENERAL_F,
+                           f=lambda t: 0.2 - 0.3 * t ** 3)
+        np.testing.assert_allclose(f.rhs_derivative(pts, u, None), -0.9 * u ** 2, atol=1e-9)
+        fp = bs.ProblemSpec(exponent=spec_model, rhs_mode=bs.GENERAL_F, f=lambda t: -t,
+                            f_prime=lambda t: np.full_like(np.asarray(t, float), -1.0))
+        np.testing.assert_array_equal(fp.rhs_derivative(pts, u, None), -1.0)
+
     def test_q_above_one(self, spec_model):
         problem = bs.ProblemSpec(exponent=spec_model, q_function=0.5,
                                  rhs_mode=bs.POWER, domain="ball_1d")
@@ -131,6 +147,24 @@ class TestSolve:
                        checkpoint_every=10, u_star=u_star)
         errs = [row[2] for row in rep.history[-10:]]
         assert all(b <= a + 1e-15 for a, b in zip(errs, errs[1:]))
+
+    def test_manufactured_recovery_p_below_two(self, qcfg):
+        # m = 0.3 puts p_minus at 1.83: |t|^(p-2) is unbounded at t = 0, and the
+        # frozen ratio jumps between iterates; the C7 gates still hold
+        spec = fx.make_spec("example_ii", dimension=1, order=0.5, m=0.3)
+        assert spec.p_minus < 2.0
+        u_star, h = bs.manufacture(spec, n=101, amplitude=0.5, cfg=qcfg)
+        problem = bs.ProblemSpec(exponent=spec, rhs_mode=bs.MANUFACTURED, h_field=h)
+        nodes = u_star.nodes()[:, 0]
+        pert = 0.05 * np.sin(3 * nodes) * np.maximum(0.0, 1.0 - nodes ** 2)
+        guess = u_star.with_values(np.clip(u_star.values + pert, 0.0, 1.0 - 1e-3))
+        rep = bs.solve(problem, guess, qcfg, tol_res=1e-4, u_star=u_star)
+        assert rep.converged and rep.range_ok
+        assert np.max(np.abs(rep.solution.values - u_star.values)) <= 5e-3
+        tail = rep.history[-10:]
+        assert all(b[1] <= a[1] + 1e-15 for a, b in zip(tail, tail[1:]))
+        res = bs.residual(problem, rep.solution, qcfg)
+        assert np.max(np.abs(res)) == pytest.approx(rep.final_residual_sup, rel=1e-12)
 
     def test_nonconvergence_reported_honestly(self, manufactured, qcfg):
         u_star, problem = manufactured

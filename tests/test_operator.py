@@ -6,10 +6,11 @@ import pytest
 from scipy import integrate
 
 import fracvexp as fx
-from fracvexp._backend import _apply_loop, _apply_numpy, apply_plan
+from fracvexp._backend import _apply_loop, _apply_numpy, apply_plan, jacobian
 from fracvexp.ball_solver import bump_profile, interior_mask
 from fracvexp.oracles import brute_force_plap, constant_p_plap
-from fracvexp.quadrature import _gauss_on, _legendre_rule, build_plan, directions, paired_nodes
+from fracvexp.quadrature import (_gauss_on, _legendre_rule, build_plan, directions,
+                                 paired_nodes, truncation_radius)
 
 
 class TestFPower:
@@ -206,6 +207,28 @@ class TestBackends:
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-13, err_msg=name)
             np.testing.assert_allclose(ca, cb, rtol=1e-12, atol=1e-13, err_msg=name)
 
+    @pytest.mark.parametrize("spec_name", ["spec_1d", "spec_2d", "const3_1d", "const3_2d"])
+    def test_jacobian_matches_finite_differences(self, spec_name, qcfg, request):
+        # a perturbed bump on the solver's collocation set: rows of every level,
+        # nonzero frozen ratios (the 1/(1-rho) factor) and exterior slots
+        spec = request.getfixturevalue(spec_name)
+        n = 41 if spec.dimension == 1 else 11
+        u = fx.SampledFunction.from_function(bump_profile(0.5, 0.5), 1.5, n, spec.dimension)
+        idx = np.nonzero(interior_mask(u))[0]
+        plan = build_plan(spec, u, u.nodes()[idx], qcfg, values_bound=1.0)
+        assert np.any(plan.rho > 0.0) and plan.ext_values.size > 0
+        v = u.values.copy()
+        v[idx] += 0.02 * np.random.default_rng(3).standard_normal(len(idx))
+        jac = jacobian(plan, v)
+        assert jac.shape == (len(idx), v.size)
+        eps = 1e-6
+        fd = np.empty_like(jac)
+        for k in range(v.size):
+            e = np.zeros(v.size)
+            e[k] = eps
+            fd[:, k] = (apply_plan(plan, v + e)[0] - apply_plan(plan, v - e)[0]) / (2.0 * eps)
+        assert np.max(np.abs(jac - fd)) <= 1e-5 * np.max(np.abs(jac))
+
 
 def _uncollapsed_nodes(spec, plan, x, extent, cfg):
     """Positions, weights w_node * kernel, p - 2 and level tags of every node around x."""
@@ -317,6 +340,20 @@ class TestPlanLayout:
         full = sum(len(_uncollapsed_nodes(spec_2d, plan, x, u.extent, qcfg)[1]) for x in pts)
         assert plan.meta["nodes_uncollapsed"] == full
         assert plan.wk.size <= 0.4 * full
+
+
+class TestTailCertificate:
+    def test_r_eff_covers_box_diameter(self, spec_2d):
+        # a loose tolerance alone would stop the far ray from the corner inside
+        # the box, where u reads 0.1 rather than the exterior rule's 0.0
+        u = fx.SampledFunction(np.full(61 * 61, 0.1), (61, 61), 1.5, exterior_rule="constant:0.0")
+        x = np.array([[-1.4, -1.4]])
+        cfg = fx.QuadratureConfig(tail_tolerance=1.0)
+        plan = build_plan(spec_2d, u, x, cfg)
+        assert plan.r_eff >= 3.0 * math.sqrt(2.0)
+        assert truncation_radius(spec_2d, u.values, u.extent, cfg) == plan.r_eff
+        dirs, _ = directions(2, cfg.angular_nodes)
+        assert np.all(np.max(np.abs(x + plan.r_eff * dirs), axis=1) > u.extent)
 
 
 class TestLinearForm:
