@@ -1,15 +1,15 @@
 """The plan-application kernel, its per-node reference and its Jacobian.
 
-`_apply_numpy` is the kernel every caller runs through `apply_plan`.
-`_apply_loop` computes the same sums one node at a time in plain Python;
-it is the reference the tests compare the numpy kernel against.
-`jacobian` differentiates the kernel's terms.  All read the extended value
-vector v = [values, plan.ext_values]: every plan row and center is a plain
-stencil into it, exterior values included (see `quadrature`).  Each point's
-rows are summed in plan row order, so results are deterministic.
+`level_sums` is the one kernel pass: `apply_plan`, the solver and the ratio
+freeze in `quadrature` all read its sums.  `_apply_loop` is the plain-Python
+per-node reference of `apply_plan`; `jacobian` differentiates the terms.  All
+read v = [values, plan.ext_values], in which every plan row and center is a
+plain stencil (see `quadrature`), and sum each point's rows in plan row order.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,25 +31,37 @@ def _node_terms(plan, v):
     return plan.wk * np.abs(t) ** plan.pm2 * t, c
 
 
-def _apply_numpy(plan, v):
+class LevelSums(NamedTuple):
+    """Per point: all node terms, the innermost and next dyadic level, the center."""
+
+    total: np.ndarray
+    a1: np.ndarray
+    a2: np.ndarray
+    centers: np.ndarray
+
+    def field(self, rho: np.ndarray) -> np.ndarray:
+        """The total plus the graded remainder below the innermost level, a1·rho/(1-rho)."""
+        return self.total + self.a1 * rho / (1.0 - rho)
+
+
+def level_sums(plan, values: np.ndarray) -> LevelSums:
+    """One kernel pass of `plan` over a value vector (see module docs)."""
+    v = np.concatenate([np.asarray(values, dtype=float), plan.ext_values])
     contrib, c = _node_terms(plan, v)
-    out = np.add.reduceat(contrib, plan.ptr[:-1])
-    # remainder of the dyadic grading below the innermost level: live
-    # innermost-level sum times the plan's frozen geometric ratio
-    a1 = np.add.reduceat(np.where(plan.level_tag == 2, contrib, 0.0), plan.ptr[:-1])
-    out = out + a1 * plan.rho / (1.0 - plan.rho)
-    return out, c
+    starts = plan.ptr[:-1]
+    a1, a2 = (np.add.reduceat(np.where(plan.level_tag == tag, contrib, 0.0), starts)
+              for tag in (2, 1))
+    return LevelSums(np.add.reduceat(contrib, starts), a1, a2, c)
 
 
 def _apply_loop(plan, v):
-    """Per-node loop twin of `_apply_numpy`."""
-    S = plan.cidx.shape[1]
+    """Per-node loop twin of `apply_plan` on the extended value vector v."""
     out, cout = np.empty(plan.n_points), np.empty(plan.n_points)
     for i in range(plan.n_points):
-        c = cout[i] = sum(plan.ccoef[i, k] * v[plan.cidx[i, k]] for k in range(S))
+        c = cout[i] = sum(a * v[k] for a, k in zip(plan.ccoef[i], plan.cidx[i]))
         acc = a1 = 0.0
         for j in range(plan.ptr[i], plan.ptr[i + 1]):
-            t = sum(plan.coef[j, k] * (c - v[plan.idx[j, k]]) for k in range(S))
+            t = sum(a * (c - v[k]) for a, k in zip(plan.coef[j], plan.idx[j]))
             term = plan.wk[j] * abs(t) ** plan.pm2[j] * t
             acc += term
             a1 += term if plan.level_tag[j] == 2 else 0.0
@@ -58,13 +70,10 @@ def _apply_loop(plan, v):
 
 
 def apply_plan(plan, values: np.ndarray):
-    """Evaluate the planned quadrature on a value vector.
-
-    Returns (field, centers): the operator values and the center values
-    u(x_i) the plan resolved (useful to callers forming residuals).
-    """
-    v = np.concatenate([np.asarray(values, dtype=float), plan.ext_values])
-    return _apply_numpy(plan, v)
+    """Evaluate the planned quadrature on a value vector: (field, centers), the
+    operator values and the center values u(x_i) the plan resolved."""
+    sums = level_sums(plan, values)
+    return sums.field(plan.rho), sums.centers
 
 
 def jacobian(plan, values: np.ndarray) -> np.ndarray:

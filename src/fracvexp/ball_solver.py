@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._backend import apply_plan, jacobian
+from ._backend import apply_plan, jacobian, level_sums
 from .errors import NumericError, PreconditionError
 from .exponents import ExponentSpec
 from .grids import SampledFunction, ZERO_BALL
@@ -159,13 +159,11 @@ def manufacture(spec: ExponentSpec, n: int, extent: float = 1.5,
 
 
 def residual(problem: ProblemSpec, u: SampledFunction,
-             cfg: QuadratureConfig | None = None, plan=None) -> np.ndarray:
-    """r(x_i) = operator(u)(x_i) - rhs(x_i) over interior ball nodes."""
-    cfg = cfg or QuadratureConfig()
+             cfg: QuadratureConfig | None = None) -> np.ndarray:
+    """r(x_i) = operator(u)(x_i) - rhs(x_i) over interior ball nodes, on a fresh plan."""
     idx = np.nonzero(interior_mask(u))[0]
     pts = u.nodes()[idx]
-    if plan is None:
-        plan = build_plan(problem.exponent, u, pts, cfg, values_bound=1.0)
+    plan = build_plan(problem.exponent, u, pts, cfg or QuadratureConfig(), values_bound=1.0)
     a_vals, centers = apply_plan(plan, u.values)
     return a_vals - problem.rhs(pts, centers, idx)
 
@@ -178,12 +176,12 @@ def solve(problem: ProblemSpec, initial_guess: SampledFunction,
 
     Each step solves J d = r with the exact Jacobian (`lstsq` if singular)
     and halves d, at most MAX_HALVINGS times, until the sup residual of
-    clip(u - d, 0, 1-eta) falls, with the plan's frozen ratio rho held fixed.
-    rho re-freezes on each accepted iterate before its residual is taken, so
-    every `history` row [step, sup residual, sup error to `u_star` or None]
-    equals an independent `residual()`.  Stops at tol_res, at `max_iters`
-    applies, or when the line search finds no decrease.  `checkpoint_every`
-    is ignored.
+    clip(u - d, 0, 1-eta) falls at the frozen ratio rho.  A trial is one
+    kernel pass (`level_sums`; `applies` counts them, with the guess's);
+    the accepted trial's sums re-freeze rho and give its `history` row
+    [step, sup residual, sup error to `u_star` or None], which equals an
+    independent `residual()`.  Stops at tol_res, at `max_iters` applies or
+    when the line search finds no decrease; `checkpoint_every` is ignored.
     """
     cfg = cfg or QuadratureConfig()
     values = initial_guess.values.copy()
@@ -196,18 +194,16 @@ def solve(problem: ProblemSpec, initial_guess: SampledFunction,
     if np.any(np.delete(values, idx) != 0.0):
         raise PreconditionError("initial guess must vanish outside the unit ball")
     plan = build_plan(problem.exponent, initial_guess, pts, cfg, values_bound=1.0)
-    applies, history = 0, []
 
-    def sup_residual(v: np.ndarray):
-        nonlocal applies
-        applies += 1
-        res = residual(problem, initial_guess.with_values(v), cfg, plan)
+    def sup_residual(sums):
+        res = sums.field(plan.rho) - problem.rhs(pts, sums.centers, idx)
         if not np.all(np.isfinite(res)):
             raise NumericError(f"non-finite residual at apply {applies}")
         return res, float(np.max(np.abs(res)))
 
+    sums, applies, history = level_sums(plan, values), 1, []
+    res, res_sup = sup_residual(sums)
     while True:
-        res, res_sup = sup_residual(values)
         history.append((len(history), res_sup, None if u_star is None
                         else float(np.max(np.abs(values - u_star.values)))))
         if res_sup <= tol_res or applies >= max_iters:
@@ -221,14 +217,16 @@ def solve(problem: ProblemSpec, initial_guess: SampledFunction,
         for _ in range(MAX_HALVINGS + 1):
             trial = values.copy()
             trial[idx] = np.clip(values[idx] - step, 0.0, 1.0 - eta)
-            decreased = sup_residual(trial)[1] < res_sup
+            sums, applies = level_sums(plan, trial), applies + 1
+            decreased = sup_residual(sums)[1] < res_sup
             if decreased or applies >= max_iters:
                 break
             step = 0.5 * step
         if not decreased:
             break
         values = trial
-        plan.rho = _frozen_ratio(plan, values)
+        plan.rho = _frozen_ratio(sums)
+        res, res_sup = sup_residual(sums)
 
     converged = res_sup <= tol_res
     message = ("" if converged else "apply budget exhausted before tolerance"

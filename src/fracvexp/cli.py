@@ -19,8 +19,7 @@ import numpy as np
 
 from . import __version__
 from .ball_solver import (GENERAL_F, MANUFACTURED, POWER, ProblemSpec,
-                          bump_profile, interior_mask, manufacture, residual,
-                          solve)
+                          bump_profile, interior_mask, manufacture, solve)
 from .config import RunConfig
 from .errors import (CheckFailedError, EvaluationError, NumericError,
                      PreconditionError, TailError)
@@ -96,15 +95,16 @@ def write_profile_csv(u: SampledFunction, path: Path, center=None) -> None:
 # argument helpers
 # ---------------------------------------------------------------------------
 
-def _parse_point(text: str) -> np.ndarray:
+def _parse_numbers(text: str, what: str = "point") -> np.ndarray:
+    """Comma- or ';'-separated numbers; anything else is a precondition error."""
     try:
         return np.asarray([float(v) for v in text.replace(";", ",").split(",") if v != ""])
     except ValueError as exc:
-        raise PreconditionError(f"cannot parse point {text!r}") from exc
+        raise PreconditionError(f"cannot parse {what} {text!r}") from exc
 
 
 def _parse_plane(text: str) -> PlaneGeometry:
-    vals = _parse_point(text)
+    vals = _parse_numbers(text, "plane")
     if len(vals) < 2:
         raise PreconditionError("--plane needs direction components plus the offset")
     return PlaneGeometry(tuple(vals[:-1] / np.linalg.norm(vals[:-1])), float(vals[-1]))
@@ -112,12 +112,15 @@ def _parse_plane(text: str) -> PlaneGeometry:
 
 def _parse_directions(text: str, dim: int, seed: int) -> np.ndarray:
     if ";" not in text and "," not in text:
-        return sweep_directions(dim, int(text), seed)
-    dirs = []
-    for chunk in text.split(";"):
-        v = np.asarray([float(c) for c in chunk.split(",")])
-        dirs.append(v / np.linalg.norm(v))
-    return np.asarray(dirs)
+        try:
+            count = int(text)
+        except ValueError as exc:
+            raise PreconditionError(f"cannot parse direction count {text!r}") from exc
+        return sweep_directions(dim, count, seed)
+    dirs = [_parse_numbers(chunk, "direction") for chunk in text.split(";")]
+    if any(len(v) != dim or not np.any(v != 0.0) for v in dirs):
+        raise PreconditionError(f"each direction in {text!r} must be {dim} numbers, not all 0")
+    return np.asarray([v / np.linalg.norm(v) for v in dirs])
 
 
 _EXPR_NAMES = {name: getattr(np, name) for name in
@@ -205,7 +208,7 @@ def _cmd_validate(args, cfg: RunConfig, outdir: Path) -> bool:
 def _cmd_eval(args, cfg: RunConfig, outdir: Path) -> bool:
     u = _load_function(args.input)
     spec = cfg.exponent_spec()
-    x = _parse_point(args.at)
+    x = _parse_numbers(args.at)
     value = eval_plap(spec, u, x, cfg.quadrature())
     _write_json(outdir / "eval.json",
                 _stamp({"point": x.tolist(), "value": value}, cfg))
@@ -215,8 +218,8 @@ def _cmd_eval(args, cfg: RunConfig, outdir: Path) -> bool:
 def _cmd_tail_check(args, cfg: RunConfig, outdir: Path) -> bool:
     u = _load_function(args.input)
     spec = cfg.exponent_spec()
-    x = _parse_point(args.at)
-    radii = [float(v) for v in args.radii.split(",")]
+    x = _parse_numbers(args.at)
+    radii = _parse_numbers(args.radii, "radii").tolist()
     rep = tail_integrability_check(spec, u, x, radii)
     _write_json(outdir / "tail.json", _stamp(rep.to_dict(), cfg))
     return True  # inconclusive is a reported outcome, not a failure
@@ -241,14 +244,8 @@ def _cmd_check_mp(args, cfg: RunConfig, outdir: Path) -> bool:
     tols = {"hyp_tol": mp_cfg["hyp_tol"], "concl_tol": mp_cfg["concl_tol"]}
 
     if args.theorem == "3.1":
-        mask = interior_mask(u)
-        if args.auto_mask:
-            pts = u.nodes()[mask]
-            field = eval_plap_field(spec, u, pts, qcfg)
-            keep = field >= -tols["hyp_tol"]
-            full = np.zeros(u.values.size, bool)
-            full[np.nonzero(mask)[0]] = keep
-            mask = full
+        mask = (_auto_mask(spec, u, qcfg, tols["hyp_tol"]) if args.auto_mask
+                else interior_mask(u))
         rep = check_strong_mp(spec, u, mask, qcfg, **tols)
         name = "mp_3_1.json"
     elif args.theorem == "3.2":
@@ -257,15 +254,28 @@ def _cmd_check_mp(args, cfg: RunConfig, outdir: Path) -> bool:
                                cfg=qcfg, **tols)
         name = "mp_3_2.json"
     elif args.theorem == "3.5":
-        plane = _parse_plane(args.plane)
-        xs = [(plane.offset - 2.0 ** -k) * plane.e for k in range(3, 11)]
-        rep = boundary_estimate_probe(spec, u, [plane] * len(xs), xs, qcfg)
+        rep = _boundary_probe(spec, u, _parse_plane(args.plane), qcfg)
         name = "mp_3_5.json"
     else:
         raise PreconditionError(f"unknown theorem {args.theorem!r}")
 
     _write_json(outdir / name, _stamp(rep.to_dict(), cfg))
-    return rep.verdict == HOLDS if hasattr(rep, "verdict") else bool(rep.ok)
+    return rep.verdict == HOLDS
+
+
+def _auto_mask(spec, u: SampledFunction, qcfg, hyp_tol: float) -> np.ndarray:
+    """Interior ball nodes of u where the operator is at least -hyp_tol."""
+    mask = interior_mask(u)
+    field = eval_plap_field(spec, u, u.nodes()[mask], qcfg)
+    auto = np.zeros(u.values.size, bool)
+    auto[np.nonzero(mask)[0]] = field >= -hyp_tol
+    return auto
+
+
+def _boundary_probe(spec, u: SampledFunction, plane: PlaneGeometry, qcfg):
+    """The 3.5 probe at (offset - 2^-k)·e, k = 3..10, approaching the plane."""
+    xs = [(plane.offset - 2.0 ** -k) * plane.e for k in range(3, 11)]
+    return boundary_estimate_probe(spec, u, [plane] * len(xs), xs, qcfg)
 
 
 def _cmd_solve(args, cfg: RunConfig, outdir: Path) -> bool:
@@ -431,12 +441,8 @@ def run_reproduce_all(cfg: RunConfig, outdir: Path) -> dict:
 
     # 5. maximum principles
     tols = {"hyp_tol": mp_cfg["hyp_tol"], "concl_tol": mp_cfg["concl_tol"]}
-    mask = interior_mask(u_star)
-    pts = u_star.nodes()[mask]
-    field = eval_plap_field(spec, u_star, pts, qcfg)
-    auto = np.zeros(u_star.values.size, bool)
-    auto[np.nonzero(mask)[0]] = field >= -tols["hyp_tol"]
-    mp1 = check_strong_mp(spec, u_star, auto, qcfg, **tols)
+    mp1 = check_strong_mp(spec, u_star, _auto_mask(spec, u_star, qcfg, tols["hyp_tol"]),
+                          qcfg, **tols)
     nodes = u_star.nodes()
     dip = u_star.values - 1.2 * float(np.max(u_star.values)) * np.exp(
         -8.0 * np.sum(nodes ** 2, axis=1)) * np.maximum(
@@ -470,9 +476,7 @@ def run_reproduce_all(cfg: RunConfig, outdir: Path) -> dict:
          {"degenerate": mp2.verdict, "diagnostic": mp2_diag.verdict,
           "control": mp2_bad.verdict})
 
-    plane = axis_plane(spec.dimension, -0.5)
-    xs = [(plane.offset - 2.0 ** -k) * plane.e for k in range(3, 11)]
-    probe = boundary_estimate_probe(spec, u_star, [plane] * len(xs), xs, qcfg)
+    probe = _boundary_probe(spec, u_star, axis_plane(spec.dimension, -0.5), qcfg)
     _write_json(outdir / "mp_boundary.json", _stamp(probe.to_dict(), cfg))
     step("boundary_probe", probe.ok, {"margin": probe.margin})
 

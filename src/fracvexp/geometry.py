@@ -22,7 +22,7 @@ class PlaneGeometry:
 
     def __post_init__(self):
         e = np.asarray(self.direction, dtype=float)
-        if abs(np.linalg.norm(e) - 1.0) > 1e-14:
+        if not abs(np.linalg.norm(e) - 1.0) <= 1e-14:  # NaN fails too
             raise PreconditionError(f"direction must be a unit vector, |e| = {np.linalg.norm(e)!r}")
         object.__setattr__(self, "direction", tuple(float(v) for v in e))
 

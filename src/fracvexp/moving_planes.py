@@ -8,7 +8,7 @@ they never claim a proof.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
@@ -333,7 +333,9 @@ def _perp(e: np.ndarray) -> np.ndarray:
 
 
 def sweep_directions(dim: int, count: int, seed: int = 0) -> np.ndarray:
-    """`count` unit directions: alternating signs in 1-d, seeded angles in 2-d."""
+    """`count` >= 1 unit directions: alternating signs in 1-d, seeded angles in 2-d."""
+    if count < 1:
+        raise PreconditionError(f"need at least one sweep direction, got {count}")
     if dim == 1:
         return np.array([[1.0 if k % 2 == 0 else -1.0] for k in range(count)])
     rng = np.random.default_rng(seed)

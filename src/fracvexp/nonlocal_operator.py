@@ -15,7 +15,7 @@ import numpy as np
 from ._backend import apply_plan
 from .errors import NumericError, PreconditionError
 from .exponents import ExponentSpec
-from .grids import ReflectedFunction, SampledFunction
+from .grids import ReflectedFunction
 from .quadrature import QuadratureConfig, _gauss_on, build_plan, directions
 
 

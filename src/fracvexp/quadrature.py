@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._backend import _node_terms
+from ._backend import LevelSums, level_sums
 from .errors import PreconditionError, TailError
 from .exponents import ExponentSpec
 from .grids import ReflectedFunction, SampledFunction
@@ -147,8 +147,6 @@ def radial_rule(delta: float, r_max: float, cfg: QuadratureConfig):
     a = delta
     while a < r_max:
         b = min(a * ANNULUS_RATIO, max(r_max, a * 1.0000001))
-        if b <= a:
-            break
         x, w = _gauss_on(a, b, cfg.nodes_per_level)
         rs.append(x)
         ws.append(w)
@@ -329,7 +327,7 @@ def build_plan(spec: ExponentSpec, u, points, cfg: QuadratureConfig,
         r_eff=float(r_eff), tail_bound=float(tail_reported),
         meta={"dim": N, "nodes_uncollapsed": n_uncollapsed},
     )
-    plan.rho = _frozen_ratio(plan, values)
+    plan.rho = _frozen_ratio(level_sums(plan, values))
     return plan
 
 
@@ -354,17 +352,12 @@ def _first_use_groups(*keys):
     return first[by_first], group
 
 
-def _frozen_ratio(plan: EvalPlan, values: np.ndarray) -> np.ndarray:
-    """Ratio of the two innermost dyadic level sums at build-time values.
+def _frozen_ratio(sums: LevelSums) -> np.ndarray:
+    """Ratio a1/a2 of the two innermost dyadic level sums where it lies in (0, 0.98), else 0.
 
-    Freezing the ratio keeps the applied map smooth in the value vector
-    (solver iterations would otherwise chatter on the acceptance gates);
-    the remainder itself still scales with the live level sum.
-    """
-    contrib, _ = _node_terms(plan, np.concatenate([values, plan.ext_values]))
-    a1 = np.add.reduceat(np.where(plan.level_tag == 2, contrib, 0.0), plan.ptr[:-1])
-    a2 = np.add.reduceat(np.where(plan.level_tag == 1, contrib, 0.0), plan.ptr[:-1])
+    Freezing it keeps the applied map smooth in the value vector (solver iterations would
+    otherwise chatter on the acceptance gates); the remainder still scales with live a1."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        rho = np.where(a2 != 0.0, a1 / a2, 0.0)
+        rho = np.where(sums.a2 != 0.0, sums.a1 / sums.a2, 0.0)
     ok = (rho > 0.0) & (rho < 0.98) & np.isfinite(rho)
     return np.where(ok, rho, 0.0)

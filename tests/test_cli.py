@@ -125,6 +125,25 @@ class TestExitCodes:
         cfg = small_config(tmp_path)
         assert main(["solve", "--config", str(cfg), "--mode", "power", "--q", q]) == 3
 
+    @pytest.mark.parametrize("directions", ["0", "-3", "0;1", "nan;1", "1;2,3", "abc", "1,x"])
+    def test_bad_sweep_directions_are_precondition(self, tmp_path, directions):
+        # no direction at all, or one that is not a nonzero vector of the grid's
+        # dimension, would sweep nothing (or NaN) and read as symmetric
+        cfg = small_config(tmp_path)
+        u = make_bump_csv(tmp_path)
+        assert main(["sweep-planes", "--config", str(cfg), "--input", str(u),
+                     "--directions", directions]) == 3
+
+    def test_bad_radii_are_precondition(self, tmp_path):
+        cfg = small_config(tmp_path)
+        u = make_bump_csv(tmp_path)
+        assert main(["tail-check", "--config", str(cfg), "--input", str(u),
+                     "--at", "0.2", "--radii", "a,b"]) == 3
+
+    def test_reproduce_all_without_sweep_directions_is_precondition(self, tmp_path):
+        cfg = small_config(tmp_path, **{"sweep.directions": 0})
+        assert main(["reproduce-all", "--config", str(cfg)]) == 3
+
 
 class TestEval:
     def test_constant_function_zero(self, tmp_path):

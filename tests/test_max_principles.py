@@ -42,6 +42,11 @@ class TestReflect:
         with pytest.raises(fx.PreconditionError):
             fx.PlaneGeometry((1.0, 1.0), 0.0)
 
+    @pytest.mark.parametrize("direction", [(np.nan,), (np.nan, 0.0), (np.inf, 0.0)])
+    def test_non_finite_direction_rejected(self, direction):
+        with pytest.raises(fx.PreconditionError):
+            fx.PlaneGeometry(direction, 0.0)
+
 
 class TestWLambda:
     def test_even_function_vanishes(self, u_bump_1d):

@@ -192,3 +192,8 @@ class TestDirections:
         b = mvp.sweep_directions(2, 8, seed=5)
         np.testing.assert_array_equal(a, b)
         np.testing.assert_allclose(np.linalg.norm(a, axis=1), 1.0, atol=1e-14)
+
+    @pytest.mark.parametrize("dim, count", [(1, 0), (2, 0), (1, -3)])
+    def test_count_must_be_positive(self, dim, count):
+        with pytest.raises(fx.PreconditionError):
+            mvp.sweep_directions(dim, count)

@@ -6,7 +6,7 @@ import pytest
 from scipy import integrate
 
 import fracvexp as fx
-from fracvexp._backend import _apply_loop, _apply_numpy, apply_plan, jacobian
+from fracvexp._backend import _apply_loop, apply_plan, jacobian
 from fracvexp.ball_solver import bump_profile, interior_mask
 from fracvexp.oracles import brute_force_plap, constant_p_plap
 from fracvexp.quadrature import (_gauss_on, _legendre_rule, build_plan, directions,
@@ -196,14 +196,15 @@ class TestTailIntegrability:
 
 class TestBackends:
     def test_parity(self, spec_1d, u_bump_1d, qcfg):
-        # the per-node loop is the reference for the numpy kernel's arithmetic
-        # (per-node order, exterior slots, graded remainder); x = 1.3 has an
-        # exterior center under zero_outside_ball, so center slots are read too
+        # the per-node loop is the reference for the arithmetic of the kernel
+        # apply_plan runs (per-node order, exterior slots, graded remainder);
+        # x = 1.3 has an exterior center under zero_outside_ball, so center
+        # slots are read too
         for name, u in TestPlanLayout._views(u_bump_1d).items():
             plan = build_plan(spec_1d, u, TestPlanLayout.POINTS, qcfg)
-            v = np.concatenate([getattr(u, "base", u).values, plan.ext_values])
-            a, ca = _apply_loop(plan, v)
-            b, cb = _apply_numpy(plan, v)
+            values = getattr(u, "base", u).values
+            a, ca = _apply_loop(plan, np.concatenate([values, plan.ext_values]))
+            b, cb = apply_plan(plan, values)
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-13, err_msg=name)
             np.testing.assert_allclose(ca, cb, rtol=1e-12, atol=1e-13, err_msg=name)
 
