@@ -198,19 +198,15 @@ class SampledFunction:
         The one place that decides where u comes from: the interpolant inside
         the box (and inside the unit ball under zero_outside_ball), the
         exterior rule elsewhere.  Returns (interp, idx, coef, ext): the mask
-        of interpolated points, (m, S) stencils (index 0, coefficient 0 on
-        the other points) and exterior values (0 on interpolated points).
+        of interpolated points, their (interp.sum(), S) stencils in point
+        order, and exterior values (0 on interpolated points).
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         in_box = self.inside_box(pts)
         interp = in_box
         if self.exterior_rule == ZERO_BALL:
             interp = in_box & (np.linalg.norm(pts, axis=1) < 1.0)
-        S = (self.smoothness_hint + 1) ** self.dim
-        idx = np.zeros((len(pts), S), dtype=np.int64)
-        coef = np.zeros((len(pts), S))
-        if np.any(interp):
-            idx[interp], coef[interp] = self.stencils(pts[interp])
+        idx, coef = self.stencils(pts[interp])
         ext = np.zeros(len(pts))
         fn = self.exterior_fn
         if fn is not None and not np.all(in_box):
@@ -220,7 +216,8 @@ class SampledFunction:
     def point_eval(self, pts) -> np.ndarray:
         """Evaluate the interpolant with the exterior rule applied pointwise."""
         interp, idx, coef, ext = self.linear_form(pts)
-        return np.where(interp, np.einsum("ms,ms->m", coef, self.values[idx]), ext)
+        ext[interp] = np.einsum("ms,ms->m", coef, self.values[idx])
+        return ext
 
     def __call__(self, pts):
         res = self.point_eval(pts)

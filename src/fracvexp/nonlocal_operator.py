@@ -54,10 +54,7 @@ def eval_plap_field(spec: ExponentSpec, u, points,
     the evaluation of its point alone.  A single point may be given flat.
     """
     cfg = cfg or QuadratureConfig()
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if len(pts) == 0:
-        return np.zeros(0)
-    plan = build_plan(spec, u, pts, cfg)
+    plan = build_plan(spec, u, points, cfg)
     base = u.base if isinstance(u, ReflectedFunction) else u
     out, _ = apply_plan(plan, base.values)
     return out

@@ -21,8 +21,13 @@ After them comes one row per distinct exterior key (p - 2, slot, level tag),
 in order of first appearance: nodes sharing a key differ only in their
 weight, so they merge into one row whose weight is the sum of theirs, added
 in enumeration order.  Under the zero and constant exterior rules this
-removes most exterior nodes; the Gauss reference rule behind every radial
-interval is computed once per order.
+removes most exterior nodes.  The Gauss reference rule behind every radial
+interval is computed once per order, and each radial rule once per delta.
+
+`build_plan` makes these rows for a block of points at a time.  Exterior
+keys there also carry the point, and a stable sort by point puts each
+point's rows in the order above, so every row and weight sum is the one a
+point built alone gets.
 """
 
 from __future__ import annotations
@@ -43,6 +48,9 @@ R_EFF_CAP = 1e15
 
 #: Width ratio of the geometric annuli between pairing radius and tail.
 ANNULUS_RATIO = 2.0
+
+#: Nodes per block of `build_plan`; bounds its temporaries as the plan grows.
+PLAN_BLOCK = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -131,11 +139,13 @@ def _gauss_on(a: float, b: float, n: int):
     return mid + half * x, half * w
 
 
+@functools.lru_cache(maxsize=64)
 def radial_rule(delta: float, r_max: float, cfg: QuadratureConfig):
     """Radii and dr-weights: dyadic levels inside delta, geometric annuli beyond.
 
     Truncation below delta*2^-levels is benign: paired level contributions
-    decay geometrically with exponent Q(0+)(1-s) > 0.
+    decay geometrically with exponent Q(0+)(1-s) > 0.  Computed once per
+    (delta, r_max, cfg); the arrays are read-only.
     """
     rs, ws = [], []
     for lev in range(cfg.graded_levels - 1, -1, -1):
@@ -151,7 +161,9 @@ def radial_rule(delta: float, r_max: float, cfg: QuadratureConfig):
         rs.append(x)
         ws.append(w)
         a = b
-    return np.concatenate(rs), np.concatenate(ws)
+    rs, ws = np.concatenate(rs), np.concatenate(ws)
+    rs.flags.writeable = ws.flags.writeable = False
+    return rs, ws
 
 
 def directions(dim: int, angular_nodes: int):
@@ -210,19 +222,25 @@ def truncation_radius(spec: ExponentSpec, values: np.ndarray, extent: float,
     return r_eff
 
 
+def _pairing_radius(x: np.ndarray, extent: float, cfg: QuadratureConfig) -> np.ndarray:
+    """delta per point (last axis): cfg.pairing_radius, capped at half the distance to the box."""
+    return np.minimum(cfg.pairing_radius, 0.5 * np.min(extent - np.abs(x), axis=-1))
+
+
 def paired_nodes(x: np.ndarray, extent: float, r_eff: float, cfg: QuadratureConfig,
                  dirs: np.ndarray, aw: np.ndarray):
     """Radii, positions and r^(N-1) dr dtheta weights of the nodes around x.
 
-    The pairing radius is capped at half the distance from x to the box
-    edge.  Nodes are enumerated radius-major, then by direction.  A plan
-    sums its interior nodes in this order, then its merged exterior rows in
-    order of first appearance (see the module docs).
+    `x` is one point or a block of points with one pairing radius.  Nodes
+    run point by point, then radius-major, then by direction; the radii and
+    weights are those of one point.  A plan sums its interior nodes in this
+    order, then its merged exterior rows in order of first appearance (see
+    the module docs).
     """
-    N = len(x)
-    delta = min(cfg.pairing_radius, 0.5 * float(np.min(extent - np.abs(x))))
+    N = np.shape(x)[-1]
+    delta = float(np.min(_pairing_radius(x, extent, cfg)))
     rs, wr = radial_rule(delta, r_eff, cfg)
-    pos = (x[None, None, :] + rs[:, None, None] * dirs[None, :, :]).reshape(-1, N)
+    pos = (np.reshape(x, (-1, 1, 1, N)) + rs[:, None, None] * dirs[None, :, :]).reshape(-1, N)
     w_node = ((wr * rs ** (N - 1))[:, None] * aw[None, :]).ravel()
     return rs, pos, w_node
 
@@ -235,7 +253,12 @@ def build_plan(spec: ExponentSpec, u, points, cfg: QuadratureConfig,
     `linear_form` gives every node row and center, so the view needs no
     resampling.  `values_bound` widens the tail budget so the plan
     stays valid when it is re-applied to other value vectors with |u| below
-    the bound (solver iterates).
+    the bound (solver iterates).  An empty point set gives an empty plan.
+
+    Rows are built a block of consecutive points with one pairing radius at
+    a time, up to `PLAN_BLOCK` nodes; the points share one node template
+    (kernel weight, p - 2, level tag), and the plan does not depend on the
+    blocking (see the module docs).
     """
     grid = u.base if isinstance(u, ReflectedFunction) else u
     if not isinstance(grid, SampledFunction):
@@ -275,52 +298,56 @@ def build_plan(spec: ExponentSpec, u, points, cfg: QuadratureConfig,
                 f"discarded tail bound {bound:.3g} exceeds tolerance at R = {r_eff:.6g}; "
                 f"use tail_radius >= {need:.6g}")
 
-    seg_idx, seg_coef, seg_out, seg_ext, seg_wk, seg_pm2, seg_tag = [], [], [], [], [], [], []
-    ptr = [0]
-    n_uncollapsed = 0
-    for x in pts:
-        rs, pos, w_node = paired_nodes(x, grid.extent, r_eff, cfg, dirs, aw)
+    c_interp, c_idx, c_coef, c_ext = u.linear_form(pts)
+    cidx = np.zeros((len(pts), c_idx.shape[1]), dtype=np.int64)
+    ccoef = np.zeros(cidx.shape)
+    cidx[c_interp], ccoef[c_interp] = c_idx, c_coef
+
+    blocks, n_uncollapsed = [], 0
+    starts = np.flatnonzero(np.diff(_pairing_radius(pts, grid.extent, cfg), prepend=np.nan))
+    for a, b in zip(starts, [*starts[1:], len(pts)]):  # runs of points with one delta
+        rs, _, w_node = paired_nodes(pts[a], grid.extent, r_eff, cfg, dirs, aw)
         q_r = np.asarray(spec.q(rs), dtype=float)
-        kern = rs ** (-(N + s * q_r))
         tag_r = np.zeros(len(rs), dtype=np.int8)
         tag_r[:cfg.nodes_per_level] = 2                      # innermost level
         tag_r[cfg.nodes_per_level:2 * cfg.nodes_per_level] = 1
-        wk_n = w_node * np.repeat(kern, n_dirs)
-        pm2_n = np.repeat(q_r - 2.0, n_dirs)
-        tag_n = np.repeat(tag_r, n_dirs)
+        wk_t = w_node * np.repeat(rs ** (-(N + s * q_r)), n_dirs)
+        pm2_t, tag_t = np.repeat(q_r - 2.0, n_dirs), np.repeat(tag_r, n_dirs)
+        m, per = len(wk_t), max(1, PLAN_BLOCK // len(wk_t))
+        for lo in range(a, b, per):
+            hi = min(lo + per, b)
+            pos = paired_nodes(pts[lo:hi], grid.extent, r_eff, cfg, dirs, aw)[1]
+            interp, idx_n, coef_n, ext_n = u.linear_form(pos)
+            inner, out = np.nonzero(interp)[0], np.nonzero(~interp)[0]
+            first, group = _first_use_groups(pm2_t[out % m], ext_n[out], tag_t[out % m], out // m)
+            # each point's interior rows in enumeration order, then its merged exterior rows
+            node = np.concatenate([inner, out[first]])
+            order = np.argsort(node // m, kind="stable")
+            ext_row = order >= len(inner)
+            idx_b = np.zeros((len(node), idx_n.shape[1]), dtype=np.int64)
+            coef_b = np.zeros(idx_b.shape)
+            idx_b[~ext_row], coef_b[~ext_row] = idx_n, coef_n
+            wk_b = np.concatenate([wk_t[inner % m], np.bincount(group, wk_t[out % m], len(first))])
+            row_t = node[order] % m
+            blocks.append((idx_b, coef_b, ext_row, ext_n[out[first]], wk_b[order], pm2_t[row_t],
+                           tag_t[row_t], np.bincount(node // m, minlength=hi - lo)))
+            n_uncollapsed += len(pos)
 
-        # interior rows in enumeration order, then one merged row per exterior key
-        interp, idx_n, coef_n, ext_n = u.linear_form(pos)
-        out = np.nonzero(~interp)[0]
-        first, group = _first_use_groups(pm2_n[out], ext_n[out], tag_n[out])
-        rows = np.concatenate([np.nonzero(interp)[0], out[first]])
-        seg_idx.append(idx_n[rows])
-        seg_coef.append(coef_n[rows])
-        seg_out.append(~interp[rows])
-        seg_ext.append(ext_n[out[first]])
-        seg_wk.append(np.concatenate([
-            wk_n[interp], np.bincount(group, weights=wk_n[out], minlength=len(first))]))
-        seg_pm2.append(pm2_n[rows])
-        seg_tag.append(tag_n[rows])
-        ptr.append(ptr[-1] + len(rows))
-        n_uncollapsed += len(pos)
-
+    # a zero-row block first, so that an empty point set gives an empty plan
+    empty = (cidx[:0], ccoef[:0], c_interp[:0], c_ext[:0], c_ext[:0], c_ext[:0],
+             np.zeros(0, dtype=np.int8), np.zeros(0, dtype=np.int64))
+    idx, coef, out, ext_rows, wk, pm2, tag, counts = (
+        np.concatenate(col) for col in zip(empty, *blocks))
     # exterior rows, then exterior centers, become stencils (1, 0, ...) on their slots
-    c_interp, cidx, ccoef, c_ext = u.linear_form(pts)
-    idx, coef = np.concatenate(seg_idx), np.concatenate(seg_coef)
-    out = np.concatenate(seg_out)
-    ext_all = np.concatenate(seg_ext + [c_ext[~c_interp]])
+    ext_all = np.concatenate([ext_rows, c_ext[~c_interp]])
     first, slot = _first_use_groups(ext_all)
     n_out = int(out.sum())
     idx[out], coef[out, 0] = values.size + slot[:n_out, None], 1.0
     cidx[~c_interp], ccoef[~c_interp, 0] = values.size + slot[n_out:, None], 1.0
 
     plan = EvalPlan(
-        ptr=np.asarray(ptr, dtype=np.int64),
-        idx=idx, coef=coef,
-        wk=np.concatenate(seg_wk),
-        pm2=np.concatenate(seg_pm2),
-        level_tag=np.concatenate(seg_tag),
+        ptr=np.concatenate([[0], np.cumsum(counts)]),
+        idx=idx, coef=coef, wk=wk, pm2=pm2, level_tag=tag,
         cidx=cidx, ccoef=ccoef,
         rho=np.zeros(len(pts)),
         ext_values=ext_all[first],

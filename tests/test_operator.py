@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -8,6 +9,7 @@ from scipy import integrate
 import fracvexp as fx
 from fracvexp._backend import _apply_loop, apply_plan, jacobian
 from fracvexp.ball_solver import bump_profile, interior_mask
+from fracvexp import quadrature
 from fracvexp.oracles import brute_force_plap, constant_p_plap
 from fracvexp.quadrature import (_gauss_on, _legendre_rule, build_plan, directions,
                                  paired_nodes, truncation_radius)
@@ -130,6 +132,15 @@ class TestEvalPlapField:
         batch = fx.eval_plap_field(spec_1d, u_bump_1d, pts, qcfg)
         seq = [fx.eval_plap(spec_1d, u_bump_1d, p, qcfg) for p in pts]
         np.testing.assert_allclose(batch, seq, rtol=0, atol=0)
+
+    def test_batch_matches_sequential_2d(self, spec_2d, u_bump_2d, qcfg):
+        # batch and single-point plans number their exterior slots differently;
+        # (1.3, 0.2) and (0.05, 1.4) lie outside the ball and near the box edge
+        pts = np.array([[0.1, -0.2], [-0.6, 0.5], [1.3, 0.2], [0.05, 1.4]])
+        for name, u in TestPlanLayout._views(u_bump_2d).items():
+            batch = fx.eval_plap_field(spec_2d, u, pts, qcfg)
+            seq = [fx.eval_plap(spec_2d, u, p, qcfg) for p in pts]
+            np.testing.assert_allclose(batch, seq, rtol=0, atol=0, err_msg=name)
 
     def test_bad_point_reports_index(self, spec_1d, u_bump_1d, qcfg):
         with pytest.raises(fx.PreconditionError, match="1"):
@@ -334,6 +345,32 @@ class TestPlanLayout:
             _, c = apply_plan(plan, getattr(u, "base", u).values)
             np.testing.assert_array_equal(c, u.point_eval(self.POINTS), err_msg=name)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_empty_point_set(self, dim, qcfg, request):
+        spec, u = request.getfixturevalue(f"spec_{dim}d"), request.getfixturevalue(f"u_bump_{dim}d")
+        plan = build_plan(spec, u, np.zeros((0, dim)), qcfg)
+        assert plan.n_points == 0 and plan.wk.size == 0
+        assert plan.idx.shape == plan.coef.shape == (0, (u.smoothness_hint + 1) ** dim)
+        field, centers = apply_plan(plan, u.values)
+        assert field.shape == centers.shape == (0,)
+
+    def test_plan_does_not_depend_on_blocks(self, spec_1d, spec_2d, u_bump_1d, qcfg, monkeypatch):
+        # x = 1.3 has a smaller pairing radius than the other points, so the 1-d
+        # points form two runs; the 2-d collocation set spans several blocks
+        u2 = fx.SampledFunction.from_function(bump_profile(0.5, 0.5), 1.5, 15, 2)
+        cases = {name: (spec_1d, u, self.POINTS) for name, u in self._views(u_bump_1d).items()}
+        cases["2d"] = (spec_2d, u2, u2.nodes()[interior_mask(u2)])
+        for name, (spec, u, pts) in cases.items():
+            want = build_plan(spec, u, pts, qcfg)
+            for block in (1, 2 ** 40):  # one point per block; each run in one block
+                monkeypatch.setattr(quadrature, "PLAN_BLOCK", block)
+                got = build_plan(spec, u, pts, qcfg)
+                monkeypatch.undo()
+                for f in dataclasses.fields(want):
+                    a, b = getattr(got, f.name), getattr(want, f.name)
+                    same = a == b if f.name == "meta" else np.array_equal(a, b)
+                    assert same, (name, block, f.name)
+
     def test_2d_solver_plan_is_compact(self, spec_2d, qcfg):
         u = fx.SampledFunction.from_function(bump_profile(0.5, 0.5), 1.5, 15, 2)
         pts = u.nodes()[interior_mask(u)]
@@ -366,7 +403,10 @@ class TestLinearForm:
         for name, u in TestPlanLayout._views(u0).items():
             interp, idx, coef, ext = u.linear_form(pts)
             values = getattr(u, "base", u).values
-            got = np.where(interp, np.einsum("ms,ms->m", coef, values[idx]), ext)
+            # stencils of the interpolated points only, in point order
+            assert idx.shape == coef.shape == (interp.sum(), (u0.smoothness_hint + 1) ** u0.dim)
+            got = ext.copy()
+            got[interp] = np.einsum("ms,ms->m", coef, values[idx])
             np.testing.assert_array_equal(got, u.point_eval(pts), err_msg=name)
             out, val = _exterior_rule(u, pts)
             np.testing.assert_array_equal(interp, ~out, err_msg=name)
