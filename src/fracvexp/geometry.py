@@ -36,16 +36,22 @@ class PlaneGeometry:
         return x @ self.e if x.ndim > 1 else float(x @ self.e)
 
     def reflect(self, x):
-        """Mirror image across the plane: x - 2(<x,e> - lambda) e."""
-        x = np.asarray(x, dtype=float)
-        c = np.atleast_1d(x @ self.e) - self.offset
-        out = np.atleast_2d(x) - 2.0 * c[:, None] * self.e[None, :]
-        return out if np.asarray(x).ndim > 1 else out[0]
+        """Mirror image across the plane (see `reflect_points`)."""
+        return reflect_points(x, self.e, self.offset)
 
     def in_halfspace(self, x, strict: bool = True):
         """Membership in H_lambda = {<x,e> < lambda} (closed when strict=False)."""
         c = self.coord(x)
         return c < self.offset if strict else c <= self.offset
+
+
+def reflect_points(x, e: np.ndarray, offset):
+    """Mirror image across {<x,e> = lambda}: x - 2(<x,e> - lambda) e, with
+    `offset` one lambda for all points or one per row of x."""
+    x = np.asarray(x, dtype=float)
+    c = np.atleast_1d(x @ e) - offset
+    out = np.atleast_2d(x) - 2.0 * c[:, None] * e[None, :]
+    return out if x.ndim > 1 else out[0]
 
 
 def axis_plane(dim: int, offset: float, axis: int = 0) -> PlaneGeometry:

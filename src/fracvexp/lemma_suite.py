@@ -284,13 +284,17 @@ class SuiteReport:
 
 
 def _bisect_alpha_vec(t1, t2, p, iters: int = 80):
-    """Vectorized twin of the witness bisection (|alpha| only)."""
+    """Vectorized twin of the witness bisection (|alpha| only).  It stops at
+    the first halving that changes no bracket, a fixed point of the update,
+    so the result is bit-identical to running all `iters` halvings."""
     slope = _mv_slope(t1, t2, p)
     lo = np.zeros_like(slope)
     hi = np.maximum(np.abs(t1), np.abs(t2))
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
         neg = (p - 1.0) * mid ** (p - 2.0) - slope <= 0.0
+        if np.array_equal(np.where(neg, lo, hi), mid):  # no end would move
+            break
         lo = np.where(neg, mid, lo)
         hi = np.where(neg, hi, mid)
     a = 0.5 * (lo + hi)

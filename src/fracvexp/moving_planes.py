@@ -15,10 +15,9 @@ from scipy import integrate
 
 from .errors import NumericError, PreconditionError
 from .exponents import ExponentSpec
-from .geometry import PlaneGeometry
+from .geometry import PlaneGeometry, reflect_points
 from .grids import SampledFunction
 from .lemma_suite import FAR_APART, OPPOSITE_SIGN, SAME_SIGN_CLOSE, c0_constant
-from .max_principles import w_lambda_field
 from .quadrature import QuadratureConfig
 
 BALL = "ball"
@@ -60,13 +59,22 @@ class SweepReport:
         }
 
 
-def _min_w_at(u: SampledFunction, plane: PlaneGeometry, nodes, coord, ball_mask):
-    sel = coord < plane.offset
+def _plane_minima(u: SampledFunction, e: np.ndarray, offsets: np.ndarray,
+                  nodes, coord, ball_mask) -> np.ndarray:
+    """min of w_lambda = u(x^lambda) - u(x) over the half-space nodes of each
+    plane lambda in `offsets` (inf where a plane has none), all planes in one
+    evaluation at the reflected points and one at the nodes themselves."""
+    sel = coord[None, :] < offsets[:, None]
     if ball_mask is not None:
-        sel &= ball_mask
-    if not np.any(sel):
-        return math.inf
-    return float(np.min(w_lambda_field(u, plane, nodes[sel])))
+        sel &= ball_mask[None, :]
+    plane, node = np.nonzero(sel)  # row-major: each plane's nodes are contiguous
+    pts = nodes[node]
+    w = u.point_eval(reflect_points(pts, e, offsets[plane])) - u.point_eval(pts)
+    counts = np.count_nonzero(sel, axis=1)
+    hit = counts > 0
+    mins = np.full(len(offsets), math.inf)
+    mins[hit] = np.minimum.reduceat(w, (np.cumsum(counts) - counts)[hit])
+    return mins
 
 
 def _lambda0_from(grid: np.ndarray, mins: np.ndarray, tol: float) -> float:
@@ -87,14 +95,16 @@ def sweep(u: SampledFunction, direction, lambda_grid=None, tol: float = SWEEP_TO
           radial_tol: float = 1e-4) -> SweepReport:
     """Sweep the reflecting plane along `direction` over lambda_grid.
 
-    Ball mode restricts minima to half-space nodes inside the unit ball;
+    lambda_grid holds >= 2 finite, strictly increasing offsets <= 0.  Ball
+    mode restricts minima to half-space nodes inside the unit ball;
     whole-space mode uses all half-space nodes and additionally requires a
     decay certificate (max |u| over the outer 10% shell below decay_tol),
-    reporting `inconclusive` without it.  A 10x refinement pass around the
-    first sign change tightens the lambda0 estimate before reporting.
+    reporting `inconclusive` without it.  One batched evaluation of w gives
+    the minima of all planes; a second batch of refine - 1 planes before the
+    first violation tightens the lambda0 estimate before reporting.
     """
     e = np.asarray(direction, dtype=float)
-    e = e / np.linalg.norm(e)
+    e = PlaneGeometry(tuple(e / np.linalg.norm(e)), 0.0).e  # rejects NaN and zero
     nodes = u.nodes()
     coord = nodes @ e
 
@@ -102,10 +112,15 @@ def sweep(u: SampledFunction, direction, lambda_grid=None, tol: float = SWEEP_TO
         lo = -1.0 if mode == BALL else -u.extent
         lambda_grid = np.linspace(lo, 0.0, 101)
     grid = np.asarray(lambda_grid, dtype=float)
+    # one plane has no step to set tol_lambda from; NaN passes no comparison
+    if grid.ndim != 1 or grid.size < 2 or not np.all(np.isfinite(grid)):
+        raise PreconditionError("lambda_grid needs at least 2 finite offsets")
     if np.any(np.diff(grid) <= 0):
         raise PreconditionError("lambda_grid must be strictly increasing")
     if grid[-1] > 0.0 + 1e-12:
         raise PreconditionError("lambda_grid must stay at or below 0")
+    if refine < 0:
+        raise PreconditionError(f"refine must be >= 0, got {refine}")
 
     ball_mask = np.linalg.norm(nodes, axis=1) < ball_radius if mode == BALL else None
 
@@ -114,34 +129,29 @@ def sweep(u: SampledFunction, direction, lambda_grid=None, tol: float = SWEEP_TO
         shell = np.max(np.abs(nodes), axis=1) >= 0.9 * u.extent
         decay_ok = bool(np.max(np.abs(u.values[shell])) <= decay_tol)
 
-    def plane_at(lam: float) -> PlaneGeometry:
-        return PlaneGeometry(tuple(e), float(lam))
-
     if mode == WHOLE_SPACE:
         # reflected evaluation points must stay inside the sampled box:
         # outside it the decaying function is unknown, not zero
         for lam in (grid[0], grid[-1]):
-            pl = plane_at(lam)
             sel = coord < lam
-            if np.any(sel) and not np.all(u.inside_box(pl.reflect(nodes[sel]))):
+            if np.any(sel) and not np.all(u.inside_box(reflect_points(nodes[sel], e, lam))):
                 raise PreconditionError(
                     "reflected points leave the sampled box; enlarge the box")
 
-    mins = np.array([_min_w_at(u, plane_at(l), nodes, coord, ball_mask) for l in grid])
+    mins = _plane_minima(u, e, grid, nodes, coord, ball_mask)
 
     # refinement around the first violation
     bad = np.nonzero(mins < -tol)[0]
     if bad.size and bad[0] > 0:
         j = bad[0]
         fine = np.linspace(grid[j - 1], grid[j], refine + 1)[1:-1]
-        fine_mins = np.array([_min_w_at(u, plane_at(l), nodes, coord, ball_mask) for l in fine])
+        fine_mins = _plane_minima(u, e, fine, nodes, coord, ball_mask)
         grid = np.concatenate([grid, fine])
         mins = np.concatenate([mins, fine_mins])
         order = np.argsort(grid)
         grid, mins = grid[order], mins[order]
 
-    base_step = float(np.min(np.diff(grid))) if len(grid) > 1 else 1.0
-    tol_l = tol_lambda if tol_lambda is not None else 2.0 * base_step
+    tol_l = tol_lambda if tol_lambda is not None else 2.0 * float(np.min(np.diff(grid)))
     lam0 = _lambda0_from(grid, mins, tol)
 
     ctr = np.zeros(u.dim) if center is None else np.asarray(center, dtype=float)

@@ -144,6 +144,15 @@ class TestExitCodes:
         cfg = small_config(tmp_path, **{"sweep.directions": 0})
         assert main(["reproduce-all", "--config", str(cfg)]) == 3
 
+    @pytest.mark.parametrize("command", ["reproduce-all", "sweep-planes"])
+    @pytest.mark.parametrize("key, value", [("count", 0), ("count", 1), ("refine", -3)])
+    def test_bad_sweep_grid_is_precondition(self, tmp_path, command, key, value):
+        # no plane ends in an IndexError and a negative refine in a ValueError;
+        # one plane has no grid step, so tol_lambda would read any lambda0 symmetric
+        cfg = small_config(tmp_path, **{f"sweep.{key}": value})
+        extra = ["--input", str(make_bump_csv(tmp_path))] if command == "sweep-planes" else []
+        assert main([command, "--config", str(cfg), *extra]) == 3
+
 
 class TestEval:
     def test_constant_function_zero(self, tmp_path):

@@ -55,6 +55,31 @@ class TestMeanValueAlpha:
             w = ls.mean_value_alpha(t1, t2, p)
             assert abs(w.alpha) == pytest.approx(expect, rel=1e-8, abs=1e-10)
 
+    def test_vector_bisection_matches_fixed_iteration_count(self):
+        # the early stop at the bracket's fixed point must not change a bit
+        # against the full 80 halvings, on seeded draws and on edge pairs
+        def bisect_80(t1, t2, p):
+            slope = ls._mv_slope(t1, t2, p)
+            lo = np.zeros_like(slope)
+            hi = np.maximum(np.abs(t1), np.abs(t2))
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                neg = (p - 1.0) * mid ** (p - 2.0) - slope <= 0.0
+                lo = np.where(neg, mid, lo)
+                hi = np.where(neg, hi, mid)
+            return np.where(t1 == t2, np.abs(t1), 0.5 * (lo + hi))
+
+        pinned = np.array([(0.3, 0.3, 3.0), (-0.7, -0.7, 2.5), (0.0, 5e-324, 3.0),
+                           (-1.0, -0.9999999999999999, 2.75),
+                           (0.2, -0.9, np.nextafter(2.0, 3.0))]).T
+        rng = np.random.default_rng(21)
+        n = 20_000
+        draws = np.array([rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n),
+                          rng.uniform(np.nextafter(2.0, 6.0), 6.0, n)])
+        for t1, t2, p in (pinned, np.concatenate([draws, pinned], axis=1)):
+            np.testing.assert_array_equal(ls._bisect_alpha_vec(t1, t2, p),
+                                          bisect_80(t1, t2, p))
+
     def test_requires_p_above_2(self):
         with pytest.raises(fx.PreconditionError):
             ls.mean_value_alpha(0.1, 0.5, 2.0)

@@ -37,10 +37,49 @@ class TestSweep:
         assert rep.lambda0_estimate == 0.0
 
     def test_lambda_grid_validation(self, star):
+        # an empty grid, a single plane (no step to set tol_lambda from, so any
+        # lambda0 read symmetric) and NaN offsets are rejected like bad orders
+        for grid in ([0.0, -0.5], [-0.5, 0.5], [], [-0.5], [math.nan, 0.0]):
+            with pytest.raises(fx.PreconditionError):
+                mvp.sweep(star, [1.0], lambda_grid=grid)
         with pytest.raises(fx.PreconditionError):
-            mvp.sweep(star, [1.0], lambda_grid=[0.0, -0.5])
-        with pytest.raises(fx.PreconditionError):
-            mvp.sweep(star, [1.0], lambda_grid=[-0.5, 0.5])
+            mvp.sweep(star, [1.0], lambda_grid=np.linspace(-1.0, 0.0, 41), refine=-3)
+
+    @pytest.mark.parametrize("dim, mode, directions", [
+        (1, "ball", [[1.0], [-1.0]]),
+        (1, "whole-space", [[1.0], [-1.0]]),
+        (2, "ball", [[-1.0, 0.0], [0.6, 0.8], [-0.8, -0.6]]),
+        (2, "whole-space", [[1.0, 0.0], [0.0, -1.0]]),
+    ])
+    def test_batched_minima_match_per_plane(self, dim, mode, directions):
+        # a translated bump violates symmetry, so in ball mode refined planes
+        # are in the report; empty half-spaces must read inf on both paths
+        from fracvexp.max_principles import w_lambda_field
+        n = 201 if dim == 1 else 31
+        u = fx.SampledFunction.from_function(
+            lambda p: 0.4 * np.exp(-6.0 * ((p - 0.2) ** 2).sum(1)), 1.5, n, dim,
+            exterior_rule="zero_outside_box")
+        nodes = u.nodes()
+        grids = []
+        for d in directions:
+            rep = mvp.sweep(u, d, mode=mode, refine=7)
+            e = np.asarray(rep.direction)
+            expect = []
+            for lam in rep.lambda_grid:
+                sel = nodes @ e < lam
+                if mode == "ball":
+                    sel &= np.linalg.norm(nodes, axis=1) < 1.0
+                expect.append(np.min(w_lambda_field(u, fx.PlaneGeometry(tuple(e), lam),
+                                                    nodes[sel])) if sel.any() else np.inf)
+            got = np.asarray(rep.min_w)
+            if dim == 1:
+                np.testing.assert_array_equal(got, expect)
+            else:
+                np.testing.assert_allclose(got, expect, rtol=0.0, atol=1e-15)
+            grids.append(len(rep.lambda_grid))
+            assert np.isinf(got[0])  # no node lies in either mode's first half-space
+        if mode == "ball":
+            assert max(grids) == 101 + 6  # the refinement batch ran
 
     def test_direction_consistency_2d(self, spec_2d, qcfg):
         # w at off-lattice reflected points carries the interpolation floor
