@@ -281,7 +281,7 @@ def _boundary_probe(spec, u: SampledFunction, plane: PlaneGeometry, qcfg):
 def _cmd_solve(args, cfg: RunConfig, outdir: Path) -> bool:
     spec = cfg.exponent_spec()
     sol = cfg.section("solver")
-    n = args.grid or sol["nodes"]
+    n = sol["nodes"] if args.grid is None else args.grid
     mode = {"power": POWER, "manufactured": MANUFACTURED,
             "general-f": GENERAL_F}[args.mode]
 

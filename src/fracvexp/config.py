@@ -43,9 +43,10 @@ _STR_KEYS = {"output_dir", "q_kind", "q_params"}
 def _coerce(key: str, value):
     if key in _STR_KEYS:
         return str(value)
-    if key in _INT_KEYS:
-        return int(float(value))
-    return float(value)
+    try:
+        return int(float(value)) if key in _INT_KEYS else float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise PreconditionError(f"bad value {value!r} for key {key!r}") from exc
 
 
 @dataclass
@@ -62,20 +63,22 @@ class RunConfig:
             path = Path(path)
             if not path.exists():
                 raise PreconditionError(f"config file not found: {path}")
-            text = path.read_text()
-            if path.suffix == ".json" or text.lstrip().startswith("{"):
-                raw = json.loads(text)
-                if not isinstance(raw, dict):
-                    raise PreconditionError("JSON config must be an object of sections")
-                items = raw.items()
-            else:
-                cp = configparser.ConfigParser()
-                cp.read_string(text)
-                items = ((sec, dict(cp[sec])) for sec in cp.sections())
-            for sec, vals in items:
+            try:
+                text = path.read_text()
+                if path.suffix == ".json" or text.lstrip().startswith("{"):
+                    raw = json.loads(text)
+                else:
+                    cp = configparser.ConfigParser()
+                    cp.read_string(text)
+                    raw = {sec: dict(cp[sec]) for sec in cp.sections()}
+            except (UnicodeDecodeError, json.JSONDecodeError, configparser.Error) as exc:
+                raise PreconditionError(f"malformed config file {path}: {exc}") from exc
+            if not isinstance(raw, dict) or not all(isinstance(v, dict) for v in raw.values()):
+                raise PreconditionError("a config must be an object of sections")
+            for sec, vals in raw.items():
                 if sec not in merged:
                     raise PreconditionError(f"unknown config section [{sec}]")
-                for key, val in dict(vals).items():
+                for key, val in vals.items():
                     if key not in merged[sec]:
                         raise PreconditionError(f"unknown key {key!r} in section [{sec}]")
                     merged[sec][key] = _coerce(key, val)

@@ -32,8 +32,8 @@ class PlaneGeometry:
 
     def coord(self, x) -> np.ndarray:
         """Signed coordinate <x, e> of points x, shape (..., dim) -> (...)."""
-        x = np.asarray(x, dtype=float)
-        return x @ self.e if x.ndim > 1 else float(x @ self.e)
+        c = inner(x, self.e)
+        return c if c.ndim else float(c)
 
     def reflect(self, x):
         """Mirror image across the plane (see `reflect_points`)."""
@@ -45,11 +45,22 @@ class PlaneGeometry:
         return c < self.offset if strict else c <= self.offset
 
 
+def inner(x, e) -> np.ndarray:
+    """<x, e> for points x, shape (..., dim) -> (...), summed coordinate by
+    coordinate.  Unlike `x @ e`, whose BLAS rounding depends on how many
+    rows share the call, a point gets the same bits alone or in a batch."""
+    x = np.asarray(x, dtype=float)
+    c = x[..., 0] * e[0]
+    for k in range(1, x.shape[-1]):
+        c = c + x[..., k] * e[k]
+    return c
+
+
 def reflect_points(x, e: np.ndarray, offset):
     """Mirror image across {<x,e> = lambda}: x - 2(<x,e> - lambda) e, with
     `offset` one lambda for all points or one per row of x."""
     x = np.asarray(x, dtype=float)
-    c = np.atleast_1d(x @ e) - offset
+    c = np.atleast_1d(inner(x, e)) - offset
     out = np.atleast_2d(x) - 2.0 * c[:, None] * e[None, :]
     return out if x.ndim > 1 else out[0]
 

@@ -98,6 +98,8 @@ class SampledFunction:
     def from_function(cls, fn: Callable, extent: float, n: int, dim: int = 1,
                       exterior_rule=ZERO_BALL, smoothness_hint: int = 2):
         """Sample fn on the grid; under the ball rule, values at |x| >= 1 are zeroed."""
+        if n < 5:  # before np.zeros meets a negative size
+            raise PreconditionError("grids need at least 5 nodes per axis")
         shape = (n,) * dim
         probe = cls(np.zeros(int(np.prod(shape))), shape, extent,
                     ZERO_BOX, smoothness_hint)
@@ -246,12 +248,17 @@ class SampledFunction:
 
     @classmethod
     def load(cls, csv_path) -> "SampledFunction":
+        """Read what `save` wrote.  A missing file raises OSError; a malformed
+        header or a non-numeric cell raises PreconditionError."""
         csv_path = Path(csv_path)
-        meta = json.loads(csv_path.with_suffix(".json").read_text())
-        data = np.loadtxt(csv_path, delimiter=",", skiprows=1)
-        vals = np.atleast_2d(data)[:, -1]
-        return cls(vals, tuple(meta["shape"]), float(meta["extent"]),
-                   meta["exterior_rule"], int(meta["smoothness_hint"]))
+        try:
+            meta = json.loads(csv_path.with_suffix(".json").read_text())
+            data = np.loadtxt(csv_path, delimiter=",", skiprows=1)
+            return cls(np.atleast_2d(data)[:, -1], tuple(meta["shape"]),
+                       float(meta["extent"]), meta["exterior_rule"],
+                       int(meta["smoothness_hint"]))
+        except (ValueError, TypeError, KeyError, IndexError) as exc:
+            raise PreconditionError(f"malformed sampled function {csv_path}: {exc!r}") from exc
 
 
 @dataclass

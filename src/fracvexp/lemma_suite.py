@@ -13,8 +13,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import brentq
 
-from .errors import NumericError, PreconditionError
+from .errors import PreconditionError
 from .exponents import ExponentSpec
 from .geometry import PlaneGeometry
 from .nonlocal_operator import f_power, kernel
@@ -25,25 +26,37 @@ MV_RESIDUAL_TOL = 1e-10
 SAME_SIGN_CLOSE = "same_sign_close"
 OPPOSITE_SIGN = "opposite_sign"
 FAR_APART = "far_apart"
+CASES = (SAME_SIGN_CLOSE, OPPOSITE_SIGN, FAR_APART)
+
+
+def _case_masks(t1, t2):
+    """The case split as masks (opposite, close): signs, then |t_small| vs
+    |t_big|/2 (2 t_small is exact).  Vectorized."""
+    t1, t2 = np.asarray(t1, dtype=float), np.asarray(t2, dtype=float)
+    opposite = t1 * t2 < 0.0
+    ts = np.minimum(np.abs(t1), np.abs(t2))
+    tb = np.maximum(np.abs(t1), np.abs(t2))
+    return opposite, ~opposite & (2.0 * ts >= tb)
+
+
+def _c0(opposite, close, p_minus, p_plus):
+    """The case constants of the uniform mean-value bound.  Vectorized."""
+    return np.where(close, 1.0 / 2.0 ** (p_plus - 2.0),
+                    np.where(opposite, 1.0 / (2.0 * (p_plus - 1.0)),
+                             (2.0 ** (p_minus - 1.0) - 1.0) / ((p_plus - 1.0) * 2.0 ** p_minus)))
 
 
 def c0_constant(case: str, p_minus: float, p_plus: float) -> float:
-    """The case constants of the uniform mean-value bound."""
-    if case == SAME_SIGN_CLOSE:
-        return 1.0 / 2.0 ** (p_plus - 2.0)
-    if case == OPPOSITE_SIGN:
-        return 1.0 / (2.0 * (p_plus - 1.0))
-    if case == FAR_APART:
-        return (2.0 ** (p_minus - 1.0) - 1.0) / ((p_plus - 1.0) * 2.0 ** p_minus)
-    raise PreconditionError(f"unknown mean-value case {case!r}")
+    """The case constant of the uniform mean-value bound."""
+    if case not in CASES:
+        raise PreconditionError(f"unknown mean-value case {case!r}")
+    return float(_c0(case == OPPOSITE_SIGN, case == SAME_SIGN_CLOSE, p_minus, p_plus))
 
 
 def classify_case(t1: float, t2: float) -> str:
     """Case split with |t_small| vs |t_big|/2 and the sign pattern."""
-    if t1 * t2 < 0.0:
-        return OPPOSITE_SIGN
-    ts, tb = sorted((abs(t1), abs(t2)))
-    return SAME_SIGN_CLOSE if 2.0 * ts >= tb else FAR_APART
+    opposite, close = _case_masks(t1, t2)
+    return OPPOSITE_SIGN if opposite else SAME_SIGN_CLOSE if close else FAR_APART
 
 
 def _mv_slope(t1, t2, p):
@@ -72,6 +85,52 @@ def _mv_slope(t1, t2, p):
     return out
 
 
+def mean_value_point(slope, k, lo, hi):
+    """The point a of [lo, hi] where k a^(k-1), the derivative of a^k,
+    equals `slope`: (slope/k)^(1/(k-1)) in closed form.  Vectorized.
+
+    The clip to the bracket is needed: for k near 1 the power 1/(k-1)
+    amplifies the rounding of slope/k, so the raw formula can leave it
+    (for f(t) = |t|^(p-2) t at p = nextafter(2, 3), the pair
+    (0.5, 0.5000001) gives 0.368)."""
+    k = np.asarray(k, dtype=float)
+    return np.clip((slope / k) ** (1.0 / (k - 1.0)), lo, hi)
+
+
+def witness_alpha(t1, t2, p):
+    """Signed alpha with f(t2) - f(t1) = f'(alpha)(t2 - t1), f(t) = |t|^(p-2) t.
+
+    f'(a) = (p-1)|a|^(p-2) is even and increasing in |a|, so |alpha| is the
+    `mean_value_point` with k = p - 1 on [min|t|, max|t|] (same signs) or
+    [0, max|t|] (opposite signs).  alpha takes the sign that lands it in
+    [min(t1,t2), max(t1,t2)], the positive one on ties.  A zero slope
+    (t1 == t2, or f(t1) and f(t2) colliding through underflow) gives the
+    endpoint of larger magnitude, a valid witness in that degenerate
+    arithmetic.  Vectorized.
+    """
+    t1, t2, p = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (t1, t2, p)))
+    slope = _mv_slope(t1, t2, p)
+    a1, a2 = np.abs(t1), np.abs(t2)
+    lo = np.where(t1 * t2 < 0.0, 0.0, np.minimum(a1, a2))
+    a = mean_value_point(slope, p - 1.0, lo, np.maximum(a1, a2))
+    alpha = np.where(a <= np.maximum(t1, t2), a, -a)  # a >= min(t1, t2) by the bracket
+    return np.where(slope == 0.0, np.where(a1 >= a2, t1, t2), alpha)
+
+
+def _mv_residual(t1, t2, p, alpha):
+    """|f(t2) - f(t1) - f'(alpha)(t2 - t1)| relative to max(1, |f(t2) - f(t1)|)."""
+    df = f_power(t2, p) - f_power(t1, p)
+    resid = np.abs(df - (p - 1.0) * np.abs(alpha) ** (p - 2.0) * (t2 - t1))
+    return resid / np.maximum(1.0, np.abs(df))
+
+
+def _c0_margin(alpha, t1, t2, p, c0):
+    """(ok, margin) of |alpha|^(p-2) >= c0 max(|t1|, |t2|)^(p-2), to a relative 1e-12."""
+    lhs = np.abs(alpha) ** (p - 2.0)
+    rhs = c0 * np.maximum(np.abs(t1), np.abs(t2)) ** (p - 2.0)
+    return lhs >= rhs * (1.0 - 1e-12), lhs - rhs
+
+
 @dataclass(frozen=True)
 class MeanValueWitness:
     t1: float
@@ -88,63 +147,18 @@ class MeanValueWitness:
 
 
 def mean_value_alpha(t1: float, t2: float, p: float) -> MeanValueWitness:
-    """Solve f(t2) - f(t1) = f'(alpha)(t2 - t1) by safeguarded bisection.
-
-    f'(a) = (p-1)|a|^(p-2) is even and increasing in |a|, so |alpha| has a
-    unique root in [0, max(|t1|,|t2|)]; the sign is chosen to land inside
-    the endpoint interval, preferring the root of smaller magnitude (any
-    valid alpha satisfies the bound, the choice only shapes the witness).
-    """
+    """The mean-value witness of one pair: `witness_alpha` on one sample,
+    with its case, c0 and residual."""
     if p <= 2.0:
         raise PreconditionError("mean-value witness needs p > 2")
     t1, t2, p = float(t1), float(t2), float(p)
-    if t1 == t2:
-        case = classify_case(t1, t2)
-        return MeanValueWitness(t1, t2, p, t1, case, c0_constant(case, p, p), 0.0)
-
-    slope = float(_mv_slope(t1, t2, p))
-    t_max = max(abs(t1), abs(t2))
-    if slope == 0.0:
-        # f(t1) and f(t2) collide in floats (underflow); the larger-magnitude
-        # endpoint is a valid witness in that degenerate arithmetic
-        alpha = t1 if abs(t1) >= abs(t2) else t2
-        case = classify_case(t1, t2)
-        return MeanValueWitness(t1, t2, p, alpha, case, c0_constant(case, p, p), 0.0)
-
-    def psi(a: float) -> float:
-        return (p - 1.0) * a ** (p - 2.0) - slope
-
-    lo, hi = 0.0, t_max
-    flo = psi(lo)
-    fhi = psi(hi)
-    if flo > 0.0 or fhi < 0.0:
-        raise NumericError(f"mean-value bracket failed: psi({lo})={flo}, psi({hi})={fhi}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        fm = psi(mid)
-        if fm <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13 * t_max:
-            break
-    a = 0.5 * (lo + hi)
-
-    lo_t, hi_t = min(t1, t2), max(t1, t2)
-    exact = [c for c in (a, -a) if lo_t <= c <= hi_t]
-    if exact:
-        alpha = exact[0]  # ties carry equal |alpha|; keep the positive root
-    else:
-        # bisection fuzz pushed |a| just past the endpoint: clamp on the
-        # side whose endpoint magnitude matches
-        alpha = hi_t if abs(a - hi_t) <= abs(-a - lo_t) else lo_t
-
-    resid = abs((f_power(t2, p) - f_power(t1, p)) - (p - 1.0) * abs(alpha) ** (p - 2.0) * (t2 - t1))
-    resid /= max(1.0, abs(f_power(t2, p) - f_power(t1, p)))
+    # a one-element sample, not scalars: numpy's scalar power rounds unlike
+    # its array loops, and the witness must equal the suite's bit for bit
+    sample = np.array([t1]), np.array([t2]), np.array([p])
+    alpha = witness_alpha(*sample)
     case = classify_case(t1, t2)
-    return MeanValueWitness(t1, t2, p, float(alpha), case, c0_constant(case, p, p), float(resid))
+    return MeanValueWitness(t1, t2, p, float(alpha[0]), case, c0_constant(case, p, p),
+                            float(_mv_residual(*sample, alpha)[0]))
 
 
 @dataclass(frozen=True)
@@ -160,10 +174,8 @@ class C0Check:
 def check_c0_bound(witness: MeanValueWitness, p_minus: float, p_plus: float) -> C0Check:
     """Assert |alpha|^(p-2) >= c0 max(|t1|^(p-2), |t2|^(p-2)) for the case constant."""
     c0 = c0_constant(witness.c0_case, p_minus, p_plus)
-    p = witness.p
-    lhs = abs(witness.alpha) ** (p - 2.0)
-    rhs = c0 * max(abs(witness.t1) ** (p - 2.0), abs(witness.t2) ** (p - 2.0))
-    return C0Check(lhs >= rhs * (1.0 - 1e-12), float(lhs - rhs), c0)
+    ok, margin = _c0_margin(witness.alpha, witness.t1, witness.t2, witness.p, c0)
+    return C0Check(bool(ok), float(margin), c0)
 
 
 @dataclass(frozen=True)
@@ -283,22 +295,20 @@ class SuiteReport:
                 "detail": self.detail}
 
 
-def _bisect_alpha_vec(t1, t2, p, iters: int = 80):
-    """Vectorized twin of the witness bisection (|alpha| only).  It stops at
-    the first halving that changes no bracket, a fixed point of the update,
-    so the result is bit-identical to running all `iters` halvings."""
-    slope = _mv_slope(t1, t2, p)
-    lo = np.zeros_like(slope)
-    hi = np.maximum(np.abs(t1), np.abs(t2))
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        neg = (p - 1.0) * mid ** (p - 2.0) - slope <= 0.0
-        if np.array_equal(np.where(neg, lo, hi), mid):  # no end would move
-            break
-        lo = np.where(neg, mid, lo)
-        hi = np.where(neg, hi, mid)
-    a = 0.5 * (lo + hi)
-    return np.where(t1 == t2, np.abs(t1), a)
+def _brentq_alpha(t1: float, t2: float, p: float) -> float:
+    """|alpha| by brentq on psi(a) = (p-1) a^(p-2) - slope over [0, max|t|]:
+    a reference for `witness_alpha` that shares only the slope with it."""
+    slope = float(_mv_slope(t1, t2, p))
+    t_max = max(abs(t1), abs(t2))
+
+    def psi(a: float) -> float:
+        return (p - 1.0) * a ** (p - 2.0) - slope
+
+    if slope == 0.0 or psi(t_max) <= 0.0:
+        # the zero-slope edge rule, or psi (increasing from -slope) first
+        # reaching zero at the bracket end in floats
+        return t_max
+    return brentq(psi, 0.0, t_max)
 
 
 def run_mean_value_suite(n: int = 100_000, seed: int = 0,
@@ -307,8 +317,9 @@ def run_mean_value_suite(n: int = 100_000, seed: int = 0,
     """n seeded samples of (t1, t2, p); every witness must satisfy the
     case bound and the mean-value residual tolerance.
 
-    The bulk run uses the vectorized bisection; `spot_checks` samples are
-    re-derived through the scalar `mean_value_alpha` path and must agree.
+    The witnesses come from `witness_alpha`, the path `mean_value_alpha`
+    takes; `spot_checks` samples are re-derived by `_brentq_alpha` and must
+    agree to 1e-9.
     """
     rng = np.random.default_rng(seed)
     t1 = rng.uniform(-1.0, 1.0, n)
@@ -316,32 +327,15 @@ def run_mean_value_suite(n: int = 100_000, seed: int = 0,
     lo_p = np.nextafter(p_range[0], p_range[1])
     p = rng.uniform(lo_p, p_range[1], n)
 
-    a = _bisect_alpha_vec(t1, t2, p)
-    f1 = np.abs(t1) ** (p - 2.0) * t1
-    f2 = np.abs(t2) ** (p - 2.0) * t2
-    resid = np.abs((f2 - f1) - (p - 1.0) * a ** (p - 2.0) * (t2 - t1))
-    resid /= np.maximum(1.0, np.abs(f2 - f1))
+    alpha = witness_alpha(t1, t2, p)
+    resid = _mv_residual(t1, t2, p, alpha)
+    ok, margin = _c0_margin(alpha, t1, t2, p, _c0(*_case_masks(t1, t2), p, p))
+    ok &= resid <= MV_RESIDUAL_TOL
 
-    opp = t1 * t2 < 0.0
-    ts = np.minimum(np.abs(t1), np.abs(t2))
-    tb = np.maximum(np.abs(t1), np.abs(t2))
-    close = ~opp & (2.0 * ts >= tb)
-    c0 = np.where(opp, 1.0 / (2.0 * (p - 1.0)),
-                  np.where(close, 0.5 ** (p - 2.0),
-                           (2.0 ** (p - 1.0) - 1.0) / ((p - 1.0) * 2.0 ** p)))
-    lhs = a ** (p - 2.0)
-    rhs = c0 * tb ** (p - 2.0)
-    margin = lhs - rhs
-    ok = (lhs >= rhs * (1.0 - 1e-12)) & (resid <= MV_RESIDUAL_TOL)
-
-    spot_fail = 0
+    a = np.abs(alpha)
     idx = rng.choice(n, size=min(spot_checks, n), replace=False)
-    for i in idx:
-        w = mean_value_alpha(float(t1[i]), float(t2[i]), float(p[i]))
-        chk = check_c0_bound(w, float(p[i]), float(p[i]))
-        if (not chk.ok or w.residual > MV_RESIDUAL_TOL
-                or abs(abs(w.alpha) - a[i]) > 1e-9 * max(1.0, a[i])):
-            spot_fail += 1
+    spot_fail = int(sum(abs(_brentq_alpha(float(t1[i]), float(t2[i]), float(p[i])) - a[i])
+                        > 1e-9 * max(1.0, a[i]) for i in idx))
 
     failures = int(np.count_nonzero(~ok)) + spot_fail
     return SuiteReport("mean_value_c0", failures == 0, n, failures,

@@ -18,7 +18,7 @@ from .errors import NumericError, PreconditionError
 from .exponents import ExponentSpec
 from .geometry import PlaneGeometry, axis_plane
 from .grids import ReflectedFunction, SampledFunction
-from .nonlocal_operator import eval_plap, eval_plap_field
+from .nonlocal_operator import eval_plap, eval_plap_field, f_power
 from .quadrature import (QuadratureConfig, directions, paired_nodes,
                          truncation_radius)
 
@@ -150,8 +150,7 @@ def check_antisym_mp(spec: ExponentSpec, u: SampledFunction, plane: PlaneGeometr
     cfg = cfg or QuadratureConfig()
     m_bound = spec.m_bound if m_bound is None else float(m_bound)
     nodes = u.nodes()
-    coord = nodes @ plane.e
-    in_h = coord < plane.offset
+    in_h = plane.in_halfspace(nodes)
     in_ball = np.linalg.norm(nodes, axis=1) < ball_radius
     omega = in_h & in_ball
 
@@ -233,7 +232,7 @@ def j1_j2_split(spec: ExponentSpec, u: SampledFunction, plane: PlaneGeometry,
     dirs, aw = directions(N, cfg.angular_nodes)
     r_eff = truncation_radius(spec, u.values, u.extent, cfg)
     rs, pos, w_node = paired_nodes(x0, u.extent, r_eff, cfg, dirs, aw)
-    in_h = pos @ plane.e < plane.offset
+    in_h = plane.in_halfspace(pos)
     y = pos[in_h]
     w = w_node[in_h]
 
@@ -250,12 +249,9 @@ def j1_j2_split(spec: ExponentSpec, u: SampledFunction, plane: PlaneGeometry,
     u_y = u.point_eval(y)
     ul_y = u.point_eval(y_l)
 
-    def f(t, p):
-        return np.abs(t) ** (p - 2.0) * t
-
-    diff_f = f(ul_x0 - ul_y, q1) - f(u_x0 - u_y, q1)
+    diff_f = f_power(ul_x0 - ul_y, q1) - f_power(u_x0 - u_y, q1)
     j1 = float(np.sum(w * (k1 - k2) * diff_f))
-    folded = diff_f + f(ul_x0 - u_y, q2) - f(u_x0 - ul_y, q2)
+    folded = diff_f + f_power(ul_x0 - u_y, q2) - f_power(u_x0 - ul_y, q2)
     j2 = float(np.sum(w * k2 * folded))
     return j1, j2
 
@@ -307,7 +303,7 @@ def boundary_estimate_probe(spec: ExponentSpec, u: SampledFunction,
     # limiting-plane positivity on ball half-space nodes
     pl0 = planes[-1]
     nodes = u.nodes()
-    omega0 = (nodes @ pl0.e < pl0.offset) & (np.linalg.norm(nodes, axis=1) < 1.0)
+    omega0 = pl0.in_halfspace(nodes) & (np.linalg.norm(nodes, axis=1) < 1.0)
     if np.any(omega0):
         w0 = w_lambda_field(u, pl0, nodes[omega0])
         if float(np.min(w0)) <= 0.0:

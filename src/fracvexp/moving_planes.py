@@ -13,11 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .errors import NumericError, PreconditionError
+from .errors import PreconditionError
 from .exponents import ExponentSpec
-from .geometry import PlaneGeometry, reflect_points
+from .geometry import PlaneGeometry, inner, reflect_points
 from .grids import SampledFunction
-from .lemma_suite import FAR_APART, OPPOSITE_SIGN, SAME_SIGN_CLOSE, c0_constant
+from .lemma_suite import CASES, c0_constant, mean_value_point
 from .quadrature import QuadratureConfig
 
 BALL = "ball"
@@ -106,7 +106,7 @@ def sweep(u: SampledFunction, direction, lambda_grid=None, tol: float = SWEEP_TO
     e = np.asarray(direction, dtype=float)
     e = PlaneGeometry(tuple(e / np.linalg.norm(e)), 0.0).e  # rejects NaN and zero
     nodes = u.nodes()
-    coord = nodes @ e
+    coord = inner(nodes, e)
 
     if lambda_grid is None:
         lo = -1.0 if mode == BALL else -u.extent
@@ -233,7 +233,8 @@ class LinearizationProbe:
 
 def linearization_probe(u: SampledFunction, plane: PlaneGeometry,
                         q_function, x) -> LinearizationProbe:
-    """Mean-value point xi with u_l^q - u^q = q xi^(q-1) (u_l - u).
+    """Mean-value point xi with u_l^q - u^q = q xi^(q-1) (u_l - u), in
+    closed form (`mean_value_point` with k = q on [min, max] of the values).
 
     Both values must lie in (0,1); the coefficient q(x) xi^(q-1) is the
     bounded linearization weight."""
@@ -248,24 +249,8 @@ def linearization_probe(u: SampledFunction, plane: PlaneGeometry,
         xi = uv
         resid = 0.0
     else:
-        lo, hi = min(uv, ul), max(uv, ul)
         target = ul ** q - uv ** q
-
-        def phi(t: float) -> float:
-            return q * t ** (q - 1.0) * (ul - uv) - target
-
-        flo, fhi = phi(lo), phi(hi)
-        if flo * fhi > 0.0:
-            raise NumericError("linearization bracket failed")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if phi(lo) * phi(mid) <= 0.0:
-                hi = mid
-            else:
-                lo = mid
-        xi = 0.5 * (lo + hi)
+        xi = float(mean_value_point(target / (ul - uv), q, min(uv, ul), max(uv, ul)))
         resid = abs(q * xi ** (q - 1.0) * (ul - uv) - target)
     return LinearizationProbe(tuple(x.tolist()), float(xi),
                               float(q * xi ** (q - 1.0)), q, uv, ul, float(resid))
@@ -307,8 +292,7 @@ def width_estimate_probe(spec: ExponentSpec, u: SampledFunction,
         raise PreconditionError("u(x0) must be positive")
 
     s, N = spec.order, spec.dimension
-    c0 = min(c0_constant(c, spec.p_minus, spec.p_plus)
-             for c in (SAME_SIGN_CLOSE, OPPOSITE_SIGN, FAR_APART))
+    c0 = min(c0_constant(c, spec.p_minus, spec.p_plus) for c in CASES)
 
     e = plane.e
     a_hi = min(lam + 1.0, 1.0)

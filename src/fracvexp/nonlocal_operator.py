@@ -19,12 +19,14 @@ from .grids import ReflectedFunction
 from .quadrature import QuadratureConfig, _gauss_on, build_plan, directions
 
 
-def f_power(t: float, p: float) -> float:
-    """|t|^(p-2) t: odd and strictly increasing for p > 2."""
-    t = float(t)
-    if t == 0.0:
-        return 0.0
-    return abs(t) ** (p - 2.0) * t
+def f_power(t, p):
+    """|t|^(p-2) t: odd and strictly increasing for p > 2, with f(0) = 0
+    for every p.  Vectorized; scalar arguments give a float."""
+    t, p = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(p, dtype=float))
+    out = np.zeros(t.shape)
+    nz = t != 0.0
+    out[nz] = np.abs(t[nz]) ** (p[nz] - 2.0) * t[nz]
+    return out if out.ndim else float(out)
 
 
 def kernel(spec: ExponentSpec, x, y) -> float:

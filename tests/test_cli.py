@@ -80,6 +80,19 @@ class TestConfig:
         with pytest.raises(fx.PreconditionError):
             RunConfig.load(tmp_path / "nope.ini")
 
+    @pytest.mark.parametrize("name, text", [
+        ("bad.ini", "[solver]\nnodes = abc\n"),
+        ("bad.ini", "nodes = 101\n"),  # no section header
+        ("bad.json", '{"solver": {"nodes": 101'),  # truncated
+        ("bad.json", '{"solver": 5}'),
+    ])
+    def test_malformed_file_is_precondition(self, tmp_path, name, text):
+        p = tmp_path / name
+        p.write_text(text)
+        with pytest.raises(fx.PreconditionError):
+            RunConfig.load(p)
+        assert main(["validate-exponent", "--config", str(p)]) == 3
+
 
 class TestExitCodes:
     def test_usage_error_is_64(self):
@@ -99,6 +112,34 @@ class TestExitCodes:
         code = main(["eval", "--config", str(cfg), "--input",
                      str(tmp_path / "ghost.csv"), "--at", "0.0"])
         assert code == 5
+
+    @pytest.mark.parametrize("damage, code", [
+        ("truncated header", 3), ("header without shape", 3),
+        ("non-numeric cell", 3), ("missing header", 5)])
+    def test_malformed_input_is_precondition(self, tmp_path, damage, code):
+        cfg = small_config(tmp_path)
+        u = make_bump_csv(tmp_path)
+        header = u.with_suffix(".json")
+        if damage == "truncated header":
+            header.write_text(header.read_text()[:-5])
+        elif damage == "header without shape":
+            meta = json.loads(header.read_text())
+            del meta["shape"]
+            header.write_text(json.dumps(meta))
+        elif damage == "non-numeric cell":
+            lines = u.read_text().splitlines()
+            lines[3] = lines[3].split(",")[0] + ",abc"
+            u.write_text("\n".join(lines) + "\n")
+        else:
+            header.unlink()
+        assert main(["eval", "--config", str(cfg), "--input", str(u), "--at", "0.0"]) == code
+
+    @pytest.mark.parametrize("grid", ["0", "-3"])
+    def test_bad_solve_grid_is_precondition(self, tmp_path, grid):
+        # --grid 0 must not fall back to the config's grid
+        cfg = small_config(tmp_path)
+        assert main(["solve", "--config", str(cfg), "--mode", "manufactured",
+                     "--grid", grid]) == 3
 
     def test_bad_point_is_precondition(self, tmp_path):
         cfg = small_config(tmp_path)

@@ -55,30 +55,24 @@ class TestMeanValueAlpha:
             w = ls.mean_value_alpha(t1, t2, p)
             assert abs(w.alpha) == pytest.approx(expect, rel=1e-8, abs=1e-10)
 
-    def test_vector_bisection_matches_fixed_iteration_count(self):
-        # the early stop at the bracket's fixed point must not change a bit
-        # against the full 80 halvings, on seeded draws and on edge pairs
-        def bisect_80(t1, t2, p):
-            slope = ls._mv_slope(t1, t2, p)
-            lo = np.zeros_like(slope)
-            hi = np.maximum(np.abs(t1), np.abs(t2))
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                neg = (p - 1.0) * mid ** (p - 2.0) - slope <= 0.0
-                lo = np.where(neg, mid, lo)
-                hi = np.where(neg, hi, mid)
-            return np.where(t1 == t2, np.abs(t1), 0.5 * (lo + hi))
-
+    def test_suite_path_matches_scalar_witness(self):
+        # the suite and the scalar witness share one path: equal bit for bit on
+        # edge pairs (equal ends, an underflowing f, a cancelling slope, p next
+        # to 2 where the raw closed form leaves the bracket) and seeded draws
         pinned = np.array([(0.3, 0.3, 3.0), (-0.7, -0.7, 2.5), (0.0, 5e-324, 3.0),
                            (-1.0, -0.9999999999999999, 2.75),
-                           (0.2, -0.9, np.nextafter(2.0, 3.0))]).T
+                           (0.2, -0.9, np.nextafter(2.0, 3.0)),
+                           (0.5, 0.5000001, np.nextafter(2.0, 3.0))]).T
         rng = np.random.default_rng(21)
         n = 20_000
         draws = np.array([rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n),
                           rng.uniform(np.nextafter(2.0, 6.0), 6.0, n)])
-        for t1, t2, p in (pinned, np.concatenate([draws, pinned], axis=1)):
-            np.testing.assert_array_equal(ls._bisect_alpha_vec(t1, t2, p),
-                                          bisect_80(t1, t2, p))
+        t1, t2, p = np.concatenate([draws, pinned], axis=1)
+        witnesses = [ls.mean_value_alpha(*pair) for pair in zip(t1, t2, p)]
+        alpha = np.array([w.alpha for w in witnesses])
+        np.testing.assert_array_equal(np.abs(ls.witness_alpha(t1, t2, p)), np.abs(alpha))
+        assert all(ls.check_c0_bound(w, w.p, w.p).ok for w in witnesses)
+        assert np.all((np.minimum(t1, t2) <= alpha) & (alpha <= np.maximum(t1, t2)))
 
     def test_requires_p_above_2(self):
         with pytest.raises(fx.PreconditionError):
@@ -169,8 +163,17 @@ class TestSuites:
         rep = ls.run_mean_value_suite(20_000, seed=7)
         assert rep.passed and rep.failures == 0
         assert rep.max_residual <= ls.MV_RESIDUAL_TOL
+        assert rep.detail == {"spot_checks": 200, "spot_failures": 0}
         rep2 = ls.run_mean_value_suite(20_000, seed=7)
         assert rep2.min_margin == rep.min_margin  # reproducible
+
+    def test_spot_checks_are_independent(self, monkeypatch):
+        # the brentq reference must catch a witness that the suite's own path
+        # would accept as its own
+        closed_form = ls.witness_alpha
+        monkeypatch.setattr(ls, "witness_alpha", lambda *a: closed_form(*a) * (1.0 + 1e-6))
+        rep = ls.run_mean_value_suite(2000, seed=7, spot_checks=50)
+        assert rep.detail == {"spot_checks": 50, "spot_failures": 50}
 
     def test_certify_bundle(self, spec_1d):
         out = ls.certify_lemmas(spec_1d, seed=3, n_mean_value=5000,

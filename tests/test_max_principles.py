@@ -7,6 +7,7 @@ import fracvexp as fx
 from fracvexp import ball_solver as bs
 from fracvexp import max_principles as mp
 from fracvexp.grids import ReflectedFunction
+from fracvexp.moving_planes import sweep_directions
 
 unit2 = st.floats(-2.0, 2.0)
 
@@ -37,6 +38,19 @@ class TestReflect:
         np.testing.assert_allclose(plane.reflect(plane.reflect(x)), x, atol=1e-12)
         d1 = np.linalg.norm(plane.reflect(x) - plane.reflect(y))
         assert d1 == pytest.approx(np.linalg.norm(x - y), abs=1e-12)
+
+    def test_node_alone_equals_node_in_batch(self):
+        # <x, e> is summed per row, so a point reflects to the same bits alone
+        # as inside any batch (a BLAS x @ e rounds by batch size)
+        u = fx.SampledFunction(np.zeros(15 * 15), (15, 15), 1.5)
+        nodes = u.nodes()
+        for e in sweep_directions(2, 8, seed=7):
+            plane = fx.PlaneGeometry(tuple(e), -0.3)
+            batch = plane.reflect(nodes)
+            alone = np.array([plane.reflect(x[None, :])[0] for x in nodes])
+            np.testing.assert_array_equal(alone, batch)
+            np.testing.assert_array_equal([plane.reflect(x) for x in nodes], batch)
+            np.testing.assert_array_equal([plane.coord(x) for x in nodes], plane.coord(nodes))
 
     def test_unit_norm_required(self):
         with pytest.raises(fx.PreconditionError):

@@ -66,16 +66,14 @@ class TestSweep:
             e = np.asarray(rep.direction)
             expect = []
             for lam in rep.lambda_grid:
-                sel = nodes @ e < lam
+                plane = fx.PlaneGeometry(tuple(e), lam)
+                sel = plane.in_halfspace(nodes)
                 if mode == "ball":
                     sel &= np.linalg.norm(nodes, axis=1) < 1.0
-                expect.append(np.min(w_lambda_field(u, fx.PlaneGeometry(tuple(e), lam),
-                                                    nodes[sel])) if sel.any() else np.inf)
+                expect.append(np.min(w_lambda_field(u, plane, nodes[sel]))
+                              if sel.any() else np.inf)
             got = np.asarray(rep.min_w)
-            if dim == 1:
-                np.testing.assert_array_equal(got, expect)
-            else:
-                np.testing.assert_allclose(got, expect, rtol=0.0, atol=1e-15)
+            np.testing.assert_array_equal(got, expect)
             grids.append(len(rep.lambda_grid))
             assert np.isinf(got[0])  # no node lies in either mode's first half-space
         if mode == "ball":
@@ -180,6 +178,15 @@ class TestLinearization:
             assert min(uv, ul) - 1e-12 <= probe.xi <= max(uv, ul) + 1e-12
             count += 1
         assert count > 20
+
+    def test_exponent_near_one_stays_in_bracket(self):
+        # 1/(q-1) = 1e12 amplifies the rounding of the slope; the point is
+        # clipped to [u, u_l]
+        nodes = np.linspace(-1.5, 1.5, 301)
+        vals = np.where(nodes > 0.0, 0.2, 0.4)
+        u = fx.SampledFunction(vals, (301,), 1.5, exterior_rule="zero_outside_box")
+        probe = mvp.linearization_probe(u, fx.axis_plane(1, 0.0), 1.0 + 1e-12, [0.8])
+        assert 0.2 <= probe.xi <= 0.4
 
     def test_range_precondition(self):
         u = fx.SampledFunction(np.zeros(201), (201,), 1.5)

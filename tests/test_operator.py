@@ -20,6 +20,10 @@ class TestFPower:
         assert fx.f_power(2.0, 3.0) == 4.0
         assert fx.f_power(-2.0, 3.0) == -4.0
         assert fx.f_power(0.0, 2.7) == 0.0
+        # vectorized, with f(0) = 0 also where |0|^(p-2) is infinite
+        np.testing.assert_array_equal(
+            fx.f_power(np.array([-2.0, 0.0, 2.0, 0.0]), np.array([3.0, 1.5, 3.0, 2.0])),
+            [-4.0, 0.0, 4.0, 0.0])
 
     def test_odd_and_increasing(self):
         ts = np.linspace(-2, 2, 41)
