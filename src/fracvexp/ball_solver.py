@@ -160,7 +160,11 @@ def manufacture(spec: ExponentSpec, n: int, extent: float = 1.5,
 
 def residual(problem: ProblemSpec, u: SampledFunction,
              cfg: QuadratureConfig | None = None) -> np.ndarray:
-    """r(x_i) = operator(u)(x_i) - rhs(x_i) over interior ball nodes, on a fresh plan."""
+    """r(x_i) = operator(u)(x_i) - rhs(x_i) over interior ball nodes.
+
+    The plan is built for u: its tail certificate and frozen ratio `rho` come
+    from u's values, its rows may be those of an earlier build on the same
+    points (see `quadrature`)."""
     idx = np.nonzero(interior_mask(u))[0]
     pts = u.nodes()[idx]
     plan = build_plan(problem.exponent, u, pts, cfg or QuadratureConfig(), values_bound=1.0)

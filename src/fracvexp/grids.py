@@ -59,7 +59,11 @@ class SampledFunction:
                 and not self.exterior_rule.startswith(CONSTANT_PREFIX):
             raise PreconditionError(f"unknown exterior rule {self.exterior_rule!r}")
         if isinstance(self.exterior_rule, str) and self.exterior_rule.startswith(CONSTANT_PREFIX):
-            float(self.exterior_rule[len(CONSTANT_PREFIX):])  # must parse
+            try:
+                float(self.exterior_rule[len(CONSTANT_PREFIX):])
+            except ValueError:
+                raise PreconditionError(
+                    f"constant exterior rule needs a number: {self.exterior_rule!r}") from None
         if self.exterior_rule == ZERO_BALL and self.extent < 1.0:
             raise PreconditionError("zero_outside_ball needs the grid box to contain the unit ball")
         if self.exterior_rule == ZERO_BALL:

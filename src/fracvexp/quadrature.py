@@ -28,12 +28,27 @@ interval is computed once per order, and each radial rule once per delta.
 keys there also carry the point, and a stable sort by point puts each
 point's rows in the order above, so every row and weight sum is the one a
 point built alone gets.
+
+The rows do not read the node values, only where the values come from, so
+one point set's rows serve every value vector: `ball_solver.manufacture`
+and `solve` are separate calls on one point set and share them.  The last
+row set built is held in a one-entry memo, keyed on everything the rows
+read: `spec`, `cfg`, `r_eff`, the grid's shape, extent, exterior rule and
+smoothness hint, a `ReflectedFunction`'s plane and the exact bytes of the
+points.  A callable exterior rule is keyed by identity, so it must be a
+fixed function of position.  The held arrays are read-only, and a miss
+drops the held entry before it builds, so at most one row set is held
+beyond what callers keep.  What reads the values runs on every call, hit
+or miss: the input checks, `r_eff`, the tail certificate with
+`tail_bound`, and the freeze of `rho` (a full `level_sums` pass).  Each
+call gets its own `EvalPlan` with its own `rho`, `tail_bound` and `meta`,
+so assigning `plan.rho` reaches no other plan.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -51,6 +66,9 @@ ANNULUS_RATIO = 2.0
 
 #: Nodes per block of `build_plan`; bounds its temporaries as the plan grows.
 PLAN_BLOCK = 2 ** 16
+
+#: (key, rows) of the last plan built, or None: the one-entry row memo of `build_plan`.
+_held = None
 
 
 @dataclass(frozen=True)
@@ -97,6 +115,9 @@ class EvalPlan:
     remainder for the part of the grading truncated below the last level,
     which matters when an interpolant kink sits at the evaluation point
     (paired decay exponent p - 1 - s p can be close to zero).
+
+    The row arrays are read-only and may be shared with other plans on the
+    same point set; `rho`, `tail_bound` and `meta` are each plan's own.
     """
 
     ptr: np.ndarray        # (npts+1,) segment offsets into the row arrays
@@ -259,6 +280,13 @@ def build_plan(spec: ExponentSpec, u, points, cfg: QuadratureConfig,
     a time, up to `PLAN_BLOCK` nodes; the points share one node template
     (kernel weight, p - 2, level tag), and the plan does not depend on the
     blocking (see the module docs).
+
+    Every call checks its inputs, sizes `r_eff` from the values, certifies the
+    tail (`tail_bound`) and freezes `rho` on the values.  The rows (every
+    other array, `r_eff` and `meta`) do not read the values, so calls that
+    agree on `spec`, `cfg`, `r_eff`, the grid's shape, extent, exterior rule
+    and smoothness hint, a view's plane and the exact points share one
+    read-only row set (see the module docs).
     """
     grid = u.base if isinstance(u, ReflectedFunction) else u
     if not isinstance(grid, SampledFunction):
@@ -278,15 +306,13 @@ def build_plan(spec: ExponentSpec, u, points, cfg: QuadratureConfig,
             f"evaluation points must be strictly inside the grid box; offenders: {bad.tolist()}")
 
     s, N = spec.order, spec.dimension
-    values = grid.values
-    r_eff = truncation_radius(spec, values, grid.extent, cfg, values_bound)
-    dirs, aw = directions(N, cfg.angular_nodes)
-    n_dirs = len(dirs)
+    r_eff = truncation_radius(spec, grid.values, grid.extent, cfg, values_bound)
+    dirs = directions(N, cfg.angular_nodes)[0]
 
     # certify the discarded tail at every point before building any row
     c_val = u.point_eval(pts)
     far = u.point_eval((pts[:, None, :] + r_eff * dirs[None, :, :]).reshape(-1, N))
-    t_far = np.max(np.abs(c_val[:, None] - far.reshape(len(pts), n_dirs)), axis=1)
+    t_far = np.max(np.abs(c_val[:, None] - far.reshape(len(pts), len(dirs))), axis=1)
     tail_reported = 0.0
     for t in t_far:
         fb = _f_abs_max(float(t), spec.p_minus, spec.p_plus)
@@ -298,6 +324,35 @@ def build_plan(spec: ExponentSpec, u, points, cfg: QuadratureConfig,
                 f"discarded tail bound {bound:.3g} exceeds tolerance at R = {r_eff:.6g}; "
                 f"use tail_radius >= {need:.6g}")
 
+    rows = _plan_rows(spec, u, grid, pts, cfg, r_eff)
+    return replace(rows, rho=_frozen_ratio(level_sums(rows, grid.values)),
+                   tail_bound=float(tail_reported), meta=dict(rows.meta))
+
+
+def _drop_rows() -> None:
+    """Forget the held rows, so that the next `build_plan` builds its own."""
+    global _held
+    _held = None
+
+
+def _plan_rows(spec: ExponentSpec, u, grid: SampledFunction, pts: np.ndarray,
+               cfg: QuadratureConfig, r_eff: float) -> EvalPlan:
+    """The value-independent part of `build_plan`: every row, read-only.
+
+    The result is held under a key of everything `u.linear_form` and the node
+    template read (see `build_plan`); its `rho` is 0 and its `tail_bound` NaN.
+    """
+    global _held
+    plane = u.plane if isinstance(u, ReflectedFunction) else None
+    key = (spec, cfg, r_eff, grid.shape, grid.extent, grid.exterior_rule,
+           grid.smoothness_hint, plane, pts.tobytes())
+    if _held is not None and _held[0] == key:
+        return _held[1]
+    _drop_rows()  # free the held rows before this build's peak
+
+    s, N = spec.order, spec.dimension
+    dirs, aw = directions(N, cfg.angular_nodes)
+    n_dirs = len(dirs)
     c_interp, c_idx, c_coef, c_ext = u.linear_form(pts)
     cidx = np.zeros((len(pts), c_idx.shape[1]), dtype=np.int64)
     ccoef = np.zeros(cidx.shape)
@@ -342,20 +397,18 @@ def build_plan(spec: ExponentSpec, u, points, cfg: QuadratureConfig,
     ext_all = np.concatenate([ext_rows, c_ext[~c_interp]])
     first, slot = _first_use_groups(ext_all)
     n_out = int(out.sum())
-    idx[out], coef[out, 0] = values.size + slot[:n_out, None], 1.0
-    cidx[~c_interp], ccoef[~c_interp, 0] = values.size + slot[n_out:, None], 1.0
+    idx[out], coef[out, 0] = grid.values.size + slot[:n_out, None], 1.0
+    cidx[~c_interp], ccoef[~c_interp, 0] = grid.values.size + slot[n_out:, None], 1.0
 
-    plan = EvalPlan(
-        ptr=np.concatenate([[0], np.cumsum(counts)]),
-        idx=idx, coef=coef, wk=wk, pm2=pm2, level_tag=tag,
-        cidx=cidx, ccoef=ccoef,
-        rho=np.zeros(len(pts)),
-        ext_values=ext_all[first],
-        r_eff=float(r_eff), tail_bound=float(tail_reported),
-        meta={"dim": N, "nodes_uncollapsed": n_uncollapsed},
-    )
-    plan.rho = _frozen_ratio(level_sums(plan, values))
-    return plan
+    arrays = {"ptr": np.concatenate([[0], np.cumsum(counts)]), "idx": idx, "coef": coef,
+              "wk": wk, "pm2": pm2, "level_tag": tag, "cidx": cidx, "ccoef": ccoef,
+              "rho": np.zeros(len(pts)), "ext_values": ext_all[first]}
+    for a in arrays.values():
+        a.flags.writeable = False
+    rows = EvalPlan(**arrays, r_eff=float(r_eff), tail_bound=float("nan"),
+                    meta={"dim": N, "nodes_uncollapsed": n_uncollapsed})
+    _held = (key, rows)
+    return rows
 
 
 def _first_use_groups(*keys):

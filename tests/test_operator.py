@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import weakref
 
 import mpmath
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from scipy import integrate
 
 import fracvexp as fx
-from fracvexp._backend import _apply_loop, apply_plan, jacobian
+from fracvexp._backend import _apply_loop, apply_plan, jacobian, level_sums
 from fracvexp.ball_solver import bump_profile, interior_mask
 from fracvexp import quadrature
 from fracvexp.oracles import brute_force_plap, constant_p_plap
@@ -70,6 +72,10 @@ class TestEvalPlapBasics:
         back = fx.SampledFunction.load(tmp_path / "c.csv")
         assert back.exterior_rule == "constant:0.7"
         assert fx.eval_plap(spec_1d, back, [node], qcfg) == 0.0
+
+    def test_malformed_constant_rule(self):
+        with pytest.raises(fx.PreconditionError, match="constant:abc"):
+            fx.SampledFunction(np.zeros(101), (101,), 1.5, exterior_rule="constant:abc")
 
     def test_tent_at_exterior_point(self):
         spec = fx.make_spec("constant", dimension=1, order=0.5, m=0.5, value=3.0)
@@ -246,6 +252,13 @@ class TestBackends:
         assert np.max(np.abs(jac - fd)) <= 1e-5 * np.max(np.abs(jac))
 
 
+def _plan_diff(a, b):
+    """Names of the EvalPlan fields in which two plans differ."""
+    return [f.name for f in dataclasses.fields(a)
+            if not (getattr(a, f.name) == getattr(b, f.name) if f.name == "meta"
+                    else np.array_equal(getattr(a, f.name), getattr(b, f.name)))]
+
+
 def _uncollapsed_nodes(spec, plan, x, extent, cfg):
     """Positions, weights w_node * kernel, p - 2 and level tags of every node around x."""
     dirs, aw = directions(spec.dimension, cfg.angular_nodes)
@@ -368,12 +381,10 @@ class TestPlanLayout:
             want = build_plan(spec, u, pts, qcfg)
             for block in (1, 2 ** 40):  # one point per block; each run in one block
                 monkeypatch.setattr(quadrature, "PLAN_BLOCK", block)
+                quadrature._drop_rows()  # the same key: rebuild, do not reuse want's rows
                 got = build_plan(spec, u, pts, qcfg)
                 monkeypatch.undo()
-                for f in dataclasses.fields(want):
-                    a, b = getattr(got, f.name), getattr(want, f.name)
-                    same = a == b if f.name == "meta" else np.array_equal(a, b)
-                    assert same, (name, block, f.name)
+                assert _plan_diff(got, want) == [], (name, block)
 
     def test_2d_solver_plan_is_compact(self, spec_2d, qcfg):
         u = fx.SampledFunction.from_function(bump_profile(0.5, 0.5), 1.5, 15, 2)
@@ -433,3 +444,96 @@ class TestGaussCache:
         with pytest.raises(ValueError):
             w[0] = 0.0
         assert _legendre_rule(8)[0] is x
+
+
+class TestRowMemo:
+    """build_plan holds the last point set's rows; values-dependent parts run per call."""
+
+    @staticmethod
+    def _solver_case(spec_2d):
+        # manufacture's u* and solve's perturbed guess: one point set, one r_eff
+        u = fx.SampledFunction.from_function(bump_profile(0.5, 0.5), 1.5, 15, 2)
+        pts = u.nodes()[interior_mask(u)]
+        guess = u.with_values(np.clip(u.values + 0.05 * np.sin(3.0 * u.nodes()[:, 0])
+                                      * np.maximum(0.0, 1.0 - np.sum(u.nodes() ** 2, axis=1)),
+                                      0.0, 0.999))
+        return u, guess, pts
+
+    def test_hit_equals_fresh_build(self, spec_1d, spec_2d, u_bump_1d, qcfg):
+        u, guess, pts = self._solver_case(spec_2d)
+        cases = {name: (spec_1d, v, v, TestPlanLayout.POINTS, 0.0)
+                 for name, v in TestPlanLayout._views(u_bump_1d).items()}
+        cases["2d"] = (spec_2d, u, guess, pts, 1.0)
+        for name, (spec, first, second, points, bound) in cases.items():
+            a = build_plan(spec, first, points, qcfg, values_bound=bound)
+            hit = build_plan(spec, second, points, qcfg, values_bound=bound)
+            assert hit.idx is a.idx and hit.ext_values is a.ext_values, name
+            quadrature._drop_rows()
+            fresh = build_plan(spec, second, points, qcfg, values_bound=bound)
+            assert fresh.idx is not hit.idx, name
+            assert _plan_diff(hit, fresh) == [], name
+
+    def test_ratio_and_tail_are_per_call(self, spec_2d, qcfg):
+        u, guess, pts = self._solver_case(spec_2d)
+        a = build_plan(spec_2d, u, pts, qcfg, values_bound=1.0)
+        b = build_plan(spec_2d, guess, pts, qcfg, values_bound=1.0)
+        assert b.wk is a.wk
+        assert not np.array_equal(a.rho, b.rho) and a.tail_bound != b.tail_bound
+        np.testing.assert_array_equal(b.rho, quadrature._frozen_ratio(level_sums(b, guess.values)))
+
+    def test_each_key_part_forces_a_miss(self, spec_1d, const3_1d, u_bump_1d, qcfg):
+        pts = TestPlanLayout.POINTS
+        moved = pts.copy()
+        moved[2, 0] = np.nextafter(moved[2, 0], 1.0)
+        grid = dict(values=u_bump_1d.values, shape=u_bump_1d.shape, extent=u_bump_1d.extent)
+        variants = {
+            "values_bound": (spec_1d, u_bump_1d, pts, qcfg, 2.0),
+            "points": (spec_1d, u_bump_1d, moved, qcfg, 0.0),
+            "exterior_rule": (spec_1d, fx.SampledFunction(**grid, exterior_rule="zero_outside_box"),
+                              pts, qcfg, 0.0),
+            "callable_rule": (spec_1d, fx.SampledFunction(**grid, exterior_rule=lambda p: 0.0 * p[:, 0]),
+                              pts, qcfg, 0.0),
+            "plane": (spec_1d, fx.ReflectedFunction(u_bump_1d, fx.axis_plane(1, -0.3)), pts, qcfg, 0.0),
+            "cfg": (spec_1d, u_bump_1d, pts, dataclasses.replace(qcfg, graded_levels=11), 0.0),
+            "spec": (const3_1d, u_bump_1d, pts, qcfg, 0.0),
+            "smoothness_hint": (spec_1d, fx.SampledFunction(**grid, smoothness_hint=3), pts, qcfg, 0.0),
+        }
+        reflected = fx.ReflectedFunction(u_bump_1d, fx.axis_plane(1, -0.2))
+        for name, (spec, u, points, cfg, bound) in variants.items():
+            base_u = reflected if name == "plane" else u_bump_1d
+            base = build_plan(spec_1d, base_u, pts, qcfg)
+            # equal keys hit, whether or not they are the same objects
+            again = build_plan(spec_1d, base_u, pts.copy(), dataclasses.replace(qcfg))
+            assert again.idx is base.idx, name
+            got = build_plan(spec, u, points, cfg, values_bound=bound)
+            assert got.idx is not base.idx, name
+            quadrature._drop_rows()
+            assert _plan_diff(got, build_plan(spec, u, points, cfg, values_bound=bound)) == [], name
+
+    def test_rows_are_read_only(self, spec_1d, u_bump_1d, qcfg):
+        plan = build_plan(spec_1d, u_bump_1d, TestPlanLayout.POINTS, qcfg)
+        for f in ("ptr", "idx", "coef", "wk", "pm2", "level_tag", "cidx", "ccoef", "ext_values"):
+            with pytest.raises(ValueError):
+                getattr(plan, f).flat[0] = 0
+        plan.rho[0] = 0.5  # each call's own ratio
+
+    def test_assigned_ratio_does_not_leak(self, spec_1d, u_bump_1d, qcfg):
+        # solve re-freezes rho by assignment; the next build on the rows keeps its own
+        a = build_plan(spec_1d, u_bump_1d, TestPlanLayout.POINTS, qcfg)
+        want = a.rho.copy()
+        a.rho = np.full(a.n_points, 0.5)
+        a.meta["dim"] = 0
+        b = build_plan(spec_1d, u_bump_1d, TestPlanLayout.POINTS, qcfg)
+        assert b.idx is a.idx
+        np.testing.assert_array_equal(b.rho, want)
+        assert b.meta["dim"] == 1
+
+    def test_miss_releases_held_rows(self, spec_1d, u_bump_1d, qcfg):
+        plan = build_plan(spec_1d, u_bump_1d, TestPlanLayout.POINTS, qcfg)
+        refs = [weakref.ref(plan.idx), weakref.ref(quadrature._held[1])]
+        del plan
+        gc.collect()
+        assert all(r() is not None for r in refs)  # held by the memo alone
+        build_plan(spec_1d, u_bump_1d, TestPlanLayout.POINTS[:2], qcfg)
+        gc.collect()
+        assert all(r() is None for r in refs)
