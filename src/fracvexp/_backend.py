@@ -3,8 +3,16 @@
 `level_sums` is the one kernel pass: `apply_plan`, the solver and the ratio
 freeze in `quadrature` all read its sums.  `_apply_loop` is the plain-Python
 per-node reference of `apply_plan`; `jacobian` differentiates the terms.  All
-read v = [values, plan.ext_values], in which every plan row and center is a
-plain stencil (see `quadrature`), and sum each point's rows in plan row order.
+read v = [values, plan.ext_values].  A plan stores its row stencils as one
+sparse matrix `plan.R` over v, with each row's coefficient sum `plan.csum`
+(see `quadrature`).  A row's difference sum_k a_k (c - v_k), c its point's
+center value, is then csum·(c - m) - (R (v - m))_row for any shift m: one
+sparse product per pass.  The kernel takes m as the midrange of the node
+values, so constant data give t = 0 exactly, negated data give -t exactly,
+and the rounding of R v scales with the spread of the values rather than
+their size.  Each point's rows are summed in plan row order.  The centers
+stay dense stencils (`cidx`, `ccoef`), read with the einsum
+`grids.SampledFunction.point_eval` uses.
 """
 
 from __future__ import annotations
@@ -12,23 +20,25 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
+from scipy import sparse
 
-#: Points per block of `jacobian`; bounds its temporaries as the grid grows.
+#: Points per block of `jacobian`; bounds its dense and sparse products as the grid grows.
 JACOBIAN_BLOCK = 16
 
 
-def _differences(plan, v, lo, hi):
-    """Row differences t of points lo..hi-1, their row slice and center values."""
-    rows = slice(plan.ptr[lo], plan.ptr[hi])
-    c = np.einsum("ps,ps->p", plan.ccoef[lo:hi], v[plan.cidx[lo:hi]])
-    crep = np.repeat(c, np.diff(plan.ptr[lo:hi + 1]))
-    return np.einsum("js,js->j", plan.coef[rows], crep[:, None] - v[plan.idx[rows]]), rows, c
+def _shift(values) -> float:
+    """The midrange of the node values: exactly their value if they are
+    constant, exactly odd in them, and the same for every point set."""
+    return 0.5 * (np.max(values) + np.min(values)) if values.size else 0.0
 
 
-def _node_terms(plan, v):
-    """Per-node terms wk·|t|^(p-2)·t and the center values they difference against."""
-    t, _, c = _differences(plan, v, 0, plan.n_points)
-    return plan.wk * np.abs(t) ** plan.pm2 * t, c
+def _differences(plan, values):
+    """Per row, t = csum·(c - m) - R (v - m), with v = [values, ext_values],
+    c the row's center value and m = `_shift(values)`; and the center values."""
+    values = np.asarray(values, dtype=float)
+    v, m = np.concatenate([values, plan.ext_values]), _shift(values)
+    c = np.einsum("ps,ps->p", plan.ccoef, v[plan.cidx])
+    return plan.csum * np.repeat(c - m, np.diff(plan.ptr)) - plan.R @ (v - m), c
 
 
 class LevelSums(NamedTuple):
@@ -46,25 +56,30 @@ class LevelSums(NamedTuple):
 
 def level_sums(plan, values: np.ndarray) -> LevelSums:
     """One kernel pass of `plan` over a value vector (see module docs)."""
-    v = np.concatenate([np.asarray(values, dtype=float), plan.ext_values])
-    contrib, c = _node_terms(plan, v)
+    t, c = _differences(plan, values)
+    contrib = plan.wk * np.abs(t) ** plan.pm2 * t
     starts = plan.ptr[:-1]
     a1, a2 = (np.add.reduceat(np.where(plan.level_tag == tag, contrib, 0.0), starts)
               for tag in (2, 1))
     return LevelSums(np.add.reduceat(contrib, starts), a1, a2, c)
 
 
-def _apply_loop(plan, v):
-    """Per-node loop twin of `apply_plan` on the extended value vector v."""
+def _apply_loop(plan, values: np.ndarray):
+    """Per-node loop twin of `apply_plan(plan, values)`."""
+    values = np.asarray(values, dtype=float)
+    m, v = float(_shift(values)), np.concatenate([values, plan.ext_values])
+    v, rptr, rcol, rval, csum, wk, pm2, tag = (a.tolist() for a in (
+        v, plan.rptr, plan.rcol, plan.rval, plan.csum, plan.wk, plan.pm2, plan.level_tag))
     out, cout = np.empty(plan.n_points), np.empty(plan.n_points)
     for i in range(plan.n_points):
-        c = cout[i] = sum(a * v[k] for a, k in zip(plan.ccoef[i], plan.cidx[i]))
+        c = cout[i] = sum(a * v[k] for a, k in zip(plan.ccoef[i].tolist(), plan.cidx[i].tolist()))
         acc = a1 = 0.0
         for j in range(plan.ptr[i], plan.ptr[i + 1]):
-            t = sum(a * (c - v[k]) for a, k in zip(plan.coef[j], plan.idx[j]))
-            term = plan.wk[j] * abs(t) ** plan.pm2[j] * t
+            t = csum[j] * (c - m) - sum(rval[e] * (v[rcol[e]] - m)
+                                        for e in range(rptr[j], rptr[j + 1]))
+            term = wk[j] * abs(t) ** pm2[j] * t
             acc += term
-            a1 += term if plan.level_tag[j] == 2 else 0.0
+            a1 += term if tag[j] == 2 else 0.0
         out[i] = acc + a1 * plan.rho[i] / (1.0 - plan.rho[i])
     return out, cout
 
@@ -79,25 +94,32 @@ def apply_plan(plan, values: np.ndarray):
 def jacobian(plan, values: np.ndarray) -> np.ndarray:
     """Exact derivative of `apply_plan(plan, values)[0]`, shape (points, values.size).
 
-    Each row adds wk·(p-1)·|t|^(p-2), over 1 - rho on the innermost level,
-    onto its stencil with a minus sign and, times its coefficient sum, onto
-    the center stencil.  Exterior slots are constants and drop out.  Where
-    t = 0 and p < 2 the slope is infinite; it is taken as 0.
+    Each row's slope d = wk·(p-1)·|t|^(p-2), over 1 - rho on the innermost
+    level, enters its point's derivative as -d times its stencil (a row of
+    R) and, times its coefficient sum, as d·csum times the center stencil.
+    The stencil part of a block of points is the product of the segment-sum
+    matrix with data -d and indptr `plan.ptr` and R.  Exterior slots are
+    constants and drop out.  Where t = 0 and p < 2 the slope is infinite; it
+    is taken as 0.
     """
-    n, v = values.size, np.concatenate([np.asarray(values, dtype=float), plan.ext_values])
+    n = np.size(values)
+    t, _ = _differences(plan, values)
+    own = np.repeat(np.arange(plan.n_points), np.diff(plan.ptr))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = plan.wk * (plan.pm2 + 1.0) * np.abs(t) ** plan.pm2
+    d = np.where(np.isfinite(d), d, 0.0)
+    d /= np.where(plan.level_tag == 2, 1.0 - plan.rho[own], 1.0)
+    dc = np.bincount(own, d * plan.csum, plan.n_points)
     jac = np.zeros((plan.n_points, n))
+    index = plan.R.indptr.dtype
     for lo in range(0, plan.n_points, JACOBIAN_BLOCK):
         hi = min(lo + JACOBIAN_BLOCK, plan.n_points)
-        t, rows, _ = _differences(plan, v, lo, hi)
-        own = np.repeat(np.arange(hi - lo), np.diff(plan.ptr[lo:hi + 1]))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d = plan.wk[rows] * (plan.pm2[rows] + 1.0) * np.abs(t) ** plan.pm2[rows]
-        d = np.where(np.isfinite(d), d, 0.0)
-        d /= np.where(plan.level_tag[rows] == 2, 1.0 - plan.rho[lo:hi][own], 1.0)
-        dc = np.bincount(own, d * plan.coef[rows].sum(axis=1), hi - lo)
-        at = np.concatenate([own[:, None] * v.size + plan.idx[rows],
-                             np.arange(hi - lo)[:, None] * v.size + plan.cidx[lo:hi]])
-        wt = np.concatenate([-d[:, None] * plan.coef[rows], dc[:, None] * plan.ccoef[lo:hi]])
-        sums = np.bincount(at.ravel(), wt.ravel(), (hi - lo) * v.size)
-        jac[lo:hi] = sums.reshape(hi - lo, v.size)[:, :n]
+        a, b = plan.ptr[lo], plan.ptr[hi]
+        seg = sparse.csr_array((-d[a:b], np.arange(a, b, dtype=index),
+                                (plan.ptr[lo:hi + 1] - a).astype(index)),
+                               shape=(hi - lo, plan.R.shape[0]))
+        block = (seg @ plan.R).toarray()
+        np.add.at(block, (np.arange(hi - lo)[:, None], plan.cidx[lo:hi]),
+                  dc[lo:hi, None] * plan.ccoef[lo:hi])
+        jac[lo:hi] = block[:, :n]
     return jac

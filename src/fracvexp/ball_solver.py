@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._backend import apply_plan, jacobian, level_sums
+from ._backend import jacobian, level_sums
 from .errors import NumericError, PreconditionError
 from .exponents import ExponentSpec
 from .grids import SampledFunction, ZERO_BALL
@@ -154,7 +154,7 @@ def manufacture(spec: ExponentSpec, n: int, extent: float = 1.5,
     mask = interior_mask(u_star)
     plan = build_plan(spec, u_star, u_star.nodes()[mask], cfg, values_bound=1.0)
     h = np.zeros(u_star.values.size)
-    h[mask] = apply_plan(plan, u_star.values)[0]
+    h[mask] = plan.sums.field(plan.rho)
     return u_star, h
 
 
@@ -162,14 +162,13 @@ def residual(problem: ProblemSpec, u: SampledFunction,
              cfg: QuadratureConfig | None = None) -> np.ndarray:
     """r(x_i) = operator(u)(x_i) - rhs(x_i) over interior ball nodes.
 
-    The plan is built for u: its tail certificate and frozen ratio `rho` come
-    from u's values, its rows may be those of an earlier build on the same
-    points (see `quadrature`)."""
+    The plan is built for u: its tail certificate, frozen ratio `rho` and
+    kernel pass `sums` come from u's values, its rows may be those of an
+    earlier build on the same points (see `quadrature`)."""
     idx = np.nonzero(interior_mask(u))[0]
     pts = u.nodes()[idx]
     plan = build_plan(problem.exponent, u, pts, cfg or QuadratureConfig(), values_bound=1.0)
-    a_vals, centers = apply_plan(plan, u.values)
-    return a_vals - problem.rhs(pts, centers, idx)
+    return plan.sums.field(plan.rho) - problem.rhs(pts, plan.sums.centers, idx)
 
 
 def solve(problem: ProblemSpec, initial_guess: SampledFunction,
@@ -181,7 +180,8 @@ def solve(problem: ProblemSpec, initial_guess: SampledFunction,
     Each step solves J d = r with the exact Jacobian (`lstsq` if singular)
     and halves d, at most MAX_HALVINGS times, until the sup residual of
     clip(u - d, 0, 1-eta) falls at the frozen ratio rho.  A trial is one
-    kernel pass (`level_sums`; `applies` counts them, with the guess's);
+    kernel pass (`level_sums`; `applies` counts them, with the guess's pass,
+    which the plan build hands back as `plan.sums`);
     the accepted trial's sums re-freeze rho and give its `history` row
     [step, sup residual, sup error to `u_star` or None], which equals an
     independent `residual()`.  Stops at tol_res, at `max_iters` applies or
@@ -205,7 +205,7 @@ def solve(problem: ProblemSpec, initial_guess: SampledFunction,
             raise NumericError(f"non-finite residual at apply {applies}")
         return res, float(np.max(np.abs(res)))
 
-    sums, applies, history = level_sums(plan, values), 1, []
+    sums, applies, history = plan.sums, 1, []  # the build's pass on the guess
     res, res_sup = sup_residual(sums)
     while True:
         history.append((len(history), res_sup, None if u_star is None

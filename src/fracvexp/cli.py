@@ -287,7 +287,7 @@ def _cmd_solve(args, cfg: RunConfig, outdir: Path) -> bool:
 
     u_star = None
     if mode == MANUFACTURED:
-        u_star, problem, guess = _manufactured_problem(cfg, n)
+        u_star, problem, guess = _manufactured_problem(cfg, spec, n)
     else:
         if mode == POWER:
             space = ("x", "r") if spec.dimension == 1 else ("x", "y", "r")
@@ -311,9 +311,12 @@ def _cmd_solve(args, cfg: RunConfig, outdir: Path) -> bool:
     return report.converged
 
 
-def _manufactured_problem(cfg: RunConfig, n: int):
-    """u*, its manufactured problem, and u* plus the odd perturbation as the guess."""
-    spec, sol = cfg.exponent_spec(), cfg.section("solver")
+def _manufactured_problem(cfg: RunConfig, spec, n: int):
+    """u*, its manufactured problem, and u* plus the odd perturbation as the guess.
+
+    `spec` is the caller's `cfg.exponent_spec()`: a second call would make a
+    spec that compares unequal, so the steps could not share plan rows."""
+    sol = cfg.section("solver")
     u_star, h = manufacture(spec, n, sol["extent"], sol["amplitude"], cfg=cfg.quadrature())
     problem = ProblemSpec(exponent=spec, rhs_mode=MANUFACTURED, h_field=h,
                           domain=f"ball_{spec.dimension}d")
@@ -404,7 +407,7 @@ def run_reproduce_all(cfg: RunConfig, outdir: Path) -> dict:
          {"suites": [s["name"] for s in lrep["suites"]]})
 
     # 3. manufactured solve from an asymmetrically perturbed guess
-    u_star, problem, guess = _manufactured_problem(cfg, sol["nodes"])
+    u_star, problem, guess = _manufactured_problem(cfg, spec, sol["nodes"])
     srep, sup_err = _solve_and_write(cfg, problem, guess, u_star, outdir)
     step("manufactured_solve", srep.converged and sup_err <= 5e-3,
          {"sup_error": sup_err, "iterations": srep.iterations,

@@ -8,14 +8,18 @@ discarded far tail certified by the kernel decay r^(-(N + s p_minus)).
 
 A plan freezes, per evaluation point, every quadrature node's kernel
 weight, exponent, and stencil into flat arrays; applying a plan to a value
-vector is then a pure gather/power/reduce kernel (`_backend.apply_plan`).
-Where u comes from at a point (interpolant, exterior rule, mirrored view)
-is decided by `u.linear_form` alone.
+vector is then one sparse product, a power and a reduce
+(`_backend.apply_plan`).  Where u comes from at a point (interpolant,
+exterior rule, mirrored view) is decided by `u.linear_form` alone.
 
 Every stencil indexes the extended value vector [u.values, plan.ext_values]:
 slot k past the grid nodes holds the k-th distinct exterior value, in order
-of first use, so an exterior node or center is the stencil (1, 0, ...) on
-its slot.  Each point's segment of rows holds its interior nodes first
+of first use.  The row stencils form one CSR matrix `R` with a row per plan
+row and a column per entry of that vector, with its zero coefficients
+dropped, int32 column indices and each row's coefficient sum beside it
+(`csum`).  An exterior row is one entry, 1.0 on its slot's column n + slot;
+an exterior center is the dense center stencil (1, 0, ...) on its slot.
+Each point's segment of rows holds its interior nodes first
 (those whose value comes from the interpolant), in node enumeration order.
 After them comes one row per distinct exterior key (p - 2, slot, level tag),
 in order of first appearance: nodes sharing a key differ only in their
@@ -24,10 +28,11 @@ in enumeration order.  Under the zero and constant exterior rules this
 removes most exterior nodes.  The Gauss reference rule behind every radial
 interval is computed once per order, and each radial rule once per delta.
 
-`build_plan` makes these rows for a block of points at a time.  Exterior
-keys there also carry the point, and a stable sort by point puts each
-point's rows in the order above, so every row and weight sum is the one a
-point built alone gets.
+`build_plan` makes these rows for a block of points at a time, and turns
+each block's dense stencils into its part of `R`, so the plan never holds a
+dense (rows, stencil) array.  Exterior keys there also carry the point, and
+a stable sort by point puts each point's rows in the order above, so every
+row and weight sum is the one a point built alone gets.
 
 The rows do not read the node values, only where the values come from, so
 one point set's rows serve every value vector: `ball_solver.manufacture`
@@ -38,11 +43,12 @@ smoothness hint, a `ReflectedFunction`'s plane and the exact bytes of the
 points.  A callable exterior rule is keyed by identity, so it must be a
 fixed function of position.  The held arrays are read-only, and a miss
 drops the held entry before it builds, so at most one row set is held
-beyond what callers keep.  What reads the values runs on every call, hit
-or miss: the input checks, `r_eff`, the tail certificate with
-`tail_bound`, and the freeze of `rho` (a full `level_sums` pass).  Each
-call gets its own `EvalPlan` with its own `rho`, `tail_bound` and `meta`,
-so assigning `plan.rho` reaches no other plan.
+beyond what callers keep; `R` is built once per row set and held with it.
+What reads the values runs on every call, hit or miss: the input checks,
+`r_eff`, the tail certificate with `tail_bound`, and the freeze of `rho`
+on a full `level_sums` pass, which the plan hands back as `sums`.  Each
+call gets its own `EvalPlan` with its own `rho`, `tail_bound`, `sums` and
+`meta`, so assigning `plan.rho` reaches no other plan.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy import sparse
 
 from ._backend import LevelSums, level_sums
 from .errors import PreconditionError, TailError
@@ -116,22 +123,30 @@ class EvalPlan:
     which matters when an interpolant kink sits at the evaluation point
     (paired decay exponent p - 1 - s p can be close to zero).
 
-    The row arrays are read-only and may be shared with other plans on the
-    same point set; `rho`, `tail_bound` and `meta` are each plan's own.
+    The row stencils are `R`, a scipy CSR matrix over the stored arrays
+    `rval`, `rcol` and `rptr` (int32 indices; int64 past 2^31 entries).  It
+    is built once per row set, and the arrays stay fields, so byte counts
+    and comparisons of plans see them.  The row arrays are read-only and may
+    be shared with other plans on the same point set; `rho`, `tail_bound`,
+    `sums` and `meta` are each plan's own.
     """
 
-    ptr: np.ndarray        # (npts+1,) segment offsets into the row arrays
-    idx: np.ndarray        # (nnz, S) indices into [values, ext_values] (n + slot on exterior rows)
-    coef: np.ndarray       # (nnz, S) stencil coefficients ((1, 0, ...) on exterior rows)
+    ptr: np.ndarray        # (npts+1,) segment offsets: point i's rows are ptr[i]..ptr[i+1]-1
+    rptr: np.ndarray       # (nnz+1,) offsets of each row's entries in rcol and rval
+    rcol: np.ndarray       # (entries,) columns in [values, ext_values] (n + slot on exterior rows)
+    rval: np.ndarray       # (entries,) nonzero stencil coefficients (1.0 on exterior rows)
+    csum: np.ndarray       # (nnz,) each row's stencil coefficient sum
+    R: sparse.csr_array = field(repr=False, compare=False)  # CSR view of rval, rcol, rptr
     wk: np.ndarray         # (nnz,) quadrature weight times kernel, summed over a merged key
     pm2: np.ndarray        # (nnz,) p(r) - 2
     level_tag: np.ndarray  # (nnz,) int8: 2 innermost level, 1 second, 0 rest
-    cidx: np.ndarray       # (npts, S) center stencil indices, as idx
-    ccoef: np.ndarray      # (npts, S) center stencil coefficients, as coef
+    cidx: np.ndarray       # (npts, S) center stencil indices into [values, ext_values]
+    ccoef: np.ndarray      # (npts, S) center stencil coefficients ((1, 0, ...) if exterior)
     rho: np.ndarray        # (npts,) frozen level-contribution ratio (0: off)
     ext_values: np.ndarray  # (slots,) exterior values, slot k read as value n + k
     r_eff: float
     tail_bound: float
+    sums: LevelSums | None = None  # level_sums on the values the plan was built on
     meta: dict = field(default_factory=dict)
 
     @property
@@ -140,7 +155,7 @@ class EvalPlan:
 
     def counters(self) -> dict:
         """Deterministic size counters and plan constants, for reports."""
-        return {"points": self.n_points, "nodes": self.wk.size,
+        return {"points": self.n_points, "nodes": self.wk.size, "entries": self.rval.size,
                 "nodes_uncollapsed": self.meta["nodes_uncollapsed"],
                 "r_eff": self.r_eff, "tail_bound": self.tail_bound}
 
@@ -282,7 +297,9 @@ def build_plan(spec: ExponentSpec, u, points, cfg: QuadratureConfig,
     blocking (see the module docs).
 
     Every call checks its inputs, sizes `r_eff` from the values, certifies the
-    tail (`tail_bound`) and freezes `rho` on the values.  The rows (every
+    tail (`tail_bound`) and freezes `rho` on a kernel pass over the values,
+    which it hands back as `sums` (`apply_plan(plan, values)` is
+    `sums.field(rho)`, `sums.centers`).  The rows (every
     other array, `r_eff` and `meta`) do not read the values, so calls that
     agree on `spec`, `cfg`, `r_eff`, the grid's shape, extent, exterior rule
     and smoothness hint, a view's plane and the exact points share one
@@ -325,8 +342,9 @@ def build_plan(spec: ExponentSpec, u, points, cfg: QuadratureConfig,
                 f"use tail_radius >= {need:.6g}")
 
     rows = _plan_rows(spec, u, grid, pts, cfg, r_eff)
-    return replace(rows, rho=_frozen_ratio(level_sums(rows, grid.values)),
-                   tail_bound=float(tail_reported), meta=dict(rows.meta))
+    sums = level_sums(rows, grid.values)
+    return replace(rows, rho=_frozen_ratio(sums), tail_bound=float(tail_reported), sums=sums,
+                   meta=dict(rows.meta))
 
 
 def _drop_rows() -> None:
@@ -340,7 +358,7 @@ def _plan_rows(spec: ExponentSpec, u, grid: SampledFunction, pts: np.ndarray,
     """The value-independent part of `build_plan`: every row, read-only.
 
     The result is held under a key of everything `u.linear_form` and the node
-    template read (see `build_plan`); its `rho` is 0 and its `tail_bound` NaN.
+    template read (see `build_plan`); its `rho` is 0, its `tail_bound` NaN and its `sums` None.
     """
     global _held
     plane = u.plane if isinstance(u, ReflectedFunction) else None
@@ -379,33 +397,42 @@ def _plan_rows(spec: ExponentSpec, u, grid: SampledFunction, pts: np.ndarray,
             node = np.concatenate([inner, out[first]])
             order = np.argsort(node // m, kind="stable")
             ext_row = order >= len(inner)
-            idx_b = np.zeros((len(node), idx_n.shape[1]), dtype=np.int64)
-            coef_b = np.zeros(idx_b.shape)
-            idx_b[~ext_row], coef_b[~ext_row] = idx_n, coef_n
+            # dense stencils of this block only; an exterior row is (1, 0, ...), its
+            # column set to n + slot once every slot is known
+            col_b = np.zeros((len(node), idx_n.shape[1]), dtype=np.int32)
+            coef_b = np.zeros(col_b.shape)
+            col_b[~ext_row], coef_b[~ext_row], coef_b[ext_row, 0] = idx_n, coef_n, 1.0
+            keep = coef_b != 0.0
             wk_b = np.concatenate([wk_t[inner % m], np.bincount(group, wk_t[out % m], len(first))])
             row_t = node[order] % m
-            blocks.append((idx_b, coef_b, ext_row, ext_n[out[first]], wk_b[order], pm2_t[row_t],
-                           tag_t[row_t], np.bincount(node // m, minlength=hi - lo)))
+            blocks.append((col_b[keep], coef_b[keep], keep.sum(axis=1), coef_b.sum(axis=1),
+                           ext_row, ext_n[out[first]], wk_b[order], pm2_t[row_t], tag_t[row_t],
+                           np.bincount(node // m, minlength=hi - lo)))
             n_uncollapsed += len(pos)
 
     # a zero-row block first, so that an empty point set gives an empty plan
-    empty = (cidx[:0], ccoef[:0], c_interp[:0], c_ext[:0], c_ext[:0], c_ext[:0],
-             np.zeros(0, dtype=np.int8), np.zeros(0, dtype=np.int64))
-    idx, coef, out, ext_rows, wk, pm2, tag, counts = (
+    empty = (np.zeros(0, dtype=np.int32), c_ext[:0], np.zeros(0, dtype=np.int64), c_ext[:0],
+             c_interp[:0], c_ext[:0], c_ext[:0], c_ext[:0], np.zeros(0, dtype=np.int8),
+             np.zeros(0, dtype=np.int64))
+    rcol, rval, entries, csum, out, ext_rows, wk, pm2, tag, counts = (
         np.concatenate(col) for col in zip(empty, *blocks))
-    # exterior rows, then exterior centers, become stencils (1, 0, ...) on their slots
+    # exterior rows, then exterior centers, read their slots
     ext_all = np.concatenate([ext_rows, c_ext[~c_interp]])
     first, slot = _first_use_groups(ext_all)
-    n_out = int(out.sum())
-    idx[out], coef[out, 0] = grid.values.size + slot[:n_out, None], 1.0
-    cidx[~c_interp], ccoef[~c_interp, 0] = grid.values.size + slot[n_out:, None], 1.0
+    n, n_out = grid.values.size, int(out.sum())
+    rcol[np.repeat(out, entries)] = n + slot[:n_out]
+    cidx[~c_interp], ccoef[~c_interp, 0] = n + slot[n_out:, None], 1.0
+    index = np.int32 if rcol.size < 2 ** 31 else np.int64
+    rcol = rcol.astype(index, copy=False)
+    rptr = np.concatenate([[0], np.cumsum(entries)]).astype(index)
 
-    arrays = {"ptr": np.concatenate([[0], np.cumsum(counts)]), "idx": idx, "coef": coef,
-              "wk": wk, "pm2": pm2, "level_tag": tag, "cidx": cidx, "ccoef": ccoef,
-              "rho": np.zeros(len(pts)), "ext_values": ext_all[first]}
+    arrays = {"ptr": np.concatenate([[0], np.cumsum(counts)]), "rptr": rptr, "rcol": rcol,
+              "rval": rval, "csum": csum, "wk": wk, "pm2": pm2, "level_tag": tag, "cidx": cidx,
+              "ccoef": ccoef, "rho": np.zeros(len(pts)), "ext_values": ext_all[first]}
     for a in arrays.values():
         a.flags.writeable = False
-    rows = EvalPlan(**arrays, r_eff=float(r_eff), tail_bound=float("nan"),
+    R = sparse.csr_array((rval, rcol, rptr), shape=(len(wk), n + len(first)))
+    rows = EvalPlan(**arrays, R=R, r_eff=float(r_eff), tail_bound=float("nan"),
                     meta={"dim": N, "nodes_uncollapsed": n_uncollapsed})
     _held = (key, rows)
     return rows

@@ -110,18 +110,20 @@ class TestSolve:
 
     def test_one_kernel_pass_per_trial(self, manufactured, qcfg, monkeypatch):
         # every line-search trial is one pass over the node terms; the accepted
-        # trial's level sums re-freeze rho and give the history row, so only
-        # build_plan's freeze adds a pass to the ones `applies` counts
+        # trial's level sums re-freeze rho and give the history row, and the
+        # guess's pass is build_plan's freeze pass, handed back as plan.sums,
+        # so `applies` counts every pass
         u_star, problem = manufactured
         nodes = u_star.nodes()[:, 0]
         pert = 0.05 * np.sin(3 * nodes) * np.maximum(0.0, 1.0 - nodes ** 2)
         guess = u_star.with_values(np.clip(u_star.values + pert, 0.0, 1.0 - 1e-3))
-        passes, node_terms = [], _backend._node_terms
-        monkeypatch.setattr(_backend, "_node_terms",
-                            lambda *args: passes.append(1) or node_terms(*args))
+        passes, level_sums = [], _backend.level_sums
+        for module in (bs, quadrature):
+            monkeypatch.setattr(module, "level_sums",
+                                lambda *args: passes.append(1) or level_sums(*args))
         rep = bs.solve(problem, guess, qcfg, tol_res=1e-4, u_star=u_star)
         assert rep.converged
-        assert len(passes) == rep.applies + 1
+        assert len(passes) == rep.applies
         assert rep.applies == rep.iterations + 1  # no trial is rejected on this case
 
     def test_zero_guess_power_mode_trivial_limit(self, spec_model, qcfg):

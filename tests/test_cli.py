@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -277,9 +278,11 @@ class TestSolveCommand:
         rep = json.loads((out / "solve.json").read_text())
         assert rep["converged"] and rep["sup_error_vs_target"] <= 5e-3
         plan = rep["plan"]
-        assert sorted(plan) == ["nodes", "nodes_uncollapsed", "points", "r_eff", "tail_bound"]
+        assert sorted(plan) == ["entries", "nodes", "nodes_uncollapsed", "points", "r_eff",
+                                "tail_bound"]
         assert plan["points"] == 67  # interior nodes of the 101-node grid
         assert 0 < plan["nodes"] < plan["nodes_uncollapsed"]
+        assert plan["nodes"] <= plan["entries"] <= 3 * plan["nodes"]  # 3-node stencils in 1-d
         u = fx.SampledFunction.load(out / "u.csv")
         assert u.values.size == 101
         hist = (out / "residual_history.csv").read_text().splitlines()
@@ -334,6 +337,21 @@ class TestReproduceAll:
             a = (reports[0] / name).read_bytes()
             b = (reports[1] / name).read_bytes()
             assert a == b, f"{name} differs between identical runs"
+
+    def test_one_exponent_spec_per_run(self, tmp_path, monkeypatch):
+        # steps 3 and 5 can share plan rows only if every build gets equal specs
+        import fracvexp.quadrature as quadrature
+        specs, build = [], quadrature.build_plan
+
+        def recording(spec, *args, **kwargs):
+            specs.append(spec)
+            return build(spec, *args, **kwargs)
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("fracvexp") and \
+                    getattr(mod, "build_plan", None) is build:
+                monkeypatch.setattr(mod, "build_plan", recording)
+        assert main(["reproduce-all", "--config", str(small_config(tmp_path))]) == 0
+        assert len(specs) > 2 and all(s == specs[0] for s in specs)
 
     def test_summary_structure(self, tmp_path):
         cfg = small_config(tmp_path)

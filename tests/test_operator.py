@@ -216,15 +216,22 @@ class TestTailIntegrability:
 
 
 class TestBackends:
-    def test_parity(self, spec_1d, u_bump_1d, qcfg):
+    def test_parity(self, spec_1d, spec_2d, u_bump_1d, qcfg):
         # the per-node loop is the reference for the arithmetic of the kernel
         # apply_plan runs (per-node order, exterior slots, graded remainder);
         # x = 1.3 has an exterior center under zero_outside_ball, so center
-        # slots are read too
-        for name, u in TestPlanLayout._views(u_bump_1d).items():
-            plan = build_plan(spec_1d, u, TestPlanLayout.POINTS, qcfg)
+        # slots are read too.  The 2-d solver set and its reflected view add
+        # box-clipped stencils and 16,000 rows of mirrored slots
+        u2 = fx.SampledFunction.from_function(bump_profile(0.5, 0.5), 1.5, 15, 2)
+        cases = {name: (spec_1d, u, TestPlanLayout.POINTS)
+                 for name, u in TestPlanLayout._views(u_bump_1d).items()}
+        pts2 = u2.nodes()[interior_mask(u2)]
+        cases["2d"] = (spec_2d, u2, pts2)
+        cases["2d_reflected"] = (spec_2d, fx.ReflectedFunction(u2, fx.axis_plane(2, -0.2)), pts2)
+        for name, (spec, u, pts) in cases.items():
+            plan = build_plan(spec, u, pts, qcfg)
             values = getattr(u, "base", u).values
-            a, ca = _apply_loop(plan, np.concatenate([values, plan.ext_values]))
+            a, ca = _apply_loop(plan, values)
             b, cb = apply_plan(plan, values)
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-13, err_msg=name)
             np.testing.assert_allclose(ca, cb, rtol=1e-12, atol=1e-13, err_msg=name)
@@ -254,9 +261,15 @@ class TestBackends:
 
 def _plan_diff(a, b):
     """Names of the EvalPlan fields in which two plans differ."""
+    def equal(name, x, y):
+        if name == "meta":
+            return x == y
+        if name == "R":  # the sparse matrix, compared by its arrays and shape
+            return x.shape == y.shape and all(np.array_equal(getattr(x, k), getattr(y, k))
+                                              for k in ("data", "indices", "indptr"))
+        return np.array_equal(x, y)
     return [f.name for f in dataclasses.fields(a)
-            if not (getattr(a, f.name) == getattr(b, f.name) if f.name == "meta"
-                    else np.array_equal(getattr(a, f.name), getattr(b, f.name)))]
+            if not equal(f.name, getattr(a, f.name), getattr(b, f.name))]
 
 
 def _uncollapsed_nodes(spec, plan, x, extent, cfg):
@@ -336,24 +349,43 @@ class TestPlanLayout:
             base = getattr(u, "base", u)
             n = base.values.size
             plan = build_plan(spec_1d, u, self.POINTS, qcfg)
+            # no stored zero; R is a view of the stored arrays, one column per slot
+            assert np.all(plan.rval != 0.0), name
+            assert plan.rcol.dtype == plan.rptr.dtype == np.int32, name
+            assert plan.R.shape == (plan.wk.size, n + plan.ext_values.size), name
+            assert all(np.shares_memory(getattr(plan.R, k), a) for k, a in
+                       (("data", plan.rval), ("indices", plan.rcol), ("indptr", plan.rptr))), name
             for i, (a, b) in enumerate(zip(plan.ptr[:-1], plan.ptr[1:])):
-                ext = plan.idx[a:b, 0] >= n
+                lo, hi = plan.rptr[a:b], plan.rptr[a + 1:b + 1]
+                ext = plan.rcol[lo] >= n
                 # interior rows come first, exterior rows after them
                 assert not np.any(np.diff(ext.astype(int)) < 0), name
-                assert np.all(plan.idx[a:b][~ext] < n), name
-                # an exterior row is the stencil (1, 0, ...) on its slot
-                slot = plan.idx[a:b][ext] - n
-                assert np.all(slot == slot[:, :1]), name
-                np.testing.assert_array_equal(plan.coef[a:b][ext][:, 0], 1.0)
-                np.testing.assert_array_equal(plan.coef[a:b][ext][:, 1:], 0.0)
-                keys = set(zip(plan.pm2[a:b][ext], slot[:, 0], plan.level_tag[a:b][ext]))
+                cols = np.concatenate([plan.rcol[j:k] for j, k in zip(lo[~ext], hi[~ext])])
+                assert np.all(cols < n), name
+                # an exterior row is one entry 1.0 on column n + slot
+                np.testing.assert_array_equal(hi[ext] - lo[ext], 1, err_msg=name)
+                np.testing.assert_array_equal(plan.rval[lo[ext]], 1.0, err_msg=name)
+                np.testing.assert_array_equal(plan.csum[a:b][ext], 1.0, err_msg=name)
+                slot = plan.rcol[lo[ext]] - n
+                keys = set(zip(plan.pm2[a:b][ext], slot, plan.level_tag[a:b][ext]))
                 assert len(keys) == int(ext.sum()), name
                 # the slots hold the exterior rule's values, one row per key of the nodes
                 pos, _, pm2, tag = _uncollapsed_nodes(spec_1d, plan, self.POINTS[i],
                                                       base.extent, qcfg)
                 out, val = _exterior_rule(u, pos)
-                got = zip(plan.pm2[a:b][ext], plan.ext_values[slot[:, 0]], plan.level_tag[a:b][ext])
+                got = zip(plan.pm2[a:b][ext], plan.ext_values[slot], plan.level_tag[a:b][ext])
                 assert set(got) == set(zip(pm2[out], val[out], tag[out])), (name, i)
+
+    def test_row_sums_are_stencil_sums(self, spec_1d, u_bump_1d, qcfg):
+        # csum is the sum of a row's coefficients, zeros included, in stencil order
+        plan = build_plan(spec_1d, u_bump_1d, self.POINTS, qcfg)
+        pos = np.concatenate([_uncollapsed_nodes(spec_1d, plan, x, u_bump_1d.extent, qcfg)[0]
+                              for x in self.POINTS])
+        interp, _, coef, _ = u_bump_1d.linear_form(pos)
+        inner = plan.rcol[plan.rptr[:-1]] < u_bump_1d.values.size
+        np.testing.assert_array_equal(plan.csum[inner], coef.sum(axis=1))
+        np.testing.assert_allclose(np.add.reduceat(plan.rval, plan.rptr[:-1]), plan.csum,
+                                   rtol=1e-15)
 
     def test_centers_are_point_eval(self, spec_1d, u_bump_1d, qcfg):
         # the kernel's centers and point_eval come from one linear form
@@ -367,7 +399,9 @@ class TestPlanLayout:
         spec, u = request.getfixturevalue(f"spec_{dim}d"), request.getfixturevalue(f"u_bump_{dim}d")
         plan = build_plan(spec, u, np.zeros((0, dim)), qcfg)
         assert plan.n_points == 0 and plan.wk.size == 0
-        assert plan.idx.shape == plan.coef.shape == (0, (u.smoothness_hint + 1) ** dim)
+        assert plan.rval.size == plan.rcol.size == plan.csum.size == 0
+        np.testing.assert_array_equal(plan.rptr, [0])
+        assert plan.R.shape == (0, u.values.size) and plan.counters()["entries"] == 0
         field, centers = apply_plan(plan, u.values)
         assert field.shape == centers.shape == (0,)
 
@@ -467,10 +501,10 @@ class TestRowMemo:
         for name, (spec, first, second, points, bound) in cases.items():
             a = build_plan(spec, first, points, qcfg, values_bound=bound)
             hit = build_plan(spec, second, points, qcfg, values_bound=bound)
-            assert hit.idx is a.idx and hit.ext_values is a.ext_values, name
+            assert hit.rcol is a.rcol and hit.R is a.R and hit.ext_values is a.ext_values, name
             quadrature._drop_rows()
             fresh = build_plan(spec, second, points, qcfg, values_bound=bound)
-            assert fresh.idx is not hit.idx, name
+            assert fresh.rcol is not hit.rcol and fresh.R is not hit.R, name
             assert _plan_diff(hit, fresh) == [], name
 
     def test_ratio_and_tail_are_per_call(self, spec_2d, qcfg):
@@ -480,6 +514,10 @@ class TestRowMemo:
         assert b.wk is a.wk
         assert not np.array_equal(a.rho, b.rho) and a.tail_bound != b.tail_bound
         np.testing.assert_array_equal(b.rho, quadrature._frozen_ratio(level_sums(b, guess.values)))
+        # the build's kernel pass is handed back with the plan, on each call's values
+        for plan, values in ((a, u.values), (b, guess.values)):
+            assert all(np.array_equal(x, y) for x, y in zip(plan.sums, level_sums(plan, values)))
+        assert not np.array_equal(a.sums.total, b.sums.total)
 
     def test_each_key_part_forces_a_miss(self, spec_1d, const3_1d, u_bump_1d, qcfg):
         pts = TestPlanLayout.POINTS
@@ -504,15 +542,16 @@ class TestRowMemo:
             base = build_plan(spec_1d, base_u, pts, qcfg)
             # equal keys hit, whether or not they are the same objects
             again = build_plan(spec_1d, base_u, pts.copy(), dataclasses.replace(qcfg))
-            assert again.idx is base.idx, name
+            assert again.rcol is base.rcol and again.R is base.R, name
             got = build_plan(spec, u, points, cfg, values_bound=bound)
-            assert got.idx is not base.idx, name
+            assert got.rcol is not base.rcol, name
             quadrature._drop_rows()
             assert _plan_diff(got, build_plan(spec, u, points, cfg, values_bound=bound)) == [], name
 
     def test_rows_are_read_only(self, spec_1d, u_bump_1d, qcfg):
         plan = build_plan(spec_1d, u_bump_1d, TestPlanLayout.POINTS, qcfg)
-        for f in ("ptr", "idx", "coef", "wk", "pm2", "level_tag", "cidx", "ccoef", "ext_values"):
+        for f in ("ptr", "rptr", "rcol", "rval", "csum", "wk", "pm2", "level_tag", "cidx",
+                  "ccoef", "ext_values"):
             with pytest.raises(ValueError):
                 getattr(plan, f).flat[0] = 0
         plan.rho[0] = 0.5  # each call's own ratio
@@ -524,13 +563,13 @@ class TestRowMemo:
         a.rho = np.full(a.n_points, 0.5)
         a.meta["dim"] = 0
         b = build_plan(spec_1d, u_bump_1d, TestPlanLayout.POINTS, qcfg)
-        assert b.idx is a.idx
+        assert b.rcol is a.rcol
         np.testing.assert_array_equal(b.rho, want)
         assert b.meta["dim"] == 1
 
     def test_miss_releases_held_rows(self, spec_1d, u_bump_1d, qcfg):
         plan = build_plan(spec_1d, u_bump_1d, TestPlanLayout.POINTS, qcfg)
-        refs = [weakref.ref(plan.idx), weakref.ref(quadrature._held[1])]
+        refs = [weakref.ref(plan.rcol), weakref.ref(plan.R), weakref.ref(quadrature._held[1])]
         del plan
         gc.collect()
         assert all(r() is not None for r in refs)  # held by the memo alone
