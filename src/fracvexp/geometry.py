@@ -24,6 +24,8 @@ class PlaneGeometry:
         e = np.asarray(self.direction, dtype=float)
         if not abs(np.linalg.norm(e) - 1.0) <= 1e-14:  # NaN fails too
             raise PreconditionError(f"direction must be a unit vector, |e| = {np.linalg.norm(e)!r}")
+        if not np.isfinite(self.offset):
+            raise PreconditionError(f"offset must be finite, got {self.offset!r}")
         object.__setattr__(self, "direction", tuple(float(v) for v in e))
 
     @property
@@ -48,8 +50,12 @@ class PlaneGeometry:
 def inner(x, e) -> np.ndarray:
     """<x, e> for points x, shape (..., dim) -> (...), summed coordinate by
     coordinate.  Unlike `x @ e`, whose BLAS rounding depends on how many
-    rows share the call, a point gets the same bits alone or in a batch."""
+    rows share the call, a point gets the same bits alone or in a batch.
+    Points whose last axis is not len(e) long are a precondition error."""
     x = np.asarray(x, dtype=float)
+    if x.ndim == 0 or x.shape[-1] != len(e):
+        raise PreconditionError(
+            f"points of shape {x.shape} do not match a plane in {len(e)} dimensions")
     c = x[..., 0] * e[0]
     for k in range(1, x.shape[-1]):
         c = c + x[..., k] * e[k]

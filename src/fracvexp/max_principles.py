@@ -6,6 +6,10 @@ proof-step diagnostic (the operator value at the minimizer, or the
 half-space split of the operator difference); if the conclusion holds the
 hypotheses are verified and the verdict is 'holds' or, when the
 hypotheses themselves fail numerically, 'inconclusive'.
+
+`_operator_difference` is the one copy of Gamma = L(u_lambda) - L(u) that
+the antisymmetric principle and the boundary probe read.  A point's plan
+rows do not depend on its batch, so batched values equal single-point ones.
 """
 
 from __future__ import annotations
@@ -134,6 +138,12 @@ def check_strong_mp(spec: ExponentSpec, u: SampledFunction, domain_mask,
     return MPReport(HOLDS, diagnostics=diagnostics)
 
 
+def _operator_difference(spec, u, plane, pts, cfg) -> np.ndarray:
+    """Gamma = L(u_lambda) - L(u) at each point: one plan per function for the batch."""
+    return (eval_plap_field(spec, ReflectedFunction(u, plane), pts, cfg)
+            - eval_plap_field(spec, u, pts, cfg))
+
+
 def check_antisym_mp(spec: ExponentSpec, u: SampledFunction, plane: PlaneGeometry,
                      ball_radius: float = 1.0, m_bound: float | None = None,
                      cfg: QuadratureConfig | None = None,
@@ -146,6 +156,9 @@ def check_antisym_mp(spec: ExponentSpec, u: SampledFunction, plane: PlaneGeometr
     and nonnegativity of the operator difference on those nodes.  The
     conclusion w >= -tol is checked on every half-space node; the
     J1/J2 decomposition at the minimizing node is reported.
+
+    Gamma is evaluated once: on all Omega nodes for the hypothesis (`gamma`
+    is its entry at the Omega-minimizer), or there alone if w < -tol.
     """
     cfg = cfg or QuadratureConfig()
     m_bound = spec.m_bound if m_bound is None else float(m_bound)
@@ -174,31 +187,25 @@ def check_antisym_mp(spec: ExponentSpec, u: SampledFunction, plane: PlaneGeometr
     j_min, min_w = _node_scan_min(w, in_h)
     jo_min, min_w_omega = _node_scan_min(w, omega)
 
-    def split_at(j):
-        view = ReflectedFunction(u, plane)
-        gamma = (eval_plap(spec, view, nodes[j], cfg)
-                 - eval_plap(spec, u, nodes[j], cfg))
+    def split_at(j, gamma):
         j1, j2 = j1_j2_split(spec, u, plane, nodes[j], cfg)
-        return {"gamma": gamma, "J1": j1, "J2": j2}
+        return {"gamma": float(gamma), "J1": j1, "J2": j2, "omega_minimizer": nodes[j].tolist()}
 
     if min_w < -concl_tol:
         diag = {"min_w": min_w, "min_w_omega": min_w_omega}
         if jo_min is not None:
-            diag.update(split_at(jo_min))
-            diag["omega_minimizer"] = nodes[jo_min].tolist()
+            gamma = _operator_difference(spec, u, plane, nodes[[jo_min]], cfg)[0]
+            diag.update(split_at(jo_min, gamma))
         return MPReport(VIOLATED, tuple(nodes[j_min].tolist()), min_w, diag)
 
     # hypothesis: operator difference nonnegative on interior Omega nodes
     diag = {"min_w": min_w, "min_w_omega": min_w_omega}
     if jo_min is not None:
         pts = nodes[omega]
-        view = ReflectedFunction(u, plane)
-        delta = (eval_plap_field(spec, view, pts, cfg)
-                 - eval_plap_field(spec, u, pts, cfg))
+        delta = _operator_difference(spec, u, plane, pts, cfg)
         k_bad = int(np.argmin(delta))
         diag["min_delta"] = float(delta[k_bad])
-        diag.update(split_at(jo_min))
-        diag["omega_minimizer"] = nodes[jo_min].tolist()
+        diag.update(split_at(jo_min, delta[np.count_nonzero(omega[:jo_min])]))
         if delta[k_bad] < -hyp_tol:
             diag["reason"] = "operator-difference hypothesis fails"
             diag["worst_point"] = pts[k_bad].tolist()
@@ -284,6 +291,8 @@ def boundary_estimate_probe(spec: ExponentSpec, u: SampledFunction,
     the probe refuses with verdict 'inconclusive').  The report asserts
     the final-window maximum of the ratios stays below zero and returns
     the realized margin.
+
+    Gamma is evaluated once per distinct plane, on all its points together.
     """
     cfg = cfg or QuadratureConfig()
     planes = list(plane_sequence)
@@ -314,14 +323,14 @@ def boundary_estimate_probe(spec: ExponentSpec, u: SampledFunction,
         return ProbeReport(tuple(deltas), (), np.nan, np.nan, False, INCONCLUSIVE,
                            {"reason": "no ball half-space nodes for the limiting plane"})
 
-    ratios = []
-    for pl, x, d in zip(planes, xs, deltas):
-        view = ReflectedFunction(u, pl)
-        gamma = eval_plap(spec, view, x, cfg) - eval_plap(spec, u, x, cfg)
-        ratios.append(gamma / d)
+    ratios = np.empty(len(planes))
+    for pl in dict.fromkeys(planes):
+        k = [i for i, p in enumerate(planes) if p == pl]
+        ratios[k] = (_operator_difference(spec, u, pl, np.array([xs[i] for i in k]), cfg)
+                     / np.array(deltas)[k])
 
     wmax = float(np.max(ratios[-window:]))
     ok = all(r < 0.0 for r in ratios) and wmax < 0.0
-    return ProbeReport(tuple(deltas), tuple(ratios), wmax, -wmax, ok,
+    return ProbeReport(tuple(deltas), tuple(ratios.tolist()), wmax, -wmax, ok,
                        HOLDS if ok else VIOLATED,
                        {"window": window, "n": len(ratios)})

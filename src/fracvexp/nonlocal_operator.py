@@ -93,9 +93,14 @@ def tail_integrability_check(spec: ExponentSpec, u, x, radii,
 
     The integrand is bounded (the weight's denominator is >= 1), so plain
     geometric Gauss panels around the origin suffice.  Non-decaying
-    increments yield the verdict 'inconclusive', never an error.
+    increments yield the verdict 'inconclusive', never an error.  A grid
+    or point whose dimension is not the spec's is a precondition error.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    if u.dim != spec.dimension or x.shape != (spec.dimension,):
+        raise PreconditionError(
+            f"grid dimension {u.dim} and point of shape {x.shape} must match "
+            f"spec dimension {spec.dimension}")
     radii = [float(r) for r in radii]
     if any(b <= a for a, b in zip(radii, radii[1:])) or not radii:
         raise PreconditionError("radii must be strictly increasing and nonempty")

@@ -282,7 +282,7 @@ def paired_nodes(x: np.ndarray, extent: float, r_eff: float, cfg: QuadratureConf
 
 
 def build_plan(spec: ExponentSpec, u, points, cfg: QuadratureConfig,
-               raise_on_tail: bool = True, values_bound: float = 0.0) -> EvalPlan:
+               values_bound: float = 0.0) -> EvalPlan:
     """Assemble the quadrature plan for `points` (each strictly inside the box).
 
     `u` may be a SampledFunction or a ReflectedFunction view; its
@@ -335,7 +335,7 @@ def build_plan(spec: ExponentSpec, u, points, cfg: QuadratureConfig,
         fb = _f_abs_max(float(t), spec.p_minus, spec.p_plus)
         bound = tail_bound_at(fb, N, s, spec.p_minus, r_eff)
         tail_reported = max(tail_reported, bound)
-        if raise_on_tail and bound > cfg.tail_tolerance * (1.0 + 1e-9):
+        if bound > cfg.tail_tolerance * (1.0 + 1e-9):
             need = tail_radius_needed(fb, N, s, spec.p_minus, cfg.tail_tolerance)
             raise TailError(
                 f"discarded tail bound {bound:.3g} exceeds tolerance at R = {r_eff:.6g}; "

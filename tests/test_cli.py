@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 import fracvexp as fx
-from fracvexp.cli import main
+from fracvexp.cli import main, run_reproduce_all
 from fracvexp.config import RunConfig
 
 
-def make_bump_csv(tmp_path: Path, name="u.csv", n=101, power=2.0) -> Path:
+def make_bump_csv(tmp_path: Path, name="u.csv", n=101, power=2.0, dim=1) -> Path:
     u = fx.SampledFunction.from_function(
-        lambda p: 0.4 * np.maximum(0.0, 1.0 - p[:, 0] ** 2) ** power, 1.5, n, 1)
+        lambda p: 0.4 * np.maximum(0.0, 1.0 - np.sum(p ** 2, axis=1)) ** power, 1.5, n, dim)
     path = tmp_path / name
     u.save(path)
     return path
@@ -166,6 +166,21 @@ class TestExitCodes:
     def test_expression_failing_on_data_is_precondition(self, tmp_path, q):
         cfg = small_config(tmp_path)
         assert main(["solve", "--config", str(cfg), "--mode", "power", "--q", q]) == 3
+
+    @pytest.mark.parametrize("spec_dim, u_dim, extra", [
+        (2, 2, ["check-mp", "--theorem", "3.2"]),                     # 1-d default plane
+        (2, 2, ["check-mp", "--theorem", "3.5", "--plane", "1,0,0,-0.5"]),
+        (1, 1, ["check-mp", "--theorem", "3.2", "--plane", "1,0,-0.2"]),
+        (1, 1, ["check-mp", "--theorem", "3.2", "--plane", "1,nan"]),  # empty Omega read 'holds'
+        (1, 1, ["tail-check", "--at", "0.1,0.2"]),
+        (1, 2, ["tail-check", "--at", "0,0"]),
+    ])
+    def test_plane_point_or_grid_of_another_dimension_is_precondition(
+            self, tmp_path, spec_dim, u_dim, extra):
+        # these used to end in a traceback or in a verdict on broadcast points
+        cfg = small_config(tmp_path, **{"exponent.dimension": spec_dim})
+        u = make_bump_csv(tmp_path, n=101 if u_dim == 1 else 15, dim=u_dim)
+        assert main([extra[0], "--config", str(cfg), "--input", str(u), *extra[1:]]) == 3
 
     @pytest.mark.parametrize("directions", ["0", "-3", "0;1", "nan;1", "1;2,3", "abc", "1,x"])
     def test_bad_sweep_directions_are_precondition(self, tmp_path, directions):
@@ -338,8 +353,9 @@ class TestReproduceAll:
             b = (reports[1] / name).read_bytes()
             assert a == b, f"{name} differs between identical runs"
 
-    def test_one_exponent_spec_per_run(self, tmp_path, monkeypatch):
-        # steps 3 and 5 can share plan rows only if every build gets equal specs
+    @staticmethod
+    def record_build_specs(monkeypatch) -> list:
+        """Patch every fracvexp binding of build_plan to log the spec it gets."""
         import fracvexp.quadrature as quadrature
         specs, build = [], quadrature.build_plan
 
@@ -350,8 +366,22 @@ class TestReproduceAll:
             if getattr(mod, "__name__", "").startswith("fracvexp") and \
                     getattr(mod, "build_plan", None) is build:
                 monkeypatch.setattr(mod, "build_plan", recording)
+        return specs
+
+    def test_one_exponent_spec_per_run(self, tmp_path, monkeypatch):
+        # steps 3 and 5 can share plan rows only if every build gets equal specs
+        specs = self.record_build_specs(monkeypatch)
         assert main(["reproduce-all", "--config", str(small_config(tmp_path))]) == 0
         assert len(specs) > 2 and all(s == specs[0] for s in specs)
+
+    def test_plan_builds_per_run(self, tmp_path, monkeypatch):
+        # manufacture, solve, auto-mask, strong MP (field + minimizer) and two
+        # builds per operator difference: three antisymmetric checks, one probe
+        specs = self.record_build_specs(monkeypatch)
+        cfg = RunConfig.load(small_config(tmp_path))
+        assert cfg.section("solver")["nodes"] == 101
+        assert run_reproduce_all(cfg, tmp_path / "out")["passed"]
+        assert len(specs) <= 13
 
     def test_summary_structure(self, tmp_path):
         cfg = small_config(tmp_path)

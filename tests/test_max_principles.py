@@ -18,6 +18,18 @@ def star(spec_model, qcfg):
     return u_star
 
 
+@pytest.fixture(scope="module")
+def star_2d(spec_2d, qcfg):
+    u_star, _ = bs.manufacture(spec_2d, n=15, amplitude=0.5, cfg=qcfg)
+    return u_star
+
+
+def pointwise_gamma(spec, u, plane, x, cfg):
+    """The operator difference at one point, each side from its own plan."""
+    return (fx.eval_plap(spec, ReflectedFunction(u, plane), x, cfg)
+            - fx.eval_plap(spec, u, x, cfg))
+
+
 class TestReflect:
     def test_formula(self):
         plane = fx.PlaneGeometry((1.0, 0.0), -0.1)
@@ -60,6 +72,25 @@ class TestReflect:
     def test_non_finite_direction_rejected(self, direction):
         with pytest.raises(fx.PreconditionError):
             fx.PlaneGeometry(direction, 0.0)
+
+    @pytest.mark.parametrize("offset", [np.nan, np.inf, -np.inf])
+    def test_non_finite_offset_rejected(self, offset):
+        # a NaN offset puts no node in the half-space, so a check would read 'holds'
+        with pytest.raises(fx.PreconditionError):
+            fx.PlaneGeometry((1.0,), offset)
+
+    @pytest.mark.parametrize("direction, x", [
+        ((1.0,), np.zeros((4, 2))),       # 2-d points, 1-d plane
+        ((0.6, 0.8), np.zeros((4, 1))),   # 1-d points, 2-d plane
+        ((1.0, 0.0, 0.0), np.zeros(2)),   # one 2-d point, 3-d plane
+        ((1.0,), 0.0),                    # no coordinate axis at all
+    ])
+    def test_point_dimension_must_match(self, direction, x):
+        # broadcasting would otherwise answer for points of another dimension
+        plane = fx.PlaneGeometry(direction, 0.1)
+        for call in (plane.coord, plane.reflect, plane.in_halfspace):
+            with pytest.raises(fx.PreconditionError):
+                call(x)
 
 
 class TestWLambda:
@@ -155,6 +186,24 @@ class TestAntisymMP:
         assert rep.witness_value < 0
         assert rep.diagnostics["gamma"] < 0.0  # reproduces the strict inequality
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("violated", [False, True])
+    def test_gamma_is_the_pointwise_difference(self, request, dim, violated, qcfg):
+        # the batched difference at the Omega-minimizer equals the
+        # single-point evaluations bit for bit, on either path
+        spec = request.getfixturevalue("spec_model" if dim == 1 else "spec_2d")
+        u = request.getfixturevalue("star" if dim == 1 else "star_2d")
+        plane = fx.axis_plane(dim, -0.1 if violated else -0.5)
+        if violated:
+            nodes = u.nodes()
+            pert = 0.05 * np.sin(3 * nodes[:, 0]) * np.maximum(0.0, 1 - np.sum(nodes ** 2, 1))
+            u = u.with_values(np.clip(u.values - pert, 0.0, 0.55))
+        rep = mp.check_antisym_mp(spec, u, plane, m_bound=0.7, cfg=qcfg)
+        assert (rep.verdict == mp.VIOLATED) == violated
+        assert ("min_delta" in rep.diagnostics) != violated  # which path ran
+        x = np.array(rep.diagnostics["omega_minimizer"])
+        assert rep.diagnostics["gamma"] == pointwise_gamma(spec, u, plane, x, qcfg)
+
     def test_range_precondition(self, spec_model, star, qcfg):
         with pytest.raises(fx.PreconditionError):
             mp.check_antisym_mp(spec_model, star, fx.axis_plane(1, -0.5),
@@ -187,6 +236,17 @@ class TestBoundaryProbe:
         assert rep.ok and rep.verdict == mp.HOLDS
         assert all(r < 0 for r in rep.ratios)
         assert rep.margin > 0
+
+    def test_ratios_are_the_pointwise_differences(self, spec_model, star, qcfg):
+        # two interleaved planes: each plane's points are evaluated together,
+        # and every ratio still equals its point's own evaluation bit for bit
+        a, b = fx.axis_plane(1, -0.5), fx.axis_plane(1, -0.45)
+        planes = [a, b, a, b, a, b]
+        xs = [np.array([pl.offset - 2.0 ** -k]) for pl, k in zip(planes, range(3, 9))]
+        rep = mp.boundary_estimate_probe(spec_model, star, planes, xs, qcfg, window=2)
+        assert len(rep.ratios) == len(planes)
+        for pl, x, d, r in zip(planes, xs, rep.deltas, rep.ratios):
+            assert r == pointwise_gamma(spec_model, star, pl, x, qcfg) / d
 
     def test_zero_function_refused(self, spec_model, qcfg):
         u = fx.SampledFunction(np.zeros(201), (201,), 1.5)
