@@ -140,19 +140,17 @@ def bump_profile(a: float, s: float) -> Callable:
 
 
 def manufacture(spec: ExponentSpec, n: int, extent: float = 1.5,
-                amplitude: float = 0.5, profile_s: float | None = None,
-                cfg: QuadratureConfig | None = None):
+                amplitude: float = 0.5, cfg: QuadratureConfig | None = None):
     """Radial bump u* = a (1-|x|^2)_+^s and its operator image h on the
     interior nodes; (u*, h) defines a discrete problem whose exact
     solution is u* by construction."""
     if not 0.0 < amplitude < 1.0:
         raise PreconditionError("amplitude must lie in (0,1)")
     cfg = cfg or QuadratureConfig()
-    s_prof = spec.order if profile_s is None else float(profile_s)
     u_star = SampledFunction.from_function(
-        bump_profile(amplitude, s_prof), extent, n, spec.dimension, ZERO_BALL)
+        bump_profile(amplitude, spec.order), extent, n, spec.dimension, ZERO_BALL)
     mask = interior_mask(u_star)
-    plan = build_plan(spec, u_star, u_star.nodes()[mask], cfg, values_bound=1.0)
+    plan = build_plan(spec, u_star, u_star.nodes()[mask], cfg)
     h = np.zeros(u_star.values.size)
     h[mask] = plan.sums.field(plan.rho)
     return u_star, h
@@ -167,7 +165,7 @@ def residual(problem: ProblemSpec, u: SampledFunction,
     earlier build on the same points (see `quadrature`)."""
     idx = np.nonzero(interior_mask(u))[0]
     pts = u.nodes()[idx]
-    plan = build_plan(problem.exponent, u, pts, cfg or QuadratureConfig(), values_bound=1.0)
+    plan = build_plan(problem.exponent, u, pts, cfg or QuadratureConfig())
     return plan.sums.field(plan.rho) - problem.rhs(pts, plan.sums.centers, idx)
 
 
@@ -197,7 +195,7 @@ def solve(problem: ProblemSpec, initial_guess: SampledFunction,
         raise PreconditionError("initial guess must take values in [0, 1-eta]")
     if np.any(np.delete(values, idx) != 0.0):
         raise PreconditionError("initial guess must vanish outside the unit ball")
-    plan = build_plan(problem.exponent, initial_guess, pts, cfg, values_bound=1.0)
+    plan = build_plan(problem.exponent, initial_guess, pts, cfg)
 
     def sup_residual(sums):
         res = sums.field(plan.rho) - problem.rhs(pts, sums.centers, idx)

@@ -220,14 +220,13 @@ class InfimumReport:
                 "positive": bool(self.positive), "samples": self.samples}
 
 
-def check_cx_positive(spec: ExponentSpec, x, sample_radius: float = 1e3,
-                      samples: int = 2000, margin: float = 0.0,
+def check_cx_positive(spec: ExponentSpec, x, samples: int = 2000,
                       rng: np.random.Generator | None = None) -> InfimumReport:
     """Sampled infimum over |x-y| > 1 of |x-y|^(N+sp)/(1+|y|^(N+sp)).
 
-    Includes near-boundary radii 1 + 1e-6 and a far-field ray check where
-    the ratio tends to a positive limit.  The point x = 0 is excluded, as
-    in the statement being certified.
+    Samples radii from 1 + 1e-6 out to 1e3, plus a far-field ray check where
+    the ratio tends to a positive limit; both must be positive.  The point
+    x = 0 is excluded, as in the statement being certified.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if float(np.linalg.norm(x)) == 0.0:
@@ -240,7 +239,7 @@ def check_cx_positive(spec: ExponentSpec, x, sample_radius: float = 1e3,
     n_r = max(8, samples // 64)
     radii = np.concatenate([
         [1.0 + 1e-6, 1.0 + 1e-3],
-        np.geomspace(1.01, sample_radius, n_r),
+        np.geomspace(1.01, 1e3, n_r),
     ])
     if N == 1:
         dirs = np.array([[1.0], [-1.0]])
@@ -261,7 +260,7 @@ def check_cx_positive(spec: ExponentSpec, x, sample_radius: float = 1e3,
     far_ratio = float(1e9 ** (N + s * qf) / (1.0 + np.linalg.norm(far[0]) ** (N + s * qf)))
     inf_v = float(ratio[i_min])
     return InfimumReport(inf_v, tuple(pts[i_min].tolist()), far_ratio,
-                         inf_v > margin and far_ratio > margin, int(ratio.size))
+                         inf_v > 0.0 and far_ratio > 0.0, int(ratio.size))
 
 
 def gprime_margin(t0, p1, p2):

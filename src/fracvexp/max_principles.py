@@ -8,8 +8,10 @@ hypotheses are verified and the verdict is 'holds' or, when the
 hypotheses themselves fail numerically, 'inconclusive'.
 
 `_operator_difference` is the one copy of Gamma = L(u_lambda) - L(u) that
-the antisymmetric principle and the boundary probe read.  A point's plan
-rows do not depend on its batch, so batched values equal single-point ones.
+the antisymmetric principle and the boundary probe read, and
+`reflection_difference` the one copy of w = u(x^lambda) - u(x) that they and
+the moving-planes sweeps read.  A point's plan rows do not depend on its
+batch, so batched values equal single-point ones.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .errors import NumericError, PreconditionError
 from .exponents import ExponentSpec
-from .geometry import PlaneGeometry, axis_plane
+from .geometry import PlaneGeometry, axis_plane, reflect_points
 from .grids import ReflectedFunction, SampledFunction
 from .nonlocal_operator import eval_plap, eval_plap_field, f_power
 from .quadrature import (QuadratureConfig, directions, paired_nodes,
@@ -72,7 +74,14 @@ def w_lambda(u: SampledFunction, plane: PlaneGeometry, x) -> float:
 
 def w_lambda_field(u: SampledFunction, plane: PlaneGeometry, pts) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    return u.point_eval(plane.reflect(pts)) - u.point_eval(pts)
+    return reflection_difference(u, plane.e, plane.offset, pts)
+
+
+def reflection_difference(u: SampledFunction, e: np.ndarray, offset,
+                          pts: np.ndarray) -> np.ndarray:
+    """w = u(x^lambda) - u(x) at each row x of `pts`, reflected across
+    {<x,e> = lambda} with `offset` one lambda for all rows or one per row."""
+    return u.point_eval(reflect_points(pts, e, offset)) - u.point_eval(pts)
 
 
 def _node_scan_min(values: np.ndarray, mask: np.ndarray):
@@ -161,6 +170,8 @@ def check_antisym_mp(spec: ExponentSpec, u: SampledFunction, plane: PlaneGeometr
     is its entry at the Omega-minimizer), or there alone if w < -tol.
     """
     cfg = cfg or QuadratureConfig()
+    if not 0.0 < ball_radius < np.inf:  # NaN fails too
+        raise PreconditionError(f"ball_radius must be finite and positive, got {ball_radius!r}")
     m_bound = spec.m_bound if m_bound is None else float(m_bound)
     nodes = u.nodes()
     in_h = plane.in_halfspace(nodes)

@@ -18,6 +18,7 @@ from .exponents import ExponentSpec
 from .geometry import PlaneGeometry, inner, reflect_points
 from .grids import SampledFunction
 from .lemma_suite import CASES, c0_constant, mean_value_point
+from .max_principles import reflection_difference
 from .quadrature import QuadratureConfig
 
 BALL = "ball"
@@ -68,8 +69,7 @@ def _plane_minima(u: SampledFunction, e: np.ndarray, offsets: np.ndarray,
     if ball_mask is not None:
         sel &= ball_mask[None, :]
     plane, node = np.nonzero(sel)  # row-major: each plane's nodes are contiguous
-    pts = nodes[node]
-    w = u.point_eval(reflect_points(pts, e, offsets[plane])) - u.point_eval(pts)
+    w = reflection_difference(u, e, offsets[plane], nodes[node])
     counts = np.count_nonzero(sel, axis=1)
     hit = counts > 0
     mins = np.full(len(offsets), math.inf)
@@ -89,9 +89,7 @@ def _lambda0_from(grid: np.ndarray, mins: np.ndarray, tol: float) -> float:
 
 
 def sweep(u: SampledFunction, direction, lambda_grid=None, tol: float = SWEEP_TOL,
-          mode: str = BALL, ball_radius: float = 1.0,
-          refine: int = REFINE_FACTOR, tol_lambda: float | None = None,
-          decay_tol: float = 1e-6, center=None,
+          mode: str = BALL, refine: int = REFINE_FACTOR, decay_tol: float = 1e-6,
           radial_tol: float = 1e-4) -> SweepReport:
     """Sweep the reflecting plane along `direction` over lambda_grid.
 
@@ -99,9 +97,10 @@ def sweep(u: SampledFunction, direction, lambda_grid=None, tol: float = SWEEP_TO
     mode restricts minima to half-space nodes inside the unit ball;
     whole-space mode uses all half-space nodes and additionally requires a
     decay certificate (max |u| over the outer 10% shell below decay_tol),
-    reporting `inconclusive` without it.  One batched evaluation of w gives
-    the minima of all planes; a second batch of refine - 1 planes before the
-    first violation tightens the lambda0 estimate before reporting.
+    reporting `inconclusive` without it.  The radial-profile check is about
+    the origin.  One batched evaluation of w gives the minima of all planes;
+    a second batch of refine - 1 planes before the first violation tightens
+    the lambda0 estimate before reporting.
     """
     e = np.asarray(direction, dtype=float)
     e = PlaneGeometry(tuple(e / np.linalg.norm(e)), 0.0).e  # rejects NaN and zero
@@ -122,7 +121,7 @@ def sweep(u: SampledFunction, direction, lambda_grid=None, tol: float = SWEEP_TO
     if refine < 0:
         raise PreconditionError(f"refine must be >= 0, got {refine}")
 
-    ball_mask = np.linalg.norm(nodes, axis=1) < ball_radius if mode == BALL else None
+    ball_mask = np.linalg.norm(nodes, axis=1) < 1.0 if mode == BALL else None
 
     decay_ok = None
     if mode == WHOLE_SPACE:
@@ -151,11 +150,10 @@ def sweep(u: SampledFunction, direction, lambda_grid=None, tol: float = SWEEP_TO
         order = np.argsort(grid)
         grid, mins = grid[order], mins[order]
 
-    tol_l = tol_lambda if tol_lambda is not None else 2.0 * float(np.min(np.diff(grid)))
+    tol_l = 2.0 * float(np.min(np.diff(grid)))
     lam0 = _lambda0_from(grid, mins, tol)
 
-    ctr = np.zeros(u.dim) if center is None else np.asarray(center, dtype=float)
-    radial = radial_profile_check(u, ctr, radial_tol)
+    radial = radial_profile_check(u, np.zeros(u.dim), radial_tol)
 
     inconclusive = mode == WHOLE_SPACE and not decay_ok
     symmetric = bool(lam0 >= -tol_l) and not inconclusive

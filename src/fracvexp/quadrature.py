@@ -35,20 +35,22 @@ a stable sort by point puts each point's rows in the order above, so every
 row and weight sum is the one a point built alone gets.
 
 The rows do not read the node values, only where the values come from, so
-one point set's rows serve every value vector: `ball_solver.manufacture`
-and `solve` are separate calls on one point set and share them.  The last
-row set built is held in a one-entry memo, keyed on everything the rows
-read: `spec`, `cfg`, `r_eff`, the grid's shape, extent, exterior rule and
-smoothness hint, a `ReflectedFunction`'s plane and the exact bytes of the
-points.  A callable exterior rule is keyed by identity, so it must be a
-fixed function of position.  The held arrays are read-only, and a miss
-drops the held entry before it builds, so at most one row set is held
-beyond what callers keep; `R` is built once per row set and held with it.
-What reads the values runs on every call, hit or miss: the input checks,
-`r_eff`, the tail certificate with `tail_bound`, and the freeze of `rho`
-on a full `level_sums` pass, which the plan hands back as `sums`.  Each
-call gets its own `EvalPlan` with its own `rho`, `tail_bound`, `sums` and
-`meta`, so assigning `plan.rho` reaches no other plan.
+one point set's rows serve every value vector.  `r_eff` is sized for
+|u| <= max(max|values|, 1), the range the lab's functions live in, so a grid
+has one `r_eff` unless some |u| exceeds 1, and `ball_solver.manufacture`,
+`solve` and the auto-mask on u* share one row set.  The last row set built
+is held in a one-entry memo, keyed on everything the rows read: `spec`,
+`cfg`, `r_eff`, the grid's shape, extent, exterior rule and smoothness hint,
+a `ReflectedFunction`'s plane and the exact bytes of the points.  A callable
+exterior rule is keyed by identity, so it must be a fixed function of
+position.  The held arrays are read-only, and a miss drops the held entry
+before it builds, so at most one row set is held beyond what callers keep;
+`R` is built once per row set and held with it.  What reads the values runs
+on every call, hit or miss: the input checks, `r_eff`, the tail certificate
+with `tail_bound`, and the freeze of `rho` on a full `level_sums` pass,
+which the plan hands back as `sums`.  Each call gets its own `EvalPlan` with
+its own `rho`, `tail_bound`, `sums` and `meta`, so assigning `plan.rho`
+reaches no other plan.
 """
 
 from __future__ import annotations
@@ -218,10 +220,8 @@ def sphere_measure(dim: int) -> float:
 
 def tail_radius_needed(f_max: float, dim: int, s: float, p_minus: float,
                        tol: float) -> float:
-    """Smallest R >= 1 with |f|*omega_N*R^(-s p_minus)/(s p_minus) <= tol."""
+    """Smallest R >= 1 with |f|*omega_N*R^(-s p_minus)/(s p_minus) <= tol, for f_max > 0."""
     sp = s * p_minus
-    if f_max == 0.0:
-        return 1.0
     r = (f_max * sphere_measure(dim) / (tol * sp)) ** (1.0 / sp)
     return max(1.0, r)
 
@@ -238,16 +238,15 @@ def _f_abs_max(t_bound: float, p_minus: float, p_plus: float) -> float:
 
 
 def truncation_radius(spec: ExponentSpec, values: np.ndarray, extent: float,
-                      cfg: QuadratureConfig, values_bound: float = 0.0) -> float:
+                      cfg: QuadratureConfig) -> float:
     """Outer radius that keeps the discarded tail within cfg.tail_tolerance.
 
-    Sized for every value vector with |u| below max(|values|, values_bound),
-    and at least the diameter 2·sqrt(N)·extent of the grid box, so that from
+    Sized for every |u| <= max(max|values|, 1) (one radius per grid unless some
+    |u| exceeds 1) and at least the box diameter 2·sqrt(N)·extent, so that from
     any point in the box everything beyond the radius takes the exterior rule.
     """
     # conservative bound on |u(x)-u(y)|; 10% headroom absorbs interpolation overshoot
-    u_abs = float(np.max(np.abs(values))) if values.size else 0.0
-    t_bound = 2.2 * max(u_abs, values_bound, 1e-30)
+    t_bound = 2.2 * float(np.max(np.abs(values), initial=1.0))
     f_max = _f_abs_max(t_bound, spec.p_minus, spec.p_plus)
     r_eff = max(cfg.tail_radius, 2.0 * np.sqrt(spec.dimension) * extent, tail_radius_needed(
         f_max, spec.dimension, spec.order, spec.p_minus, cfg.tail_tolerance))
@@ -281,15 +280,14 @@ def paired_nodes(x: np.ndarray, extent: float, r_eff: float, cfg: QuadratureConf
     return rs, pos, w_node
 
 
-def build_plan(spec: ExponentSpec, u, points, cfg: QuadratureConfig,
-               values_bound: float = 0.0) -> EvalPlan:
+def build_plan(spec: ExponentSpec, u, points, cfg: QuadratureConfig) -> EvalPlan:
     """Assemble the quadrature plan for `points` (each strictly inside the box).
 
     `u` may be a SampledFunction or a ReflectedFunction view; its
     `linear_form` gives every node row and center, so the view needs no
-    resampling.  `values_bound` widens the tail budget so the plan
-    stays valid when it is re-applied to other value vectors with |u| below
-    the bound (solver iterates).  An empty point set gives an empty plan.
+    resampling.  `r_eff` is sized for |u| <= max(max|values|, 1), so the plan
+    stays valid on other value vectors in that range (solver iterates), and a
+    grid's plans share it.  An empty point set gives an empty plan.
 
     Rows are built a block of consecutive points with one pairing radius at
     a time, up to `PLAN_BLOCK` nodes; the points share one node template
@@ -323,7 +321,7 @@ def build_plan(spec: ExponentSpec, u, points, cfg: QuadratureConfig,
             f"evaluation points must be strictly inside the grid box; offenders: {bad.tolist()}")
 
     s, N = spec.order, spec.dimension
-    r_eff = truncation_radius(spec, grid.values, grid.extent, cfg, values_bound)
+    r_eff = truncation_radius(spec, grid.values, grid.extent, cfg)
     dirs = directions(N, cfg.angular_nodes)[0]
 
     # certify the discarded tail at every point before building any row

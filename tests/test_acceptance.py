@@ -123,7 +123,7 @@ def test_c2_annihilation_and_oddness(spec_1d, qcfg):
     rng = np.random.default_rng(SEED)
     base = fx.SampledFunction(np.zeros(81), (81,), 1.5, exterior_rule="zero_outside_box")
     pts = rng.uniform(-1.2, 1.2, (10, 1))
-    plan = build_plan(spec_1d, base, pts, qcfg, values_bound=1.0)
+    plan = build_plan(spec_1d, base, pts, qcfg)
     worst_ulp = 0.0
     for _ in range(100):
         vals = rng.uniform(-0.8, 0.8, 81)

@@ -26,6 +26,15 @@ class TestManufacture:
         u_star, _ = manufactured
         assert np.array_equal(u_star.values, u_star.values[::-1])
 
+    @pytest.mark.parametrize("spec_name, n", [("spec_model", 101), ("spec_2d", 15)])
+    def test_rhs_is_the_operator_on_u_star(self, request, spec_name, n, qcfg):
+        # one r_eff per grid: h and an evaluation of L(u*) on the same nodes agree bit for bit
+        spec = request.getfixturevalue(spec_name)
+        u_star, h = bs.manufacture(spec, n=n, amplitude=0.5, cfg=qcfg)
+        mask = bs.interior_mask(u_star)
+        np.testing.assert_array_equal(
+            h[mask], fx.eval_plap_field(spec, u_star, u_star.nodes()[mask], qcfg))
+
     def test_amplitude_range(self, spec_model):
         with pytest.raises(fx.PreconditionError):
             bs.manufacture(spec_model, n=101, amplitude=1.5)

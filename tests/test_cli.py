@@ -182,6 +182,14 @@ class TestExitCodes:
         u = make_bump_csv(tmp_path, n=101 if u_dim == 1 else 15, dim=u_dim)
         assert main([extra[0], "--config", str(cfg), "--input", str(u), *extra[1:]]) == 3
 
+    @pytest.mark.parametrize("radius", ["nan", "-1", "0"])
+    def test_bad_ball_radius_is_precondition(self, tmp_path, radius):
+        # an empty Omega used to read 'holds' with min_w_omega inf
+        cfg = small_config(tmp_path)
+        u = make_bump_csv(tmp_path)
+        assert main(["check-mp", "--config", str(cfg), "--theorem", "3.2", "--input", str(u),
+                     "--plane", "1,-0.3", "--ball-radius", radius]) == 3
+
     @pytest.mark.parametrize("directions", ["0", "-3", "0;1", "nan;1", "1;2,3", "abc", "1,x"])
     def test_bad_sweep_directions_are_precondition(self, tmp_path, directions):
         # no direction at all, or one that is not a nonzero vector of the grid's
@@ -354,34 +362,45 @@ class TestReproduceAll:
             assert a == b, f"{name} differs between identical runs"
 
     @staticmethod
-    def record_build_specs(monkeypatch) -> list:
-        """Patch every fracvexp binding of build_plan to log the spec it gets."""
+    def record_builds(monkeypatch) -> list:
+        """Patch every fracvexp binding of build_plan to log (spec, the names of its
+        caller and the caller's caller, plan) per call."""
         import fracvexp.quadrature as quadrature
-        specs, build = [], quadrature.build_plan
+        builds, build = [], quadrature.build_plan
 
         def recording(spec, *args, **kwargs):
-            specs.append(spec)
-            return build(spec, *args, **kwargs)
+            callers = (sys._getframe(1).f_code.co_name, sys._getframe(2).f_code.co_name)
+            plan = build(spec, *args, **kwargs)
+            builds.append((spec, callers, plan))
+            return plan
         for mod in list(sys.modules.values()):
             if getattr(mod, "__name__", "").startswith("fracvexp") and \
                     getattr(mod, "build_plan", None) is build:
                 monkeypatch.setattr(mod, "build_plan", recording)
-        return specs
+        return builds
 
     def test_one_exponent_spec_per_run(self, tmp_path, monkeypatch):
         # steps 3 and 5 can share plan rows only if every build gets equal specs
-        specs = self.record_build_specs(monkeypatch)
+        builds = self.record_builds(monkeypatch)
         assert main(["reproduce-all", "--config", str(small_config(tmp_path))]) == 0
+        specs = [spec for spec, _, _ in builds]
         assert len(specs) > 2 and all(s == specs[0] for s in specs)
 
     def test_plan_builds_per_run(self, tmp_path, monkeypatch):
         # manufacture, solve, auto-mask, strong MP (field + minimizer) and two
         # builds per operator difference: three antisymmetric checks, one probe
-        specs = self.record_build_specs(monkeypatch)
+        builds = self.record_builds(monkeypatch)
         cfg = RunConfig.load(small_config(tmp_path))
         assert cfg.section("solver")["nodes"] == 101
         assert run_reproduce_all(cfg, tmp_path / "out")["passed"]
-        assert len(specs) <= 13
+        assert len(builds) <= 13
+        # one r_eff per grid: manufacture, solve and the auto-mask read the
+        # interior-ball nodes of one grid, so they get one row set
+        shared = [plan.R for _, (caller, outer), plan in builds
+                  if caller in ("manufacture", "solve") or outer == "_auto_mask"]
+        assert len(shared) == 3 and all(R is shared[0] for R in shared)
+        # the plans stay alive in `builds`, so no two row sets share an id
+        assert len({id(plan.R) for _, _, plan in builds}) <= 11
 
     def test_summary_structure(self, tmp_path):
         cfg = small_config(tmp_path)

@@ -186,6 +186,13 @@ class TestAntisymMP:
         assert rep.witness_value < 0
         assert rep.diagnostics["gamma"] < 0.0  # reproduces the strict inequality
 
+    @pytest.mark.parametrize("radius", [float("nan"), -1.0, 0.0])
+    def test_bad_ball_radius_rejected(self, spec_model, star, qcfg, radius):
+        # Omega would be empty, and the verdict 'holds' with min_w_omega inf
+        with pytest.raises(fx.PreconditionError, match="ball_radius"):
+            mp.check_antisym_mp(spec_model, star, fx.axis_plane(1, -0.3), ball_radius=radius,
+                                m_bound=0.7, cfg=qcfg)
+
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("violated", [False, True])
     def test_gamma_is_the_pointwise_difference(self, request, dim, violated, qcfg):

@@ -116,8 +116,7 @@ class TestEvalPlapBasics:
         v = u_bump_1d.with_values(u_bump_1d.values + gap)
         x = np.array([[-0.4]])
         assert gap[np.argmin(np.abs(nodes + 0.4))] == 0.0
-        plan = build_plan(spec_1d, u_bump_1d, x, qcfg,
-                          values_bound=float(np.max(np.abs(v.values))))
+        plan = build_plan(spec_1d, u_bump_1d, x, qcfg)
         eu, _ = apply_plan(plan, u_bump_1d.values)
         ev, _ = apply_plan(plan, v.values)
         assert eu[0] >= ev[0] - 1e-9 * max(1.0, abs(eu[0]))
@@ -244,7 +243,7 @@ class TestBackends:
         n = 41 if spec.dimension == 1 else 11
         u = fx.SampledFunction.from_function(bump_profile(0.5, 0.5), 1.5, n, spec.dimension)
         idx = np.nonzero(interior_mask(u))[0]
-        plan = build_plan(spec, u, u.nodes()[idx], qcfg, values_bound=1.0)
+        plan = build_plan(spec, u, u.nodes()[idx], qcfg)
         assert np.any(plan.rho > 0.0) and plan.ext_values.size > 0
         v = u.values.copy()
         v[idx] += 0.02 * np.random.default_rng(3).standard_normal(len(idx))
@@ -423,7 +422,7 @@ class TestPlanLayout:
     def test_2d_solver_plan_is_compact(self, spec_2d, qcfg):
         u = fx.SampledFunction.from_function(bump_profile(0.5, 0.5), 1.5, 15, 2)
         pts = u.nodes()[interior_mask(u)]
-        plan = build_plan(spec_2d, u, pts, qcfg, values_bound=1.0)
+        plan = build_plan(spec_2d, u, pts, qcfg)
         full = sum(len(_uncollapsed_nodes(spec_2d, plan, x, u.extent, qcfg)[1]) for x in pts)
         assert plan.meta["nodes_uncollapsed"] == full
         assert plan.wk.size <= 0.4 * full
@@ -495,22 +494,22 @@ class TestRowMemo:
 
     def test_hit_equals_fresh_build(self, spec_1d, spec_2d, u_bump_1d, qcfg):
         u, guess, pts = self._solver_case(spec_2d)
-        cases = {name: (spec_1d, v, v, TestPlanLayout.POINTS, 0.0)
+        cases = {name: (spec_1d, v, v, TestPlanLayout.POINTS)
                  for name, v in TestPlanLayout._views(u_bump_1d).items()}
-        cases["2d"] = (spec_2d, u, guess, pts, 1.0)
-        for name, (spec, first, second, points, bound) in cases.items():
-            a = build_plan(spec, first, points, qcfg, values_bound=bound)
-            hit = build_plan(spec, second, points, qcfg, values_bound=bound)
+        cases["2d"] = (spec_2d, u, guess, pts)
+        for name, (spec, first, second, points) in cases.items():
+            a = build_plan(spec, first, points, qcfg)
+            hit = build_plan(spec, second, points, qcfg)
             assert hit.rcol is a.rcol and hit.R is a.R and hit.ext_values is a.ext_values, name
             quadrature._drop_rows()
-            fresh = build_plan(spec, second, points, qcfg, values_bound=bound)
+            fresh = build_plan(spec, second, points, qcfg)
             assert fresh.rcol is not hit.rcol and fresh.R is not hit.R, name
             assert _plan_diff(hit, fresh) == [], name
 
     def test_ratio_and_tail_are_per_call(self, spec_2d, qcfg):
         u, guess, pts = self._solver_case(spec_2d)
-        a = build_plan(spec_2d, u, pts, qcfg, values_bound=1.0)
-        b = build_plan(spec_2d, guess, pts, qcfg, values_bound=1.0)
+        a = build_plan(spec_2d, u, pts, qcfg)
+        b = build_plan(spec_2d, guess, pts, qcfg)
         assert b.wk is a.wk
         assert not np.array_equal(a.rho, b.rho) and a.tail_bound != b.tail_bound
         np.testing.assert_array_equal(b.rho, quadrature._frozen_ratio(level_sums(b, guess.values)))
@@ -524,29 +523,33 @@ class TestRowMemo:
         moved = pts.copy()
         moved[2, 0] = np.nextafter(moved[2, 0], 1.0)
         grid = dict(values=u_bump_1d.values, shape=u_bump_1d.shape, extent=u_bump_1d.extent)
+        # values beyond 1 in size widen r_eff; the rows are otherwise those of u_bump_1d
+        tall = u_bump_1d.with_values(3.0 * u_bump_1d.values)
+        assert (truncation_radius(spec_1d, tall.values, tall.extent, qcfg)
+                > truncation_radius(spec_1d, u_bump_1d.values, u_bump_1d.extent, qcfg))
         variants = {
-            "values_bound": (spec_1d, u_bump_1d, pts, qcfg, 2.0),
-            "points": (spec_1d, u_bump_1d, moved, qcfg, 0.0),
+            "r_eff": (spec_1d, tall, pts, qcfg),
+            "points": (spec_1d, u_bump_1d, moved, qcfg),
             "exterior_rule": (spec_1d, fx.SampledFunction(**grid, exterior_rule="zero_outside_box"),
-                              pts, qcfg, 0.0),
+                              pts, qcfg),
             "callable_rule": (spec_1d, fx.SampledFunction(**grid, exterior_rule=lambda p: 0.0 * p[:, 0]),
-                              pts, qcfg, 0.0),
-            "plane": (spec_1d, fx.ReflectedFunction(u_bump_1d, fx.axis_plane(1, -0.3)), pts, qcfg, 0.0),
-            "cfg": (spec_1d, u_bump_1d, pts, dataclasses.replace(qcfg, graded_levels=11), 0.0),
-            "spec": (const3_1d, u_bump_1d, pts, qcfg, 0.0),
-            "smoothness_hint": (spec_1d, fx.SampledFunction(**grid, smoothness_hint=3), pts, qcfg, 0.0),
+                              pts, qcfg),
+            "plane": (spec_1d, fx.ReflectedFunction(u_bump_1d, fx.axis_plane(1, -0.3)), pts, qcfg),
+            "cfg": (spec_1d, u_bump_1d, pts, dataclasses.replace(qcfg, graded_levels=11)),
+            "spec": (const3_1d, u_bump_1d, pts, qcfg),
+            "smoothness_hint": (spec_1d, fx.SampledFunction(**grid, smoothness_hint=3), pts, qcfg),
         }
         reflected = fx.ReflectedFunction(u_bump_1d, fx.axis_plane(1, -0.2))
-        for name, (spec, u, points, cfg, bound) in variants.items():
+        for name, (spec, u, points, cfg) in variants.items():
             base_u = reflected if name == "plane" else u_bump_1d
             base = build_plan(spec_1d, base_u, pts, qcfg)
             # equal keys hit, whether or not they are the same objects
             again = build_plan(spec_1d, base_u, pts.copy(), dataclasses.replace(qcfg))
             assert again.rcol is base.rcol and again.R is base.R, name
-            got = build_plan(spec, u, points, cfg, values_bound=bound)
+            got = build_plan(spec, u, points, cfg)
             assert got.rcol is not base.rcol, name
             quadrature._drop_rows()
-            assert _plan_diff(got, build_plan(spec, u, points, cfg, values_bound=bound)) == [], name
+            assert _plan_diff(got, build_plan(spec, u, points, cfg)) == [], name
 
     def test_rows_are_read_only(self, spec_1d, u_bump_1d, qcfg):
         plan = build_plan(spec_1d, u_bump_1d, TestPlanLayout.POINTS, qcfg)
