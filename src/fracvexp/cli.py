@@ -9,6 +9,7 @@ separate run_meta.json.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import sys
@@ -54,12 +55,26 @@ class SystemExit_Usage(Exception):
 # report plumbing
 # ---------------------------------------------------------------------------
 
-def _write_json(path: Path, payload: dict) -> None:
+def _json_value(obj):
+    """`json.dumps` hook: a report dataclass is written as the dict of its fields
+    (shallow, values as they are), a numpy scalar as its Python value; anything
+    else (a value grid, say) is refused."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, (np.bool_, np.integer, np.floating)):
+        return obj.item()
+    raise TypeError(f"cannot write a {type(obj).__name__} into a report")
+
+
+def _write_json(path: Path, payload) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    path.write_text(json.dumps(payload, sort_keys=True, indent=1, default=_json_value) + "\n")
 
 
-def _stamp(report: dict, cfg: RunConfig) -> dict:
+def _stamp(report, cfg: RunConfig) -> dict:
+    """The report (a dict, or a dataclass as its fields) with the run's stamp."""
+    if dataclasses.is_dataclass(report):
+        report = _json_value(report)
     report.setdefault("config_hash", cfg.config_hash())
     report.setdefault("seed", cfg.seed)
     report.setdefault("version", __version__)
@@ -72,8 +87,8 @@ def _write_meta(outdir: Path, argv, t0: float) -> None:
     _write_json(outdir / "run_meta.json", meta)
 
 
-def write_sweep_csv(report: dict, path: Path) -> None:
-    rows = list(zip(report.get("lambda_grid", []), report.get("min_w", [])))
+def write_sweep_csv(rep, path: Path) -> None:
+    rows = list(zip(rep.lambda_grid, rep.min_w))
     lines = ["lambda,min_w"] + [f"{l:.17g},{m:.17g}" for l, m in rows]
     path.write_text("\n".join(lines) + "\n")
 
@@ -197,7 +212,7 @@ def _load_function(path: str) -> SampledFunction:
 def _cmd_validate(args, cfg: RunConfig, outdir: Path) -> bool:
     spec = cfg.exponent_spec()
     report = validate(spec, sample_count=1000)
-    payload = _stamp(report.to_dict(), cfg)
+    payload = _stamp(report, cfg)
     payload["spec"] = {"name": spec.name, "dimension": spec.dimension,
                        "order": spec.order, "p_minus": spec.p_minus,
                        "p_plus": spec.p_plus, "m": spec.m_bound}
@@ -221,7 +236,7 @@ def _cmd_tail_check(args, cfg: RunConfig, outdir: Path) -> bool:
     x = _parse_numbers(args.at)
     radii = _parse_numbers(args.radii, "radii").tolist()
     rep = tail_integrability_check(spec, u, x, radii)
-    _write_json(outdir / "tail.json", _stamp(rep.to_dict(), cfg))
+    _write_json(outdir / "tail.json", _stamp(rep, cfg))
     return True  # inconclusive is a reported outcome, not a failure
 
 
@@ -259,7 +274,7 @@ def _cmd_check_mp(args, cfg: RunConfig, outdir: Path) -> bool:
     else:
         raise PreconditionError(f"unknown theorem {args.theorem!r}")
 
-    _write_json(outdir / name, _stamp(rep.to_dict(), cfg))
+    _write_json(outdir / name, _stamp(rep, cfg))
     return rep.verdict == HOLDS
 
 
@@ -362,8 +377,8 @@ def _cmd_sweep(args, cfg: RunConfig, outdir: Path) -> bool:
         rep = sweep(u, d, grid, tol=sw["tol"], mode=mode,
                     refine=sw["refine"], decay_tol=sw["decay_tol"],
                     radial_tol=sw["radial_tol"])
-        reports.append(rep.to_dict())
-        write_sweep_csv(rep.to_dict(), outdir / f"sweep_{k}.csv")
+        reports.append(rep)
+        write_sweep_csv(rep, outdir / f"sweep_{k}.csv")
         ok = ok and rep.symmetric_verdict and not rep.inconclusive
     payload = _stamp({"sweeps": reports, "all_symmetric": bool(ok)}, cfg)
     _write_json(outdir / (args.out or "sweep.json"), payload)
@@ -391,7 +406,7 @@ def run_reproduce_all(cfg: RunConfig, outdir: Path) -> dict:
     #    deliberately runs with s p+ > 1, see README)
     vrep = validate(spec)
     core = [c for c in vrep.checks if c.name != "sp_plus_below_dimension"]
-    _write_json(outdir / "validate.json", _stamp(vrep.to_dict(), cfg))
+    _write_json(outdir / "validate.json", _stamp(vrep, cfg))
     step("validate_exponent", all(c.ok for c in core),
          {"full_p1_p2": vrep.passed,
           "sp_plus_below_dimension": next(c.ok for c in vrep.checks
@@ -422,9 +437,9 @@ def run_reproduce_all(cfg: RunConfig, outdir: Path) -> dict:
     for k, d in enumerate(dirs):
         rep = sweep(u_hat, d, grid, tol=sw["tol"], refine=sw["refine"],
                     radial_tol=sw["radial_tol"])
-        sweeps.append(rep.to_dict())
+        sweeps.append(rep)
         if k == 0:
-            write_sweep_csv(rep.to_dict(), outdir / "sweep.csv")
+            write_sweep_csv(rep, outdir / "sweep.csv")
         sym_ok = sym_ok and rep.symmetric_verdict and rep.monotone_verdict
     _write_json(outdir / "sweep.json",
                 _stamp({"sweeps": sweeps, "all_symmetric": bool(sym_ok)}, cfg))
@@ -455,7 +470,7 @@ def run_reproduce_all(cfg: RunConfig, outdir: Path) -> dict:
     strong_ok = (mp1.verdict == HOLDS and mp1_bad.verdict == VIOLATED
                  and mp1_bad.diagnostics.get("eval_at_min", 0.0) < 0.0)
     _write_json(outdir / "mp_strong.json", _stamp(
-        {"holds_instance": mp1.to_dict(), "violated_control": mp1_bad.to_dict()}, cfg))
+        {"holds_instance": mp1, "violated_control": mp1_bad}, cfg))
     step("mp_strong", strong_ok, {"holds": mp1.verdict, "control": mp1_bad.verdict})
 
     m_wide = min(1.0 - 1e-6, float(np.max(u_star.values)) * 1.2 + 0.05)
@@ -473,14 +488,14 @@ def run_reproduce_all(cfg: RunConfig, outdir: Path) -> dict:
                   and mp2_bad.diagnostics.get("gamma", 0.0) < 0.0
                   and mp2_diag.diagnostics["min_w"] >= -tols["concl_tol"])
     _write_json(outdir / "mp_antisym.json", _stamp(
-        {"degenerate_holds": mp2.to_dict(), "manufactured_diagnostic": mp2_diag.to_dict(),
-         "violated_control": mp2_bad.to_dict()}, cfg))
+        {"degenerate_holds": mp2, "manufactured_diagnostic": mp2_diag,
+         "violated_control": mp2_bad}, cfg))
     step("mp_antisym", antisym_ok,
          {"degenerate": mp2.verdict, "diagnostic": mp2_diag.verdict,
           "control": mp2_bad.verdict})
 
     probe = _boundary_probe(spec, u_star, axis_plane(spec.dimension, -0.5), qcfg)
-    _write_json(outdir / "mp_boundary.json", _stamp(probe.to_dict(), cfg))
+    _write_json(outdir / "mp_boundary.json", _stamp(probe, cfg))
     step("boundary_probe", probe.ok, {"margin": probe.margin})
 
     passed = all(s["passed"] for s in steps)

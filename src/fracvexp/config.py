@@ -8,6 +8,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -41,12 +42,17 @@ _STR_KEYS = {"output_dir", "q_kind", "q_params"}
 
 
 def _coerce(key: str, value):
+    """A key's value as its type; a number must be finite, since a NaN or
+    infinite tolerance would turn a falsifiable check into a pass."""
     if key in _STR_KEYS:
         return str(value)
     try:
-        return int(float(value)) if key in _INT_KEYS else float(value)
+        number = float(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise PreconditionError(f"bad value {value!r} for key {key!r}") from exc
+    if not math.isfinite(number):
+        raise PreconditionError(f"bad value {value!r} for key {key!r}: not finite")
+    return int(number) if key in _INT_KEYS else number
 
 
 @dataclass

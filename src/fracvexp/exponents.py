@@ -78,25 +78,12 @@ class CheckResult:
     detail: str = ""
     witness: float | None = None
 
-    def to_dict(self):
-        d = {"name": self.name, "ok": bool(self.ok), "detail": self.detail}
-        if self.witness is not None:
-            d["witness"] = float(self.witness)
-        return d
-
 
 @dataclass(frozen=True)
 class ValidationReport:
     hypothesis: str
     passed: bool
     checks: tuple[CheckResult, ...]
-
-    def to_dict(self):
-        return {
-            "hypothesis": self.hypothesis,
-            "passed": bool(self.passed),
-            "checks": [c.to_dict() for c in self.checks],
-        }
 
 
 # ---------------------------------------------------------------------------

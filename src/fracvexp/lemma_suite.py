@@ -10,7 +10,7 @@ evidence with reported margins, never a symbolic proof.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq
@@ -141,10 +141,6 @@ class MeanValueWitness:
     c0: float
     residual: float
 
-    def to_dict(self):
-        return {"t1": self.t1, "t2": self.t2, "p": self.p, "alpha": self.alpha,
-                "c0_case": self.c0_case, "c0": self.c0, "residual": self.residual}
-
 
 def mean_value_alpha(t1: float, t2: float, p: float) -> MeanValueWitness:
     """The mean-value witness of one pair: `witness_alpha` on one sample,
@@ -167,9 +163,6 @@ class C0Check:
     margin: float
     c0: float
 
-    def to_dict(self):
-        return {"ok": bool(self.ok), "margin": self.margin, "c0": self.c0}
-
 
 def check_c0_bound(witness: MeanValueWitness, p_minus: float, p_plus: float) -> C0Check:
     """Assert |alpha|^(p-2) >= c0 max(|t1|^(p-2), |t2|^(p-2)) for the case constant."""
@@ -183,9 +176,6 @@ class KernelMonotoneResult:
     ok: bool
     kappa: float
     boundary: bool
-
-    def to_dict(self):
-        return {"ok": bool(self.ok), "kappa": self.kappa, "boundary": bool(self.boundary)}
 
 
 def check_kernel_monotone(spec: ExponentSpec, plane: PlaneGeometry,
@@ -213,11 +203,6 @@ class InfimumReport:
     far_field_ratio: float
     positive: bool
     samples: int
-
-    def to_dict(self):
-        return {"infimum": self.infimum, "argmin": list(self.argmin),
-                "far_field_ratio": self.far_field_ratio,
-                "positive": bool(self.positive), "samples": self.samples}
 
 
 def check_cx_positive(spec: ExponentSpec, x, samples: int = 2000,
@@ -286,12 +271,6 @@ class SuiteReport:
     max_residual: float
     seed: int
     detail: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return {"name": self.name, "passed": bool(self.passed), "count": self.count,
-                "failures": int(self.failures), "min_margin": self.min_margin,
-                "max_residual": self.max_residual, "seed": self.seed,
-                "detail": self.detail}
 
 
 def _brentq_alpha(t1: float, t2: float, p: float) -> float:
@@ -429,6 +408,6 @@ def certify_lemmas(spec: ExponentSpec, seed: int = 0,
     return {
         "passed": bool(passed),
         "seed": seed,
-        "suites": [mv.to_dict(), km.to_dict(), gp.to_dict()],
-        "cx_infimum": cx.to_dict(),
+        "suites": [asdict(mv), asdict(km), asdict(gp)],
+        "cx_infimum": asdict(cx),
     }

@@ -56,14 +56,6 @@ class MPReport:
         if (self.witness_point is not None) != (self.verdict == VIOLATED):
             raise PreconditionError("witness present iff verdict is 'violated'")
 
-    def to_dict(self):
-        return {
-            "verdict": self.verdict,
-            "witness_point": None if self.witness_point is None else list(self.witness_point),
-            "witness_value": self.witness_value,
-            "diagnostics": self.diagnostics,
-        }
-
 
 def w_lambda(u: SampledFunction, plane: PlaneGeometry, x) -> float:
     """Antisymmetric comparison field w(x) = u(reflect(x)) - u(x)."""
@@ -283,12 +275,6 @@ class ProbeReport:
     ok: bool
     verdict: str
     diagnostics: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return {"deltas": list(self.deltas), "ratios": list(self.ratios),
-                "window_max": self.window_max, "margin": self.margin,
-                "ok": bool(self.ok), "verdict": self.verdict,
-                "diagnostics": self.diagnostics}
 
 
 def boundary_estimate_probe(spec: ExponentSpec, u: SampledFunction,

@@ -44,21 +44,6 @@ class SweepReport:
     decay_ok: bool | None = None
     inconclusive: bool = False
 
-    def to_dict(self):
-        return {
-            "direction": list(self.direction),
-            "lambda_grid": list(self.lambda_grid),
-            "min_w": list(self.min_w),
-            "lambda0_estimate": self.lambda0_estimate,
-            "symmetric_verdict": bool(self.symmetric_verdict),
-            "monotone_verdict": bool(self.monotone_verdict),
-            "mode": self.mode,
-            "tol": self.tol,
-            "tol_lambda": self.tol_lambda,
-            "decay_ok": self.decay_ok,
-            "inconclusive": bool(self.inconclusive),
-        }
-
 
 def _plane_minima(u: SampledFunction, e: np.ndarray, offsets: np.ndarray,
                   nodes, coord, ball_mask) -> np.ndarray:
@@ -170,13 +155,6 @@ class RadialCheck:
     worst_pair: tuple | None
     tol: float
 
-    def to_dict(self):
-        return {"passed": bool(self.passed), "max_violation": self.max_violation,
-                "shell_spread": self.shell_spread,
-                "worst_pair": None if self.worst_pair is None else
-                [list(self.worst_pair[0]), list(self.worst_pair[1])],
-                "tol": self.tol}
-
 
 def radial_profile_check(u: SampledFunction, center, tol: float) -> RadialCheck:
     """Monotone decrease along radii from `center` plus equal-radius
@@ -223,11 +201,6 @@ class LinearizationProbe:
     u_reflected: float
     residual: float
 
-    def to_dict(self):
-        return {"x": list(self.x), "xi": self.xi, "coefficient": self.coefficient,
-                "q": self.q, "u_value": self.u_value,
-                "u_reflected": self.u_reflected, "residual": self.residual}
-
 
 def linearization_probe(u: SampledFunction, plane: PlaneGeometry,
                         q_function, x) -> LinearizationProbe:
@@ -261,10 +234,6 @@ class WidthProbe:
     ratio: float
     delta: float
     c0: float
-
-    def to_dict(self):
-        return {"integral": self.integral, "rhs_scale": self.rhs_scale,
-                "ratio": self.ratio, "delta": self.delta, "c0": self.c0}
 
 
 def width_estimate_probe(spec: ExponentSpec, u: SampledFunction,

@@ -74,17 +74,6 @@ class TailReport:
     i2: float                 # portion with |x-y| >= 1
     tolerance: float
 
-    def to_dict(self):
-        return {
-            "radii": list(self.radii),
-            "integrals": list(self.integrals),
-            "increments": list(self.increments),
-            "verdict": self.verdict,
-            "i1": self.i1,
-            "i2": self.i2,
-            "tolerance": self.tolerance,
-        }
-
 
 def tail_integrability_check(spec: ExponentSpec, u, x, radii,
                              increment_tolerance: float = 1e-6,

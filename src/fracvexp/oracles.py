@@ -41,14 +41,6 @@ class OracleResult:
     tail: float
     contraction: float       # estimated geometric ratio of ladder differences
 
-    def to_dict(self):
-        return {
-            "value": self.value,
-            "ladder": [[e, s] for e, s in self.ladder],
-            "i1": self.i1, "i2": self.i2, "tail": self.tail,
-            "contraction": self.contraction,
-        }
-
 
 def _support_radius(u: SampledFunction, x: np.ndarray) -> float:
     if u.exterior_rule == ZERO_BALL:

@@ -88,7 +88,7 @@ class QuadratureConfig:
     graded_levels    : dyadic refinement levels toward the singularity
     nodes_per_level  : Gauss nodes per radial interval
     angular_nodes    : equispaced angles in 2-d (even: antipodal pairing)
-    tail_radius      : requested outer truncation radius R
+    tail_radius      : floor on the outer truncation radius r_eff
     tail_tolerance   : absolute bound allowed for the discarded tail
     """
 
@@ -106,13 +106,9 @@ class QuadratureConfig:
             raise PreconditionError("graded_levels and nodes_per_level must be >= 1")
         if self.angular_nodes < 4 or self.angular_nodes % 2:
             raise PreconditionError("angular_nodes must be even and >= 4")
-        if self.tail_tolerance <= 0.0:
-            raise PreconditionError("tail_tolerance must be positive")
-
-    def validate_for_extent(self, extent: float) -> None:
-        if self.tail_radius <= max(1.0, 2.0 * extent):
-            raise PreconditionError(
-                f"tail_radius must exceed max(1, 2L) = {max(1.0, 2.0 * extent)}")
+        for name in ("tail_radius", "tail_tolerance"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise PreconditionError(f"{name} must be finite and positive")
 
 
 @dataclass
@@ -309,7 +305,6 @@ def build_plan(spec: ExponentSpec, u, points, cfg: QuadratureConfig) -> EvalPlan
     if grid.dim != spec.dimension:
         raise PreconditionError(
             f"grid dimension {grid.dim} does not match spec dimension {spec.dimension}")
-    cfg.validate_for_extent(grid.extent)
 
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != grid.dim:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -6,8 +7,14 @@ import numpy as np
 import pytest
 
 import fracvexp as fx
-from fracvexp.cli import main, run_reproduce_all
+from fracvexp.ball_solver import bump_profile
+from fracvexp.cli import _write_json, main, run_reproduce_all
 from fracvexp.config import RunConfig
+from fracvexp.exponents import CheckResult, ValidationReport
+from fracvexp.lemma_suite import InfimumReport, SuiteReport
+from fracvexp.max_principles import MPReport, ProbeReport
+from fracvexp.moving_planes import SweepReport
+from fracvexp.nonlocal_operator import TailReport
 
 
 def make_bump_csv(tmp_path: Path, name="u.csv", n=101, power=2.0, dim=1) -> Path:
@@ -86,6 +93,13 @@ class TestConfig:
         ("bad.ini", "nodes = 101\n"),  # no section header
         ("bad.json", '{"solver": {"nodes": 101'),  # truncated
         ("bad.json", '{"solver": 5}'),
+        # a number must be finite: NaN tolerances turned the 1-d n=101
+        # 'inconclusive' strong MP into 'holds'
+        ("nan.ini", "[mp]\nhyp_tol = nan\nconcl_tol = nan\n"),
+        ("inf.ini", "[quadrature]\ntail_tolerance = inf\n"),
+        ("nan.json", '{"quadrature": {"tail_radius": NaN}}'),
+        ("inf.json", '{"sweep": {"tol": -Infinity}}'),
+        ("inf.json", '{"solver": {"nodes": Infinity}}'),
     ])
     def test_malformed_file_is_precondition(self, tmp_path, name, text):
         p = tmp_path / name
@@ -93,6 +107,16 @@ class TestConfig:
         with pytest.raises(fx.PreconditionError):
             RunConfig.load(p)
         assert main(["validate-exponent", "--config", str(p)]) == 3
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("mp", "hyp_tol", float("nan")), ("mp", "concl_tol", "inf"),
+        ("quadrature", "tail_radius", "nan"), ("run", "seed", float("-inf"))])
+    def test_non_finite_override_is_precondition(self, section, key, value):
+        cfg = RunConfig.load(None)
+        before = cfg.section(section)[key]
+        with pytest.raises(fx.PreconditionError, match="bad value"):
+            cfg.override(section, key, value)
+        assert cfg.section(section)[key] == before
 
 
 class TestExitCodes:
@@ -243,6 +267,14 @@ class TestEval:
         rep = json.loads((tmp_path / "out" / "eval.json").read_text())
         assert rep["value"] > 0.0  # operator is positive at the bump peak
         assert "config_hash" in rep and rep["seed"] == 7
+
+    def test_uncertified_tail_is_numeric_error(self, tmp_path):
+        # an exterior value of 3 needs tail_radius >= 2.3e7 (TestTailCertificate)
+        u = fx.SampledFunction.from_function(bump_profile(0.5, 0.5), 1.5, 101, 1,
+                                             exterior_rule="constant:3.0")
+        u.save(tmp_path / "u.csv")
+        assert main(["eval", "--input", str(tmp_path / "u.csv"), "--at", "0.3",
+                     "--output-dir", str(tmp_path / "out")]) == 4
 
 
 class TestTailCheck:
@@ -413,3 +445,64 @@ class TestReproduceAll:
                          "mp_antisym", "boundary_probe"]
         assert summary["passed"]
         assert summary["config_hash"] == RunConfig.load(small_config(tmp_path)).config_hash()
+
+
+class TestReports:
+    STAMP = {"config_hash", "seed", "version"}
+
+    @staticmethod
+    def fields(report_type) -> set:
+        return {f.name for f in dataclasses.fields(report_type)}
+
+    def test_json_keys_are_field_names(self, tmp_path):
+        # a report's JSON object is its dataclass's fields (SolveReport, the
+        # one exception, is checked in TestSolveCommand)
+        cfg = small_config(tmp_path)
+        assert main(["reproduce-all", "--config", str(cfg)]) == 0
+        out = tmp_path / "out"
+
+        def load(name):
+            return json.loads((out / name).read_text())
+
+        rep = load("validate.json")
+        assert set(rep) == self.fields(ValidationReport) | self.STAMP
+        assert all(set(c) == self.fields(CheckResult) for c in rep["checks"])
+        rep = load("lemmas.json")
+        assert set(rep) == {"passed", "seed", "suites", "cx_infimum"} | self.STAMP
+        assert all(set(s) == self.fields(SuiteReport) for s in rep["suites"])
+        assert set(rep["cx_infimum"]) == self.fields(InfimumReport)
+        rep = load("sweep.json")
+        assert all(set(s) == self.fields(SweepReport) for s in rep["sweeps"])
+        for name, count in (("mp_strong.json", 2), ("mp_antisym.json", 3)):
+            rep = load(name)
+            checks = [v for k, v in rep.items() if k not in self.STAMP]
+            assert len(checks) == count
+            assert all(set(c) == self.fields(MPReport) for c in checks)
+        assert set(load("mp_boundary.json")) == self.fields(ProbeReport) | self.STAMP
+
+        u = make_bump_csv(tmp_path)
+        assert main(["tail-check", "--config", str(cfg), "--input", str(u), "--at", "0.2"]) == 0
+        assert set(load("tail.json")) == self.fields(TailReport) | self.STAMP
+        for theorem, extra, report_type in (("3.1", ["--auto-mask"], MPReport),
+                                            ("3.2", ["--plane", "1,-0.3"], MPReport),
+                                            ("3.5", ["--plane", "1,-0.5"], ProbeReport)):
+            assert main(["check-mp", "--config", str(cfg), "--theorem", theorem,
+                         "--input", str(u), *extra]) in (0, 2)
+            rep = load(f"mp_{theorem.replace('.', '_')}.json")
+            assert set(rep) == self.fields(report_type) | self.STAMP
+
+    def test_numpy_scalars_written_as_python_values(self, tmp_path):
+        python = {"b": [True, False], "i": [3, -7], "f": [0.5, 0.1]}
+        numpy = {"b": [np.bool_(True), np.bool_(False)], "i": [np.int64(3), np.int32(-7)],
+                 "f": [np.float32(0.5), np.float64(0.1)]}
+        _write_json(tmp_path / "python.json", python)
+        _write_json(tmp_path / "numpy.json", numpy)
+        assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "python.json").read_bytes()
+
+    def test_other_objects_are_refused(self, tmp_path):
+        # a value grid must never land in a report
+        u = fx.SampledFunction.load(make_bump_csv(tmp_path))
+        for value in (u.values, object(), {1.0, 2.0}):
+            with pytest.raises(TypeError):
+                _write_json(tmp_path / "bad.json", {"values": value})
+        assert not (tmp_path / "bad.json").exists()

@@ -13,7 +13,7 @@ class TestValidateP1:
     def test_example_i_passes(self):
         spec = fx.make_spec("example_i", dimension=2, order=0.4, m=0.5)
         rep = fx.validate_p1(spec)
-        assert rep.passed, [c.to_dict() for c in rep.checks]
+        assert rep.passed, rep.checks
         # 1 - 1/ln(0.5) ~ 2.4427 > 2, so the codomain condition holds
         assert spec.p_minus == pytest.approx(2.442695040888963, abs=1e-12)
 

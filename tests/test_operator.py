@@ -101,11 +101,22 @@ class TestEvalPlapBasics:
         with pytest.raises(fx.PreconditionError):
             fx.eval_plap(spec_2d, u_bump_1d, [0.1], qcfg)
 
-    def test_tail_radius_invariant(self, spec_1d, qcfg):
+    def test_extent_beyond_tail_radius(self, spec_1d, qcfg):
+        # tail_radius is only a floor on r_eff, which is at least the box
+        # diameter 2L = 6: the default 4.0 and 6.5 give one plan
         u = fx.SampledFunction.from_function(
             lambda p: np.maximum(0.0, 1.0 - np.abs(p[:, 0])), extent=3.0, n=201, dim=1)
-        with pytest.raises(fx.PreconditionError):
-            fx.eval_plap(spec_1d, u, [0.0], fx.QuadratureConfig(tail_radius=4.0))
+        value = fx.eval_plap(spec_1d, u, [0.0], qcfg)
+        assert np.isfinite(value)
+        assert value == fx.eval_plap(spec_1d, u, [0.0], fx.QuadratureConfig(tail_radius=6.5))
+
+    @pytest.mark.parametrize("key", ["tail_radius", "tail_tolerance"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_tail_settings_finite_and_positive(self, key, value):
+        # a NaN tail_radius made r_eff NaN; a NaN or infinite tolerance
+        # certified any discarded tail
+        with pytest.raises(fx.PreconditionError, match=key):
+            fx.QuadratureConfig(**{key: value})
 
     def test_monotone_comparison_shared_nodes(self, spec_1d, u_bump_1d, qcfg):
         # v >= u nodewise with equality at the evaluation node; identical
@@ -429,6 +440,19 @@ class TestPlanLayout:
 
 
 class TestTailCertificate:
+    def test_failure_names_the_radius(self, spec_model, qcfg):
+        # an exterior value of 3 makes the far tail too large for r_eff; the
+        # error names the radius that certifies it, and that radius evaluates
+        def bump(rule):
+            return fx.SampledFunction.from_function(bump_profile(0.5, 0.5), 1.5, 101, 1,
+                                                    exterior_rule=rule)
+        with pytest.raises(fx.TailError, match=r"use tail_radius >= 2\.31643e\+07"):
+            fx.eval_plap(spec_model, bump("constant:3.0"), [0.3], qcfg)
+        value = fx.eval_plap(spec_model, bump("constant:3.0"), [0.3],
+                             fx.QuadratureConfig(tail_radius=2.32e7))
+        assert value == pytest.approx(-4.2004, abs=1e-4)
+        assert np.isfinite(fx.eval_plap(spec_model, bump("constant:2.0"), [0.3], qcfg))
+
     def test_r_eff_covers_box_diameter(self, spec_2d):
         # a loose tolerance alone would stop the far ray from the corner inside
         # the box, where u reads 0.1 rather than the exterior rule's 0.0
