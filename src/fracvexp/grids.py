@@ -169,6 +169,9 @@ class SampledFunction:
 
         Returns (idx, coef) with shapes (m, S): flat node indices and
         Lagrange coefficients; points are clamped to valid stencil range.
+        In 2-d the tensor products are formed stencil-major, as (S, m)
+        arrays whose inner loops run over the points, and handed back as
+        contiguous transposes.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if self.dim == 1:
@@ -178,13 +181,13 @@ class SampledFunction:
         i0x, wx = self._axis_stencil(pts[:, 0])
         i0y, wy = self._axis_stencil(pts[:, 1])
         s = wx.shape[-1]
-        offs = np.arange(s)
-        ix = (i0x[:, None] + offs[None, :])  # (m, s)
-        iy = (i0y[:, None] + offs[None, :])
+        offs = np.arange(s)[:, None]
+        ix, iy = i0x[None, :] + offs, i0y[None, :] + offs  # (s, m)
+        wx, wy = wx.T, wy.T
         ny = self.shape[1]
-        idx = (ix[:, :, None] * ny + iy[:, None, :]).reshape(len(pts), s * s)
-        coef = (wx[:, :, None] * wy[:, None, :]).reshape(len(pts), s * s)
-        return idx, coef
+        idx = (ix[:, None, :] * ny + iy[None, :, :]).reshape(s * s, len(pts))
+        coef = (wx[:, None, :] * wy[None, :, :]).reshape(s * s, len(pts))
+        return np.ascontiguousarray(idx.T), np.ascontiguousarray(coef.T)
 
     @property
     def exterior_fn(self):
@@ -193,10 +196,19 @@ class SampledFunction:
         rule = self.exterior_rule
         if callable(rule):
             return rule
-        if isinstance(rule, str) and rule.startswith(CONSTANT_PREFIX):
-            v = float(rule[len(CONSTANT_PREFIX):])
+        if rule.startswith(CONSTANT_PREFIX):
+            v = self.exterior_value
             return lambda pts: np.full(len(np.atleast_2d(pts)), v)
         return None
+
+    @property
+    def exterior_value(self):
+        """The one value u takes outside the grid box under a named rule
+        (0 under the zero rules); None under a callable rule."""
+        rule = self.exterior_rule
+        if callable(rule):
+            return None
+        return float(rule[len(CONSTANT_PREFIX):]) if rule.startswith(CONSTANT_PREFIX) else 0.0
 
     def linear_form(self, pts):
         """u at `pts` as stencils into the node values or an exterior value.

@@ -10,7 +10,8 @@ A plan freezes, per evaluation point, every quadrature node's kernel
 weight, exponent, and stencil into flat arrays; applying a plan to a value
 vector is then one sparse product, a power and a reduce
 (`_backend.apply_plan`).  Where u comes from at a point (interpolant,
-exterior rule, mirrored view) is decided by `u.linear_form` alone.
+exterior rule, mirrored view) is decided by `u.linear_form` alone, but for
+the far nodes below, which take the exterior rule's one value.
 
 Every stencil indexes the extended value vector [u.values, plan.ext_values]:
 slot k past the grid nodes holds the k-th distinct exterior value, in order
@@ -33,6 +34,18 @@ each block's dense stencils into its part of `R`, so the plan never holds a
 dense (rows, stencil) array.  Exterior keys there also carry the point, and
 a stable sort by point puts each point's rows in the order above, so every
 row and weight sum is the one a point built alone gets.
+
+Only near nodes reach `u.linear_form`.  A node at radius r > r_far =
+max |x'| + sqrt(N) L (x' the point the grid reads: its mirror image under a
+view) lies outside the box in every direction, so under a named exterior
+rule it reads that rule's one value (`_far_field`); at the default
+tolerance about 60% of the nodes are far.  Far rows come from the template:
+once per pairing radius its far nodes are grouped by (p - 2, level tag), and
+each point gets one pseudo-row per group, keyed after its near exterior
+nodes, so a far key equal to a near key merges into that row.  One
+`np.bincount` over the near exterior nodes and then every far node adds
+each merged weight node by node in enumeration order, as if every node had
+been keyed.  A callable rule has no far radii.
 
 The rows do not read the node values, only where the values come from, so
 one point set's rows serve every value vector.  `r_eff` is sized for
@@ -271,17 +284,39 @@ def paired_nodes(x: np.ndarray, extent: float, r_eff: float, cfg: QuadratureConf
     N = np.shape(x)[-1]
     delta = float(np.min(_pairing_radius(x, extent, cfg)))
     rs, wr = radial_rule(delta, r_eff, cfg)
-    pos = (np.reshape(x, (-1, 1, 1, N)) + rs[:, None, None] * dirs[None, :, :]).reshape(-1, N)
     w_node = ((wr * rs ** (N - 1))[:, None] * aw[None, :]).ravel()
-    return rs, pos, w_node
+    return rs, _node_positions(x, rs, dirs), w_node
+
+
+def _node_positions(x: np.ndarray, rs: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """x + r d for every point of `x`, radius of `rs` and direction, in node order."""
+    N = np.shape(x)[-1]
+    return (np.reshape(x, (-1, 1, 1, N)) + rs[:, None, None] * dirs[None, :, :]).reshape(-1, N)
+
+
+def _far_field(u, pts: np.ndarray):
+    """(r_far, c): every node x + r d around a point of `pts` with r > r_far reads c.
+
+    The grid reads u at x' + r d', x' the point itself or its mirror image
+    under a view, so r > max |x'| + sqrt(N) L puts the node outside the box
+    [-L, L]^N in every direction, where a named exterior rule has one value
+    c.  A callable rule's value varies per node: (inf, 0.0).  The relative
+    headroom of 1e-9 absorbs the rounding of the node positions.
+    """
+    grid, x = (u.base, u.plane.reflect(pts)) if isinstance(u, ReflectedFunction) else (u, pts)
+    c = grid.exterior_value
+    if c is None:
+        return np.inf, 0.0
+    r = float(np.max(np.linalg.norm(x, axis=1), initial=0.0))
+    return (r + np.sqrt(grid.dim) * grid.extent) * (1.0 + 1e-9), c
 
 
 def build_plan(spec: ExponentSpec, u, points, cfg: QuadratureConfig) -> EvalPlan:
     """Assemble the quadrature plan for `points` (each strictly inside the box).
 
     `u` may be a SampledFunction or a ReflectedFunction view; its
-    `linear_form` gives every node row and center, so the view needs no
-    resampling.  `r_eff` is sized for |u| <= max(max|values|, 1), so the plan
+    `linear_form` gives every near node's row and every center, so the view
+    needs no resampling.  `r_eff` is sized for |u| <= max(max|values|, 1), so the plan
     stays valid on other value vectors in that range (solver iterates), and a
     grid's plans share it.  An empty point set gives an empty plan.
 
@@ -369,6 +404,7 @@ def _plan_rows(spec: ExponentSpec, u, grid: SampledFunction, pts: np.ndarray,
     ccoef = np.zeros(cidx.shape)
     cidx[c_interp], ccoef[c_interp] = c_idx, c_coef
 
+    r_far, c_far = _far_field(u, pts)
     blocks, n_uncollapsed = [], 0
     starts = np.flatnonzero(np.diff(_pairing_radius(pts, grid.extent, cfg), prepend=np.nan))
     for a, b in zip(starts, [*starts[1:], len(pts)]):  # runs of points with one delta
@@ -380,14 +416,31 @@ def _plan_rows(spec: ExponentSpec, u, grid: SampledFunction, pts: np.ndarray,
         wk_t = w_node * np.repeat(rs ** (-(N + s * q_r)), n_dirs)
         pm2_t, tag_t = np.repeat(q_r - 2.0, n_dirs), np.repeat(tag_r, n_dirs)
         m, per = len(wk_t), max(1, PLAN_BLOCK // len(wk_t))
+        # the radii ascend, so a point's near nodes are the first m_near of its
+        # template; its far nodes all read c_far and fall into one group per
+        # (p - 2, level tag), each led by its first node
+        k_near = int(np.count_nonzero(rs <= r_far))
+        m_near = k_near * n_dirs
+        f_first, f_group = _first_use_groups(pm2_t[m_near:], tag_t[m_near:])
         for lo in range(a, b, per):
             hi = min(lo + per, b)
-            pos = paired_nodes(pts[lo:hi], grid.extent, r_eff, cfg, dirs, aw)[1]
+            pos = _node_positions(pts[lo:hi], rs[:k_near], dirs)
             interp, idx_n, coef_n, ext_n = u.linear_form(pos)
-            inner, out = np.nonzero(interp)[0], np.nonzero(~interp)[0]
-            first, group = _first_use_groups(pm2_t[out % m], ext_n[out], tag_t[out % m], out // m)
+            at = np.arange(hi - lo)[:, None] * m  # each point's first node in the block
+            near = (at + np.arange(m_near)).ravel()
+            inner, out = near[interp], near[~interp]
+            # near exterior nodes, then one pseudo-row per point and far group
+            keyed = np.concatenate([out, (at + (m_near + f_first)).ravel()])
+            ext_k = np.concatenate([ext_n[~interp], np.full(len(keyed) - len(out), c_far)])
+            first, group = _first_use_groups(pm2_t[keyed % m], ext_k, tag_t[keyed % m], keyed // m)
+            # every far node joins its pseudo-row's group after all near nodes, so
+            # each merged weight adds its nodes in enumeration order
+            g_far = group[len(out):].reshape(hi - lo, -1)[:, f_group].ravel()
+            wk_ext = np.bincount(np.concatenate([group[:len(out)], g_far]),
+                                 np.concatenate([wk_t[out % m], np.tile(wk_t[m_near:], hi - lo)]),
+                                 len(first))
             # each point's interior rows in enumeration order, then its merged exterior rows
-            node = np.concatenate([inner, out[first]])
+            node = np.concatenate([inner, keyed[first]])
             order = np.argsort(node // m, kind="stable")
             ext_row = order >= len(inner)
             # dense stencils of this block only; an exterior row is (1, 0, ...), its
@@ -396,12 +449,13 @@ def _plan_rows(spec: ExponentSpec, u, grid: SampledFunction, pts: np.ndarray,
             coef_b = np.zeros(col_b.shape)
             col_b[~ext_row], coef_b[~ext_row], coef_b[ext_row, 0] = idx_n, coef_n, 1.0
             keep = coef_b != 0.0
-            wk_b = np.concatenate([wk_t[inner % m], np.bincount(group, wk_t[out % m], len(first))])
+            wk_b = np.concatenate([wk_t[inner % m], wk_ext])
             row_t = node[order] % m
+            ext_v = ext_k[first][order[ext_row] - len(inner)]  # exterior rows' values, row order
             blocks.append((col_b[keep], coef_b[keep], keep.sum(axis=1), coef_b.sum(axis=1),
-                           ext_row, ext_n[out[first]], wk_b[order], pm2_t[row_t], tag_t[row_t],
+                           ext_row, ext_v, wk_b[order], pm2_t[row_t], tag_t[row_t],
                            np.bincount(node // m, minlength=hi - lo)))
-            n_uncollapsed += len(pos)
+            n_uncollapsed += (hi - lo) * m
 
     # a zero-row block first, so that an empty point set gives an empty plan
     empty = (np.zeros(0, dtype=np.int32), c_ext[:0], np.zeros(0, dtype=np.int64), c_ext[:0],

@@ -314,6 +314,17 @@ class TestCheckMP:
                      "--input", str(u), "--plane", "1,0"])
         assert code == 0
 
+    @pytest.mark.parametrize("amplitude, codes", [(0.45, (0, 2)), (0.5, (3,))])
+    def test_theorem_32_on_a_solved_u(self, tmp_path, amplitude, codes):
+        # README's sequence: solve writes out/u.csv, check-mp reads it.  The
+        # solution peaks at the amplitude, so only an amplitude below m = 0.5
+        # gives an input Theorem 3.2 accepts; its verdict may read inconclusive
+        cfg = small_config(tmp_path, **{"solver.amplitude": amplitude})
+        assert main(["solve", "--config", str(cfg), "--mode", "manufactured",
+                     "--out", "u.csv"]) == 0
+        assert main(["check-mp", "--config", str(cfg), "--theorem", "3.2",
+                     "--input", str(tmp_path / "out" / "u.csv"), "--plane", "1,-0.5"]) in codes
+
     def test_theorem_35_probe(self, tmp_path):
         # the Hopf-type sign shows on the natural boundary profile (1-x^2)^s
         cfg = small_config(tmp_path)

@@ -423,12 +423,44 @@ class TestPlanLayout:
         cases["2d"] = (spec_2d, u2, u2.nodes()[interior_mask(u2)])
         for name, (spec, u, pts) in cases.items():
             want = build_plan(spec, u, pts, qcfg)
-            for block in (1, 2 ** 40):  # one point per block; each run in one block
+            m = want.meta["nodes_uncollapsed"] // want.n_points  # about one point's template
+            # one point per block, also below one template (a block then holds one
+            # point's near nodes and its far pseudo-rows); several points; each run
+            for block in (1, m - 1, 3 * m + 1, 2 ** 40):
                 monkeypatch.setattr(quadrature, "PLAN_BLOCK", block)
                 quadrature._drop_rows()  # the same key: rebuild, do not reuse want's rows
                 got = build_plan(spec, u, pts, qcfg)
                 monkeypatch.undo()
                 assert _plan_diff(got, want) == [], (name, block)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_far_nodes_read_the_exterior_value(self, dim, request, qcfg):
+        # the row build skips linear_form past r_far; there it must give no
+        # stencil and the rule's one value, for every point and direction
+        spec = request.getfixturevalue(f"spec_{dim}d")
+        u = fx.SampledFunction.from_function(bump_profile(0.5, 0.5), 1.5, 9 if dim == 2 else 101,
+                                             dim)
+        box = fx.SampledFunction(u.values, u.shape, u.extent, exterior_rule="zero_outside_box")
+        const = fx.SampledFunction(u.values + 0.3, u.shape, u.extent,
+                                   exterior_rule="constant:0.3")
+        pts = u.nodes()[u.inside_box(u.nodes(), strict=True)]  # out to the box's edge
+        dirs, aw = directions(dim, qcfg.angular_nodes)
+        r_eff = truncation_radius(spec, u.values, u.extent, qcfg)
+        views = {"zero_outside_ball": (u, 0.0), "constant": (const, 0.3),
+                 "zero_outside_box at +0.5": (fx.ReflectedFunction(box, fx.axis_plane(dim, 0.5)),
+                                              0.0)}
+        for name, (v, c) in views.items():
+            r_far, c_far = quadrature._far_field(v, pts)
+            assert c_far == c, name
+            pos = []
+            for x in pts:
+                rs, p, _ = paired_nodes(x, u.extent, r_eff, qcfg, dirs, aw)
+                pos.append(p[np.repeat(rs > r_far, len(dirs))])
+            pos = np.concatenate(pos)
+            assert len(pos) > 0.4 * len(pts) * len(rs) * len(dirs), name  # most nodes are far
+            interp, idx, _, ext = v.linear_form(pos)
+            assert not interp.any() and len(idx) == 0, name
+            np.testing.assert_array_equal(ext, c, err_msg=name)
 
     def test_2d_solver_plan_is_compact(self, spec_2d, qcfg):
         u = fx.SampledFunction.from_function(bump_profile(0.5, 0.5), 1.5, 15, 2)

@@ -1,0 +1,104 @@
+"""Golden digests of whole quadrature plans.
+
+Each case builds a plan and hashes every array of the `EvalPlan` (dtype,
+shape and bytes) together with `sums.field(rho)`, the field the plan hands
+back.  The digests were recorded from the row build at commit 5ea8f68,
+before far nodes (those past every point's box diameter) stopped going
+through `linear_form` and the exterior-row sort; they pin that the split
+changes no byte of any plan.  The cases cover the default exponent in 1-d
+and 2-d, every exterior rule (a callable one has no far radii), mirrored
+views whose reflections leave the box, and constant exponents, where near
+and far exterior nodes share a merge key.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+import fracvexp as fx
+from fracvexp.ball_solver import bump_profile, interior_mask
+from fracvexp.quadrature import build_plan
+
+ARRAYS = ("ptr", "rptr", "rcol", "rval", "csum", "wk", "pm2", "level_tag", "cidx", "ccoef",
+          "rho", "ext_values")
+
+
+def _grid(n, dim, rule="zero_outside_ball", shift=0.0):
+    u = fx.SampledFunction.from_function(bump_profile(0.5, 0.5), 1.5, n, dim)
+    if rule == "zero_outside_ball":
+        return u
+    return fx.SampledFunction(u.values + shift, u.shape, u.extent, exterior_rule=rule)
+
+
+def _ball(u):
+    return u.nodes()[interior_mask(u)]
+
+
+def _case(name):
+    ii1 = fx.make_spec("example_ii", dimension=1, order=0.5, m=0.5)
+    ii2 = fx.make_spec("example_ii", dimension=2, order=0.5, m=0.5)
+    u1, u15 = _grid(101, 1), _grid(15, 2)
+    ball1, ball15 = _ball(u1), _ball(u15)
+    box1 = u1.nodes()[np.abs(u1.nodes()[:, 0]) < 1.4]
+    cases = {
+        "1d_n101": lambda: (ii1, u1, ball1),
+        "2d_n15": lambda: (ii2, u15, ball15),
+        "2d_n41_subset": lambda: (ii2, _grid(41, 2), _ball(_grid(41, 2))[::4]),
+        "1d_constant_0.3": lambda: (ii1, _grid(101, 1, "constant:0.3", 0.3), box1),
+        "1d_constant_0.2": lambda: (ii1, _grid(101, 1, "constant:0.2", 0.2), box1),
+        "1d_zero_outside_box": lambda: (ii1, _grid(101, 1, "zero_outside_box"), box1),
+        "1d_callable": lambda: (ii1, _grid(101, 1, lambda p: 0.05 * np.cos(3.0 * p[:, 0])),
+                                box1),
+        "2d_constant_0.2": lambda: (ii2, _grid(15, 2, "constant:0.2", 0.2), ball15),
+        "1d_view_-0.5": lambda: (ii1, fx.ReflectedFunction(u1, fx.axis_plane(1, -0.5)), box1),
+        "1d_view_+0.5": lambda: (ii1, fx.ReflectedFunction(
+            _grid(101, 1, "zero_outside_box"), fx.axis_plane(1, 0.5)), box1),
+        "2d_view_-0.5": lambda: (ii2, fx.ReflectedFunction(u15, fx.axis_plane(2, -0.5)), ball15),
+        "2d_view_+0.5": lambda: (ii2, fx.ReflectedFunction(
+            _grid(15, 2, "constant:0.2", 0.2), fx.axis_plane(2, 0.5)), ball15),
+        "1d_constant_p2": lambda: (fx.make_spec("constant", 1, 0.3, 0.5, value=2.0), u1, ball1),
+        "1d_constant_p2.5": lambda: (fx.make_spec("constant", 1, 0.3, 0.5, value=2.5),
+                                     _grid(101, 1, "constant:0.2", 0.2), box1),
+        "2d_constant_p2.5": lambda: (fx.make_spec("constant", 2, 0.5, 0.5, value=2.5),
+                                     _grid(15, 2, "zero_outside_box"), ball15),
+        "1d_example_i": lambda: (fx.make_spec("example_i", 1, 0.5, 0.5), u1, ball1),
+        "1d_table": lambda: (fx.make_spec("table", 1, 0.3, 0.5,
+                                          table=((0.0, 1.0, 10.0), (2.5, 2.8, 3.0))), u1, ball1),
+    }
+    return cases[name]()
+
+
+def plan_digest(spec, u, pts) -> str:
+    plan = build_plan(spec, u, pts, fx.QuadratureConfig())
+    h = hashlib.sha256()
+    for a in [getattr(plan, name) for name in ARRAYS] + [plan.sums.field(plan.rho)]:
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+GOLDEN = {
+    "1d_n101": "f40c42c8a1731deca1aa6b1f28129f5e45265e96b7dea65b1b6552ce798fbd48",
+    "2d_n15": "0c20e22464026b3ea6a63bdcf67cee8917ad366946026e326787235ba586ff24",
+    "2d_n41_subset": "2f647f1487f6186aa19e312fa620fca61411a99b00db81ac020bedafcf51de29",
+    "1d_constant_0.3": "833dfbd93e289eac9656bffb4c18837d9e6fad5d0060bcb5553ca9ed9099cc6e",
+    "1d_constant_0.2": "231f65515ac3992ac92b36fce62d7ba57dd866987b8b2d742fc80639f4a61e4e",
+    "1d_zero_outside_box": "3b581ae777adbae87d49de601293d21adb5244ac880467bc324b0c553e91bb8d",
+    "1d_callable": "85262d253a56f347a9f6803cac6de7524d4780547f7f49b75a7f0192a94c574c",
+    "2d_constant_0.2": "5ddf0cc97a70bbf3685ae9cac445ef6adcd50b004241d2a031c0755f7ddf186a",
+    "1d_view_-0.5": "36a5f36440532f87d11bcdfba05a61c0919179cdfbd5bf2f16dbbb36aba72069",
+    "1d_view_+0.5": "41e6fb8559b13154abc7f027d2a691088b6e4ac47e717fa1f313233b209afdc1",
+    "2d_view_-0.5": "538247e5a2c66e693ecddedb9a0cf3698170a33a3043e8b0cc0ffe7e8898cbdc",
+    "2d_view_+0.5": "bea14137e96017f0f791fc7bf99f3de3dd67bdc8f22d7be8081f04d68c0e74e3",
+    "1d_constant_p2": "29d37c064ffd91a53edb3b0cbe8faeed7efda758d389a3dfa6c18ffe414c200b",
+    "1d_constant_p2.5": "40212d0f1e28aae8cbc4b3427cff67bff02f8aec33f0ef8e9a6f8a1ebb3fff3d",
+    "2d_constant_p2.5": "cda196ec0ce2f2da09ded10c7a5f47155cdd878d83af1dc3b31dbb8df55e24b4",
+    "1d_example_i": "efb8db9c4b71310023d209985deb940352e799f17b63d5156e38846c21a712ed",
+    "1d_table": "f16dbfd2b761225cf45a6e8af6a36a2f5d156a348cff4b0b91924e4ee5a896be",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_plan_bytes_are_pinned(name):
+    assert plan_digest(*_case(name)) == GOLDEN[name], name
