@@ -47,8 +47,8 @@ class ExponentSpec:
     name: str = field(default="custom", compare=False)
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise PreconditionError(f"dimension must be >= 1, got {self.dimension}")
+        if self.dimension not in (1, 2):
+            raise PreconditionError(f"dimension must be 1 or 2, got {self.dimension}")
         if not 0.0 < self.order < 1.0:
             raise PreconditionError(f"order must lie in (0,1), got {self.order}")
         if not 0.0 < self.m_bound < 1.0:
@@ -170,19 +170,16 @@ def spec_from_config(section: dict) -> ExponentSpec:
     order = float(section["order"])
     m = float(section["m"])
     params = str(section.get("q_params", "")).strip()
-    if kind == "constant":
-        return make_spec("constant", dimension, order, m, value=float(params or 3.0))
-    if kind in ("example_i", "example_ii"):
-        return make_spec(kind, dimension, order, m)
-    if kind == "table":
-        pairs = [p for p in params.replace(";", ",").split(",") if p.strip()]
-        ts, qs = [], []
-        for p in pairs:
-            a, b = p.split(":")
-            ts.append(float(a))
-            qs.append(float(b))
-        return make_spec("table", dimension, order, m, table=(ts, qs))
-    raise PreconditionError(f"unknown q_kind {kind!r}")
+    value = table = None
+    try:
+        if kind == "constant":
+            value = float(params or 3.0)
+        elif kind == "table":
+            pairs = [p.split(":") for p in params.replace(";", ",").split(",") if p.strip()]
+            table = ([float(t) for t, _ in pairs], [float(q) for _, q in pairs])
+    except ValueError as exc:  # a non-number, or a table entry that is not t:q
+        raise PreconditionError(f"q_params {params!r} do not fit q_kind {kind!r}") from exc
+    return make_spec(kind, dimension, order, m, value=value, table=table)
 
 
 # ---------------------------------------------------------------------------

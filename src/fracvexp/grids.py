@@ -190,18 +190,6 @@ class SampledFunction:
         return np.ascontiguousarray(idx.T), np.ascontiguousarray(coef.T)
 
     @property
-    def exterior_fn(self):
-        """Callable giving values outside the grid box, or None for the
-        zero rules."""
-        rule = self.exterior_rule
-        if callable(rule):
-            return rule
-        if rule.startswith(CONSTANT_PREFIX):
-            v = self.exterior_value
-            return lambda pts: np.full(len(np.atleast_2d(pts)), v)
-        return None
-
-    @property
     def exterior_value(self):
         """The one value u takes outside the grid box under a named rule
         (0 under the zero rules); None under a callable rule."""
@@ -226,9 +214,10 @@ class SampledFunction:
             interp = in_box & (np.linalg.norm(pts, axis=1) < 1.0)
         idx, coef = self.stencils(pts[interp])
         ext = np.zeros(len(pts))
-        fn = self.exterior_fn
-        if fn is not None and not np.all(in_box):
-            ext[~in_box] = np.asarray(fn(pts[~in_box]), dtype=float).ravel()
+        if not np.all(in_box):
+            rule = self.exterior_rule
+            ext[~in_box] = (np.asarray(rule(pts[~in_box]), dtype=float).ravel()
+                            if callable(rule) else self.exterior_value)
         return interp, idx, coef, ext
 
     def point_eval(self, pts) -> np.ndarray:

@@ -289,6 +289,11 @@ def _brentq_alpha(t1: float, t2: float, p: float) -> float:
     return brentq(psi, 0.0, t_max)
 
 
+def _require_samples(n: int) -> None:
+    if n < 1:  # a suite's minima reduce over its samples
+        raise PreconditionError(f"a lemma suite needs n >= 1 samples, got {n}")
+
+
 def run_mean_value_suite(n: int = 100_000, seed: int = 0,
                          p_range: tuple = (2.0, 6.0),
                          spot_checks: int = 200) -> SuiteReport:
@@ -299,6 +304,7 @@ def run_mean_value_suite(n: int = 100_000, seed: int = 0,
     takes; `spot_checks` samples are re-derived by `_brentq_alpha` and must
     agree to 1e-9.
     """
+    _require_samples(n)
     rng = np.random.default_rng(seed)
     t1 = rng.uniform(-1.0, 1.0, n)
     t2 = rng.uniform(-1.0, 1.0, n)
@@ -325,6 +331,7 @@ def run_kernel_monotone_suite(spec: ExponentSpec, n: int = 10_000,
                               seed: int = 0) -> SuiteReport:
     """n random (x0, y, plane) configurations; kappa must be positive off
     the plane and exactly zero on it."""
+    _require_samples(n)
     rng = np.random.default_rng(seed)
     N, s = spec.dimension, spec.order
     lam = rng.uniform(-1.0, 0.5, n)
@@ -375,6 +382,7 @@ def run_gprime_suite(m: float, p_plus: float, n: int = 100_000,
     bound on p is tied to m through the decreasing window of
     h(t) = (t-1)|t0|^(t-2).
     """
+    _require_samples(n)
     if not 0.0 < m < 1.0:
         raise PreconditionError("m must lie in (0,1)")
     p_floor = 1.0 - 1.0 / math.log(m)

@@ -30,9 +30,9 @@ from .quadrature import (QuadratureConfig, directions, paired_nodes,
 
 __all__ = [
     "PlaneGeometry", "axis_plane", "MPReport", "ProbeReport",
-    "w_lambda", "w_lambda_field", "check_strong_mp", "check_antisym_mp",
+    "reflection_difference", "check_strong_mp", "check_antisym_mp",
     "boundary_estimate_probe", "j1_j2_split",
-    "HYPOTHESIS_TOL", "CONCLUSION_TOL",
+    "HYPOTHESIS_TOL", "CONCLUSION_TOL", "HOLDS", "VIOLATED", "INCONCLUSIVE",
 ]
 
 #: default tolerance when verifying checker hypotheses
@@ -55,18 +55,6 @@ class MPReport:
     def __post_init__(self):
         if (self.witness_point is not None) != (self.verdict == VIOLATED):
             raise PreconditionError("witness present iff verdict is 'violated'")
-
-
-def w_lambda(u: SampledFunction, plane: PlaneGeometry, x) -> float:
-    """Antisymmetric comparison field w(x) = u(reflect(x)) - u(x)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    vals = w_lambda_field(u, plane, x[None, :])
-    return float(vals[0])
-
-
-def w_lambda_field(u: SampledFunction, plane: PlaneGeometry, pts) -> np.ndarray:
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    return reflection_difference(u, plane.e, plane.offset, pts)
 
 
 def reflection_difference(u: SampledFunction, e: np.ndarray, offset,
@@ -180,7 +168,7 @@ def check_antisym_mp(spec: ExponentSpec, u: SampledFunction, plane: PlaneGeometr
             f"u must be positive on the ball part of the half-space; "
             f"{int(nonpos.sum())} offending nodes")
 
-    w = w_lambda_field(u, plane, nodes)
+    w = reflection_difference(u, plane.e, plane.offset, nodes)
     out_ball = in_h & ~in_ball
     if np.any(w[out_ball] < -hyp_tol):
         bad = np.nonzero(out_ball & (w < -hyp_tol))[0]
@@ -311,7 +299,7 @@ def boundary_estimate_probe(spec: ExponentSpec, u: SampledFunction,
     nodes = u.nodes()
     omega0 = pl0.in_halfspace(nodes) & (np.linalg.norm(nodes, axis=1) < 1.0)
     if np.any(omega0):
-        w0 = w_lambda_field(u, pl0, nodes[omega0])
+        w0 = reflection_difference(u, pl0.e, pl0.offset, nodes[omega0])
         if float(np.min(w0)) <= 0.0:
             return ProbeReport(tuple(deltas), (), np.nan, np.nan, False, INCONCLUSIVE,
                                {"reason": "w for the limiting plane is not strictly positive",

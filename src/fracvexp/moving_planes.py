@@ -1,5 +1,5 @@
-"""Moving-planes diagnostics: plane sweeps, the critical offset estimate,
-radial-profile checks, and the probes supporting the symmetry theorems.
+"""Moving-planes diagnostics: plane sweeps, the critical offset estimate
+and radial-profile checks.
 
 Sweeps are falsifiable numerical diagnostics of the symmetry conclusion;
 they never claim a proof.
@@ -11,15 +11,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import PreconditionError
-from .exponents import ExponentSpec
 from .geometry import PlaneGeometry, inner, reflect_points
 from .grids import SampledFunction
-from .lemma_suite import CASES, c0_constant, mean_value_point
 from .max_principles import reflection_difference
-from .quadrature import QuadratureConfig
 
 BALL = "ball"
 WHOLE_SPACE = "whole-space"
@@ -189,108 +185,6 @@ def radial_profile_check(u: SampledFunction, center, tol: float) -> RadialCheck:
         max_viol, worst = 0.0, None
     passed = max_viol <= tol and spread <= tol
     return RadialCheck(passed, max_viol, spread, None if passed else worst, tol)
-
-
-@dataclass(frozen=True)
-class LinearizationProbe:
-    x: tuple
-    xi: float
-    coefficient: float
-    q: float
-    u_value: float
-    u_reflected: float
-    residual: float
-
-
-def linearization_probe(u: SampledFunction, plane: PlaneGeometry,
-                        q_function, x) -> LinearizationProbe:
-    """Mean-value point xi with u_l^q - u^q = q xi^(q-1) (u_l - u), in
-    closed form (`mean_value_point` with k = q on [min, max] of the values).
-
-    Both values must lie in (0,1); the coefficient q(x) xi^(q-1) is the
-    bounded linearization weight."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    uv = float(u.point_eval(x[None, :])[0])
-    ul = float(u.point_eval(plane.reflect(x[None, :]))[0])
-    q = float(q_function(x[None, :])[0]) if callable(q_function) else float(q_function)
-    for v in (uv, ul):
-        if not 0.0 < v < 1.0:
-            raise PreconditionError(f"values must lie in (0,1); got {v}")
-    if ul == uv:
-        xi = uv
-        resid = 0.0
-    else:
-        target = ul ** q - uv ** q
-        xi = float(mean_value_point(target / (ul - uv), q, min(uv, ul), max(uv, ul)))
-        resid = abs(q * xi ** (q - 1.0) * (ul - uv) - target)
-    return LinearizationProbe(tuple(x.tolist()), float(xi),
-                              float(q * xi ** (q - 1.0)), q, uv, ul, float(resid))
-
-
-@dataclass(frozen=True)
-class WidthProbe:
-    integral: float
-    rhs_scale: float
-    ratio: float
-    delta: float
-    c0: float
-
-
-def width_estimate_probe(spec: ExponentSpec, u: SampledFunction,
-                         plane: PlaneGeometry, x0,
-                         cfg: QuadratureConfig | None = None) -> WidthProbe:
-    """Realized constant in the narrow-region kernel mass estimate.
-
-    Integrates (p-1) c0 |u(x0)|^(p(x0,z)-2) K(x0,z) over the reflected
-    slab {lambda <= <z,e> < lambda+1} inside the unit ball (the chain's
-    substituted variable; the un-substituted form would place the kernel
-    singularity inside the region) and divides by
-    min(|u(x0)|^(p+-2), |u(x0)|^(p--2)) / delta^(s p-) with delta = lambda+1.
-    """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    lam = plane.offset
-    delta = lam + 1.0
-    if delta <= 0.0:
-        raise PreconditionError("width estimate needs lambda + 1 > 0")
-    if not plane.in_halfspace(x0, strict=True):
-        raise PreconditionError("x0 must lie strictly inside the half-space")
-    u_x0 = float(u.point_eval(x0[None, :])[0])
-    if u_x0 <= 0.0:
-        raise PreconditionError("u(x0) must be positive")
-
-    s, N = spec.order, spec.dimension
-    c0 = min(c0_constant(c, spec.p_minus, spec.p_plus) for c in CASES)
-
-    e = plane.e
-    a_hi = min(lam + 1.0, 1.0)
-
-    def radial_integrand(a: float, b: float = 0.0) -> float:
-        z = a * e if N == 1 else a * e + b * _perp(e)
-        d = float(np.linalg.norm(x0 - z))
-        q = float(spec.q(d))
-        return (q - 1.0) * c0 * u_x0 ** (q - 2.0) * d ** (-(N + s * q))
-
-    if N == 1:
-        val, _ = integrate.quad(lambda a: radial_integrand(a), lam, a_hi, limit=200)
-    else:
-        gx, gw = np.polynomial.legendre.leggauss(48)
-
-        def chord(a: float) -> float:
-            half = math.sqrt(max(0.0, 1.0 - a * a))
-            if half == 0.0:
-                return 0.0
-            bs = half * gx
-            return half * float(sum(w * radial_integrand(a, b) for w, b in zip(gw, bs)))
-
-        val, _ = integrate.quad(chord, lam, a_hi, limit=200)
-
-    sp = s * spec.p_minus
-    rhs = min(u_x0 ** (spec.p_plus - 2.0), u_x0 ** (spec.p_minus - 2.0)) / delta ** sp
-    return WidthProbe(float(val), float(rhs), float(val / rhs), float(delta), float(c0))
-
-
-def _perp(e: np.ndarray) -> np.ndarray:
-    return np.array([-e[1], e[0]])
 
 
 def sweep_directions(dim: int, count: int, seed: int = 0) -> np.ndarray:

@@ -82,17 +82,21 @@ def tail_integrability_check(spec: ExponentSpec, u, x, radii,
 
     The integrand is bounded (the weight's denominator is >= 1), so plain
     geometric Gauss panels around the origin suffice.  Non-decaying
-    increments yield the verdict 'inconclusive', never an error.  A grid
-    or point whose dimension is not the spec's is a precondition error.
+    increments yield the verdict 'inconclusive', never an error.  A grid or
+    point off the spec's dimension, or a non-finite point or radius, is a
+    precondition error, as are radii that are not positive and increasing.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if u.dim != spec.dimension or x.shape != (spec.dimension,):
         raise PreconditionError(
             f"grid dimension {u.dim} and point of shape {x.shape} must match "
             f"spec dimension {spec.dimension}")
+    if not np.all(np.isfinite(x)):
+        raise PreconditionError(f"point must be finite, got {x.tolist()}")
     radii = [float(r) for r in radii]
-    if any(b <= a for a, b in zip(radii, radii[1:])) or not radii:
-        raise PreconditionError("radii must be strictly increasing and nonempty")
+    if not radii or not all(0.0 < r < np.inf for r in radii) or any(  # NaN fails too
+            b <= a for a, b in zip(radii, radii[1:])):
+        raise PreconditionError(f"radii must be finite, positive and increasing; got {radii}")
 
     s, N = spec.order, spec.dimension
     dirs, aw = directions(N, angular_nodes)

@@ -223,11 +223,41 @@ class TestExitCodes:
         assert main(["sweep-planes", "--config", str(cfg), "--input", str(u),
                      "--directions", directions]) == 3
 
-    def test_bad_radii_are_precondition(self, tmp_path):
+    @pytest.mark.parametrize("at, radii", [
+        ("0.2", "a,b"), ("0.2", "2,inf"), ("0.2", "2,nan"), ("0.2", "0,2"),
+        ("inf", "2,4,8,16,32"), ("nan", "2,4,8,16,32")])
+    def test_bad_radii_are_precondition(self, tmp_path, capsys, at, radii):
+        # a point at infinity read as "decaying" with i1 = 0
         cfg = small_config(tmp_path)
         u = make_bump_csv(tmp_path)
         assert main(["tail-check", "--config", str(cfg), "--input", str(u),
-                     "--at", "0.2", "--radii", "a,b"]) == 3
+                     "--at", at, "--radii", radii]) == 3
+        assert capsys.readouterr().err.startswith("precondition error:")
+
+    @pytest.mark.parametrize("command, overrides", [
+        ("validate-exponent", {"exponent.dimension": 3}),
+        ("certify-lemmas", {"exponent.dimension": 3}),
+        ("validate-exponent", {"exponent.q_kind": "constant", "exponent.q_params": "abc"}),
+        ("validate-exponent", {"exponent.q_kind": "table", "exponent.q_params": "a:b"}),
+        ("validate-exponent", {"exponent.q_kind": "table", "exponent.q_params": "1-2"}),
+        ("validate-exponent", {"exponent.q_kind": "table", "exponent.q_params": "0:2.5,5"}),
+    ], ids=["dimension-3", "dimension-3-lemmas", "constant-abc", "table-a:b", "table-1-2",
+            "table-0:2.5,5"])
+    def test_unrunnable_exponent_is_precondition(self, tmp_path, capsys, command, overrides):
+        # the grids, stencils and sweeps exist in 1-d and 2-d only, and
+        # q_params that do not parse used to end in a raw traceback
+        cfg = small_config(tmp_path, **overrides)
+        assert main([command, "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err.startswith("precondition error:")
+
+    @pytest.mark.parametrize("command", ["certify-lemmas", "reproduce-all"])
+    @pytest.mark.parametrize("key", ["n_mean_value", "n_kernel", "n_gprime"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_empty_lemma_suite_is_precondition(self, tmp_path, capsys, command, key, value):
+        # no sample crashed the suite's reduction over its margins
+        cfg = small_config(tmp_path, **{f"lemmas.{key}": value})
+        assert main([command, "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err.startswith("precondition error:")
 
     def test_reproduce_all_without_sweep_directions_is_precondition(self, tmp_path):
         cfg = small_config(tmp_path, **{"sweep.directions": 0})

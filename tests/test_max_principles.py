@@ -96,7 +96,8 @@ class TestReflect:
 class TestWLambda:
     def test_even_function_vanishes(self, u_bump_1d):
         plane = fx.axis_plane(1, 0.0)
-        assert mp.w_lambda(u_bump_1d, plane, [0.4]) == pytest.approx(0.0, abs=1e-12)
+        w = mp.reflection_difference(u_bump_1d, plane.e, plane.offset, np.array([[0.4]]))
+        assert w[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_affine_case(self):
         u = fx.SampledFunction.from_function(lambda p: p[:, 0], extent=1.5, n=201,
@@ -104,14 +105,15 @@ class TestWLambda:
         plane = fx.axis_plane(1, -0.2)
         for x in (-0.5, -0.9, -0.3):
             # u(x) = x: w(x) = (2 lam - x) - x = 2(lam - x)
-            assert mp.w_lambda(u, plane, [x]) == pytest.approx(2 * (-0.2 - x), abs=1e-8)
+            w = mp.reflection_difference(u, plane.e, plane.offset, np.array([[x]]))
+            assert w[0] == pytest.approx(2 * (-0.2 - x), abs=1e-8)
 
     def test_antisymmetry(self, u_bump_1d):
         plane = fx.axis_plane(1, -0.3)
         rng = np.random.default_rng(2)
         pts = rng.uniform(-1.4, 1.4, (50, 1))
-        w = mp.w_lambda_field(u_bump_1d, plane, pts)
-        w_ref = mp.w_lambda_field(u_bump_1d, plane, plane.reflect(pts))
+        w = mp.reflection_difference(u_bump_1d, plane.e, plane.offset, pts)
+        w_ref = mp.reflection_difference(u_bump_1d, plane.e, plane.offset, plane.reflect(pts))
         np.testing.assert_allclose(w + w_ref, 0.0, atol=1e-8)
 
 

@@ -6,6 +6,7 @@ import pytest
 import fracvexp as fx
 from fracvexp import ball_solver as bs
 from fracvexp import moving_planes as mvp
+from fracvexp.max_principles import reflection_difference
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +55,6 @@ class TestSweep:
     def test_batched_minima_match_per_plane(self, dim, mode, directions):
         # a translated bump violates symmetry, so in ball mode refined planes
         # are in the report; empty half-spaces must read inf on both paths
-        from fracvexp.max_principles import w_lambda_field
         n = 201 if dim == 1 else 31
         u = fx.SampledFunction.from_function(
             lambda p: 0.4 * np.exp(-6.0 * ((p - 0.2) ** 2).sum(1)), 1.5, n, dim,
@@ -70,7 +70,7 @@ class TestSweep:
                 sel = plane.in_halfspace(nodes)
                 if mode == "ball":
                     sel &= np.linalg.norm(nodes, axis=1) < 1.0
-                expect.append(np.min(w_lambda_field(u, plane, nodes[sel]))
+                expect.append(np.min(reflection_difference(u, plane.e, plane.offset, nodes[sel]))
                               if sel.any() else np.inf)
             got = np.asarray(rep.min_w)
             np.testing.assert_array_equal(got, expect)
@@ -93,10 +93,9 @@ class TestSweep:
 
     def test_antisymmetry_of_w(self, star):
         plane = fx.axis_plane(1, -0.4)
-        from fracvexp.max_principles import w_lambda_field
         pts = np.linspace(-1.3, 1.3, 37)[:, None]
-        w = w_lambda_field(star, plane, pts)
-        w_r = w_lambda_field(star, plane, plane.reflect(pts))
+        w = reflection_difference(star, plane.e, plane.offset, pts)
+        w_r = reflection_difference(star, plane.e, plane.offset, plane.reflect(pts))
         np.testing.assert_allclose(w + w_r, 0.0, atol=1e-8)
 
     def test_lambda0_rescan_consistency(self, star):
@@ -136,95 +135,6 @@ class TestRadialProfile:
     def test_center_inside_box(self, star):
         with pytest.raises(fx.PreconditionError):
             mvp.radial_profile_check(star, [2.0], 1e-4)
-
-
-class TestLinearization:
-    def test_degenerate_equal_values(self):
-        u = fx.SampledFunction(np.full(201, 0.5), (201,), 1.5,
-                               exterior_rule="zero_outside_box")
-        probe = mvp.linearization_probe(u, fx.axis_plane(1, 0.0), 2.0, [0.3])
-        assert probe.xi == pytest.approx(0.5) and probe.coefficient == pytest.approx(1.0)
-
-    def test_quadratic_closed_form(self):
-        # u = 0.25, u_l = 0.75, q = 2: xi = 0.5, coefficient 1.0
-        nodes = np.linspace(-1.5, 1.5, 301)
-        vals = np.where(nodes > 0.0, 0.25, 0.75)
-        u = fx.SampledFunction(vals, (301,), 1.5, exterior_rule="zero_outside_box")
-        probe = mvp.linearization_probe(u, fx.axis_plane(1, 0.0), 2.0, [0.8])
-        assert probe.xi == pytest.approx(0.5, abs=1e-10)
-        assert probe.coefficient == pytest.approx(1.0, abs=1e-9)
-
-    def test_cubic_closed_form(self):
-        nodes = np.linspace(-1.5, 1.5, 301)
-        vals = np.where(nodes > 0.0, 0.2, 0.4)
-        u = fx.SampledFunction(vals, (301,), 1.5, exterior_rule="zero_outside_box")
-        probe = mvp.linearization_probe(u, fx.axis_plane(1, 0.0), 3.0, [0.8])
-        xi_expect = math.sqrt((0.4 ** 3 - 0.2 ** 3) / (3.0 * 0.2))
-        assert probe.xi == pytest.approx(xi_expect, abs=1e-10)
-        assert probe.coefficient == pytest.approx(3.0 * xi_expect ** 2, abs=1e-9)
-        assert probe.coefficient == pytest.approx(0.28, abs=1e-9)
-
-    def test_identity_residual(self, star):
-        plane = fx.axis_plane(1, -0.3)
-        rng = np.random.default_rng(8)
-        count = 0
-        for x in rng.uniform(-0.9, -0.35, 40):
-            uv = float(star.point_eval([[x]])[0])
-            ul = float(star.point_eval(plane.reflect(np.array([[x]])))[0])
-            if not (0 < uv < 1 and 0 < ul < 1):
-                continue
-            probe = mvp.linearization_probe(star, plane, 2.5, [x])
-            assert probe.residual <= 1e-10
-            assert min(uv, ul) - 1e-12 <= probe.xi <= max(uv, ul) + 1e-12
-            count += 1
-        assert count > 20
-
-    def test_exponent_near_one_stays_in_bracket(self):
-        # 1/(q-1) = 1e12 amplifies the rounding of the slope; the point is
-        # clipped to [u, u_l]
-        nodes = np.linspace(-1.5, 1.5, 301)
-        vals = np.where(nodes > 0.0, 0.2, 0.4)
-        u = fx.SampledFunction(vals, (301,), 1.5, exterior_rule="zero_outside_box")
-        probe = mvp.linearization_probe(u, fx.axis_plane(1, 0.0), 1.0 + 1e-12, [0.8])
-        assert 0.2 <= probe.xi <= 0.4
-
-    def test_range_precondition(self):
-        u = fx.SampledFunction(np.zeros(201), (201,), 1.5)
-        with pytest.raises(fx.PreconditionError):
-            mvp.linearization_probe(u, fx.axis_plane(1, 0.0), 2.0, [0.3])
-
-
-class TestWidthProbe:
-    def test_positive_ratio_1d(self, star):
-        c3 = fx.make_spec("constant", dimension=1, order=0.5, m=0.5, value=3.0)
-        probe = mvp.width_estimate_probe(c3, star, fx.axis_plane(1, -0.9), [-0.95])
-        assert probe.ratio > 0.0 and probe.delta == pytest.approx(0.1)
-
-    def test_delta_halving_growth(self, star):
-        # same x0; moving the plane toward -1 halves delta and the kernel
-        # mass grows at least like 2^(s p-) up to a small slack
-        c3 = fx.make_spec("constant", dimension=1, order=0.5, m=0.5, value=3.0)
-        x0 = [-0.975]
-        a = mvp.width_estimate_probe(c3, star, fx.axis_plane(1, -0.9), x0)
-        b = mvp.width_estimate_probe(c3, star, fx.axis_plane(1, -0.95), x0)
-        assert b.delta == pytest.approx(a.delta / 2.0)
-        assert b.integral / a.integral >= 2.0 ** (0.5 * 3.0) * 0.9
-
-    def test_vanishing_value_degenerates(self, star):
-        c3 = fx.make_spec("constant", dimension=1, order=0.5, m=0.5, value=3.0)
-        with pytest.raises(fx.PreconditionError):
-            mvp.width_estimate_probe(c3, star, fx.axis_plane(1, -0.9), [-1.2])
-
-    def test_delta_positive_required(self, star):
-        c3 = fx.make_spec("constant", dimension=1, order=0.5, m=0.5, value=3.0)
-        with pytest.raises(fx.PreconditionError):
-            mvp.width_estimate_probe(c3, star, fx.axis_plane(1, -1.2), [-1.3])
-
-    def test_2d_runs(self, spec_2d, qcfg):
-        u2 = fx.SampledFunction.from_function(
-            lambda p: 0.5 * np.maximum(0.0, 1.0 - (p ** 2).sum(1)) ** 2, 1.5, 61, 2)
-        probe = mvp.width_estimate_probe(spec_2d, u2, fx.axis_plane(2, -0.8), [-0.9, 0.0])
-        assert probe.ratio > 0.0
 
 
 class TestDirections:
