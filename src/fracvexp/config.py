@@ -43,7 +43,8 @@ _STR_KEYS = {"output_dir", "q_kind", "q_params"}
 
 def _coerce(key: str, value):
     """A key's value as its type; a number must be finite, since a NaN or
-    infinite tolerance would turn a falsifiable check into a pass."""
+    infinite tolerance would turn a falsifiable check into a pass, and an
+    integer key's number integral (15.0 loads as 15, 15.9 is refused)."""
     if key in _STR_KEYS:
         return str(value)
     try:
@@ -52,7 +53,11 @@ def _coerce(key: str, value):
         raise PreconditionError(f"bad value {value!r} for key {key!r}") from exc
     if not math.isfinite(number):
         raise PreconditionError(f"bad value {value!r} for key {key!r}: not finite")
-    return int(number) if key in _INT_KEYS else number
+    if key not in _INT_KEYS:
+        return number
+    if not number.is_integer():
+        raise PreconditionError(f"bad value {value!r} for key {key!r}: not an integer")
+    return int(number)
 
 
 @dataclass

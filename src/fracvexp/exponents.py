@@ -51,8 +51,7 @@ class ExponentSpec:
             raise PreconditionError(f"dimension must be 1 or 2, got {self.dimension}")
         if not 0.0 < self.order < 1.0:
             raise PreconditionError(f"order must lie in (0,1), got {self.order}")
-        if not 0.0 < self.m_bound < 1.0:
-            raise PreconditionError(f"m must lie in (0,1), got {self.m_bound}")
+        _check_m(self.m_bound)
         if not self.p_minus <= self.p_plus:
             raise PreconditionError("p_minus must not exceed p_plus")
 
@@ -138,10 +137,16 @@ def table_q(ts, qs) -> Callable:
     return q
 
 
+def _check_m(m: float) -> None:
+    if not 0.0 < m < 1.0:
+        raise PreconditionError(f"m must lie in (0,1), got {m}")
+
+
 def make_spec(kind: str, dimension: int, order: float, m: float,
               value: float | None = None,
               table: tuple | None = None) -> ExponentSpec:
     """Build an ExponentSpec for a named profile kind with exact declared extrema."""
+    _check_m(m)  # before log(m)
     c = 1.0 - 1.0 / math.log(m)
     if kind == "constant":
         if value is None:

@@ -7,6 +7,7 @@ local interpolation order used to emulate a C^{1,1} representative.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -121,13 +122,48 @@ class SampledFunction:
         pts = np.atleast_2d(pts)
         if strict:
             return np.all(np.abs(pts) < self.extent, axis=1)
-        return np.all(np.abs(pts) <= self.extent, axis=1)
+        return np.all(self._axis_in_box(pts), axis=1)
 
     # -- interpolation ------------------------------------------------------
+    #
+    # One copy of each formula, fed either per-position arrays (`linear_form`)
+    # or rows of per-axis tables (`OffsetForm`): the box test and square of one
+    # axis coordinate, `_axis_stencil`, `_source` (box and ball tests) and
+    # `_tensor` (the stencil-major tensor product), and `_exterior`.
+
+    def _axis_in_box(self, c: np.ndarray) -> np.ndarray:
+        return np.abs(c) <= self.extent
+
+    def _source(self, box, sq):
+        """(in_box, interp) from each axis's box test and squared coordinate.
+
+        A position is in the box when every axis is; under zero_outside_ball
+        it is interpolated when also sqrt(sum of squares) < 1, the bits of
+        `np.linalg.norm`; elsewhere in the box it reads 0.
+        """
+        in_box = functools.reduce(np.logical_and, box)
+        if self.exterior_rule != ZERO_BALL:
+            return in_box, in_box
+        return in_box, in_box & (np.sqrt(functools.reduce(np.add, sq)) < 1.0)
+
+    def _exterior(self, in_box: np.ndarray, outside: Callable) -> np.ndarray:
+        """Exterior values: 0 in the box, the rule's value elsewhere.
+
+        `outside()` gives the positions where `in_box` is False, in C order;
+        only a callable rule reads them.
+        """
+        ext = np.zeros(in_box.shape)
+        if not np.all(in_box):
+            rule = self.exterior_rule
+            ext[~in_box] = (np.asarray(rule(outside()), dtype=float).ravel()
+                            if callable(rule) else self.exterior_value)
+        return ext
 
     def _axis_stencil(self, coords: np.ndarray):
         """Per-axis stencil start indices and Lagrange weights at coords.
 
+        Returns i0 shaped like coords and the weights stencil-major, shape
+        (..., S, T) for coords (..., T).
         Stencils are cell-anchored, so neighboring stencils meet at a node
         they both interpolate: the piecewise interpolant is continuous
         everywhere.  (Center-anchored stencils would jump by O(h^3) across
@@ -152,7 +188,7 @@ class SampledFunction:
             t = np.where(shift, t - 1.0, t)
             w = np.stack([0.5 * t * (t - 1.0),
                           (1.0 - t) * (1.0 + t),
-                          0.5 * t * (t + 1.0)], axis=-1)
+                          0.5 * t * (t + 1.0)], axis=-2)
             return i0 - 1, w
         i0 = np.clip(np.floor(u + 1e-9).astype(np.int64), 1, n - 3)
         t = u - i0
@@ -161,32 +197,36 @@ class SampledFunction:
         w = np.stack([-t * (t - 1.0) * (t - 2.0) / 6.0,
                       (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0,
                       -t * (t + 1.0) * (t - 2.0) / 2.0,
-                      t * (t + 1.0) * (t - 1.0) / 6.0], axis=-1)
+                      t * (t + 1.0) * (t - 1.0) / 6.0], axis=-2)
         return i0 - 1, w
+
+    def _tensor(self, i0, w):
+        """Flat node indices and coefficients of the tensor-product stencils.
+
+        i0[a] (..., T) and w[a] (..., S, T) are axis a's starts and weights;
+        the result is stencil-major, (..., S^N, T), so the inner loops run
+        over T.  Indices keep the dtype of i0.
+        """
+        s = w[0].shape[-2]
+        offs = np.arange(s, dtype=i0[0].dtype)
+        if self.dim == 1:
+            return i0[0][..., None, :] + offs[:, None], w[0]
+        ny = self.shape[1]
+        idx = (i0[0] * ny + i0[1])[..., None, :] + (offs[:, None] * ny + offs).reshape(-1, 1)
+        coef = w[0][..., :, None, :] * w[1][..., None, :, :]
+        return idx, coef.reshape(idx.shape)
 
     def stencils(self, pts: np.ndarray):
         """Interpolation stencils at points inside the box.
 
         Returns (idx, coef) with shapes (m, S): flat node indices and
         Lagrange coefficients; points are clamped to valid stencil range.
-        In 2-d the tensor products are formed stencil-major, as (S, m)
-        arrays whose inner loops run over the points, and handed back as
-        contiguous transposes.
+        The tensor products are formed stencil-major by `_tensor`, the code
+        that also serves the plan's near rows from `OffsetForm` tables, and
+        handed back as contiguous transposes.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if self.dim == 1:
-            i0, w = self._axis_stencil(pts[:, 0])
-            offs = np.arange(w.shape[-1])
-            return i0[:, None] + offs[None, :], w
-        i0x, wx = self._axis_stencil(pts[:, 0])
-        i0y, wy = self._axis_stencil(pts[:, 1])
-        s = wx.shape[-1]
-        offs = np.arange(s)[:, None]
-        ix, iy = i0x[None, :] + offs, i0y[None, :] + offs  # (s, m)
-        wx, wy = wx.T, wy.T
-        ny = self.shape[1]
-        idx = (ix[:, None, :] * ny + iy[None, :, :]).reshape(s * s, len(pts))
-        coef = (wx[:, None, :] * wy[None, :, :]).reshape(s * s, len(pts))
+        idx, coef = self._tensor(*zip(*(self._axis_stencil(c) for c in pts.T)))
         return np.ascontiguousarray(idx.T), np.ascontiguousarray(coef.T)
 
     @property
@@ -201,24 +241,39 @@ class SampledFunction:
     def linear_form(self, pts):
         """u at `pts` as stencils into the node values or an exterior value.
 
-        The one place that decides where u comes from: the interpolant inside
-        the box (and inside the unit ball under zero_outside_ball), the
-        exterior rule elsewhere.  Returns (interp, idx, coef, ext): the mask
-        of interpolated points, their (interp.sum(), S) stencils in point
-        order, and exterior values (0 on interpolated points).
+        The one place that decides where u comes from at given positions: the
+        interpolant inside the box (and inside the unit ball under
+        zero_outside_ball), the exterior rule elsewhere.  Returns (interp, idx,
+        coef, ext): the mask of interpolated points, their (interp.sum(), S)
+        stencils in point order, and exterior values (0 on interpolated
+        points).  A plan's near rows around grid points come from
+        `offset_form` instead, which runs the same tests and products on
+        per-axis tables; views, point evaluation and plan centers come here.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        in_box = self.inside_box(pts)
-        interp = in_box
-        if self.exterior_rule == ZERO_BALL:
-            interp = in_box & (np.linalg.norm(pts, axis=1) < 1.0)
+        in_box, interp = self._source([self._axis_in_box(c) for c in pts.T],
+                                      [c * c for c in pts.T])
         idx, coef = self.stencils(pts[interp])
-        ext = np.zeros(len(pts))
-        if not np.all(in_box):
-            rule = self.exterior_rule
-            ext[~in_box] = (np.asarray(rule(pts[~in_box]), dtype=float).ravel()
-                            if callable(rule) else self.exterior_value)
-        return interp, idx, coef, ext
+        return interp, idx, coef, self._exterior(in_box, lambda: pts[~in_box])
+
+    def offset_form(self, pts, offsets) -> "OffsetForm":
+        """`linear_form` at every position pts[j] + offsets[t], from per-axis tables.
+
+        Position j, t has axis coordinates fl(x_a + fl(offsets[t, a])), so per
+        axis everything `linear_form` reads of it is a function of the pair
+        (distinct x_a, t).  Each axis gets one table over those pairs (box
+        test, square, stencil start and stencil-major weights); `OffsetForm`
+        gathers whole table rows per point and never forms the positions.
+        Distinct means distinct bits, so -0.0 and 0.0 get rows of their own.
+        """
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        tables = []
+        for x, off in zip(pts.T, np.asarray(offsets, dtype=float).T):
+            bits, inv = np.unique(np.ascontiguousarray(x).view(np.int64), return_inverse=True)
+            c = bits.view(np.float64)[:, None] + off[None, :]
+            i0, w = self._axis_stencil(c)
+            tables.append((inv.ravel(), self._axis_in_box(c), c * c, i0.astype(np.int32), w))
+        return OffsetForm(self, pts, np.asarray(offsets, dtype=float), tables)
 
     def point_eval(self, pts) -> np.ndarray:
         """Evaluate the interpolant with the exterior rule applied pointwise."""
@@ -264,6 +319,40 @@ class SampledFunction:
                        int(meta["smoothness_hint"]))
         except (ValueError, TypeError, KeyError, IndexError) as exc:
             raise PreconditionError(f"malformed sampled function {csv_path}: {exc!r}") from exc
+
+
+@dataclass
+class OffsetForm:
+    """`SampledFunction.linear_form` at pts[j] + offsets[t], block by block.
+
+    `tables` holds per axis (inv, box, sq, i0, w): each point's table row,
+    and per (distinct coordinate, offset) the box test, the square, the
+    stencil start (int32) and the weights, shape (U, S, T).
+    """
+
+    grid: SampledFunction
+    pts: np.ndarray
+    offsets: np.ndarray
+    tables: list
+
+    def linear_form(self, lo: int, hi: int):
+        """(interp, idx, coef, ext) at the positions of points lo..hi.
+
+        `interp` and `ext` are (P, T), as `linear_form` gives them for the
+        positions in point-major order; idx (int32) and coef are the
+        stencils of every position, interpolated or not, stencil-major
+        (P, S^N, T).
+        """
+        g = self.grid
+        box, sq, i0, w = zip(*((bx[inv[lo:hi]], sq[inv[lo:hi]], i0[inv[lo:hi]], w[inv[lo:hi]])
+                               for inv, bx, sq, i0, w in self.tables))
+        in_box, interp = g._source(box, sq)
+        idx, coef = g._tensor(i0, w)
+
+        def outside():
+            j, t = np.nonzero(~in_box)
+            return self.pts[lo + j] + self.offsets[t]
+        return interp, idx, coef, g._exterior(in_box, outside)
 
 
 @dataclass

@@ -10,8 +10,9 @@ A plan freezes, per evaluation point, every quadrature node's kernel
 weight, exponent, and stencil into flat arrays; applying a plan to a value
 vector is then one sparse product, a power and a reduce
 (`_backend.apply_plan`).  Where u comes from at a point (interpolant,
-exterior rule, mirrored view) is decided by `u.linear_form` alone, but for
-the far nodes below, which take the exterior rule's one value.
+exterior rule, mirrored view) is decided by the box, ball and exterior
+tests of `grids` alone, but for the far nodes below, which take the
+exterior rule's one value.
 
 Every stencil indexes the extended value vector [u.values, plan.ext_values]:
 slot k past the grid nodes holds the k-th distinct exterior value, in order
@@ -29,13 +30,22 @@ in enumeration order.  Under the zero and constant exterior rules this
 removes most exterior nodes.  The Gauss reference rule behind every radial
 interval is computed once per order, and each radial rule once per delta.
 
-`build_plan` makes these rows for a block of points at a time, and turns
-each block's dense stencils into its part of `R`, so the plan never holds a
-dense (rows, stencil) array.  Exterior keys there also carry the point, and
-a stable sort by point puts each point's rows in the order above, so every
-row and weight sum is the one a point built alone gets.
+`build_plan` makes these rows for a block of points at a time and writes
+each block's part of `R` straight from stencil-major (point, stencil, node)
+arrays, dropping zero coefficients and exterior nodes in one compress
+(`_row_entries`), so the plan never holds a dense (rows, stencil) array.
+Exterior keys there also carry the point, and each point's exterior rows
+follow its interior rows in the order above, so every row and weight sum is
+the one a point built alone gets.
 
-Only near nodes reach `u.linear_form`.  A node at radius r > r_far =
+Only near nodes get stencils.  For a grid, they come from per-axis tables
+(`SampledFunction.offset_form`): a near node's axis coordinate is
+fl(x_a + fl(r d_a)), a function of the point's coordinate and the node's
+offset, so the box test, square and axis stencil are tabled once per run of
+points over (distinct coordinate, offset) and gathered per point; lattice
+points share a few coordinates per axis.  Under a view the reflection mixes
+the axes, so its near nodes' positions go through `u.linear_form`; both feed
+the same entry assembly.  A node at radius r > r_far =
 max |x'| + sqrt(N) L (x' the point the grid reads: its mirror image under a
 view) lies outside the box in every direction, so under a named exterior
 rule it reads that rule's one value (`_far_field`); at the default
@@ -285,13 +295,8 @@ def paired_nodes(x: np.ndarray, extent: float, r_eff: float, cfg: QuadratureConf
     delta = float(np.min(_pairing_radius(x, extent, cfg)))
     rs, wr = radial_rule(delta, r_eff, cfg)
     w_node = ((wr * rs ** (N - 1))[:, None] * aw[None, :]).ravel()
-    return rs, _node_positions(x, rs, dirs), w_node
-
-
-def _node_positions(x: np.ndarray, rs: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """x + r d for every point of `x`, radius of `rs` and direction, in node order."""
-    N = np.shape(x)[-1]
-    return (np.reshape(x, (-1, 1, 1, N)) + rs[:, None, None] * dirs[None, :, :]).reshape(-1, N)
+    pos = np.reshape(x, (-1, 1, 1, N)) + rs[:, None, None] * dirs[None, :, :]
+    return rs, pos.reshape(-1, N), w_node
 
 
 def _far_field(u, pts: np.ndarray):
@@ -314,11 +319,13 @@ def _far_field(u, pts: np.ndarray):
 def build_plan(spec: ExponentSpec, u, points, cfg: QuadratureConfig) -> EvalPlan:
     """Assemble the quadrature plan for `points` (each strictly inside the box).
 
-    `u` may be a SampledFunction or a ReflectedFunction view; its
-    `linear_form` gives every near node's row and every center, so the view
-    needs no resampling.  `r_eff` is sized for |u| <= max(max|values|, 1), so the plan
-    stays valid on other value vectors in that range (solver iterates), and a
-    grid's plans share it.  An empty point set gives an empty plan.
+    `u` may be a SampledFunction or a ReflectedFunction view.  A grid's near
+    rows come from its per-axis stencil tables (`offset_form`), a view's from
+    its `linear_form` at the node positions, so the view needs no
+    resampling; `u.linear_form` gives every center.  `r_eff` is sized for
+    |u| <= max(max|values|, 1), so the plan stays valid on other value
+    vectors in that range (solver iterates), and a grid's plans share it.
+    An empty point set gives an empty plan.
 
     Rows are built a block of consecutive points with one pairing radius at
     a time, up to `PLAN_BLOCK` nodes; the points share one node template
@@ -385,11 +392,12 @@ def _plan_rows(spec: ExponentSpec, u, grid: SampledFunction, pts: np.ndarray,
                cfg: QuadratureConfig, r_eff: float) -> EvalPlan:
     """The value-independent part of `build_plan`: every row, read-only.
 
-    The result is held under a key of everything `u.linear_form` and the node
+    The result is held under a key of everything the stencils and the node
     template read (see `build_plan`); its `rho` is 0, its `tail_bound` NaN and its `sums` None.
     """
     global _held
-    plane = u.plane if isinstance(u, ReflectedFunction) else None
+    view = isinstance(u, ReflectedFunction)
+    plane = u.plane if view else None
     key = (spec, cfg, r_eff, grid.shape, grid.extent, grid.exterior_rule,
            grid.smoothness_hint, plane, pts.tobytes())
     if _held is not None and _held[0] == key:
@@ -417,45 +425,55 @@ def _plan_rows(spec: ExponentSpec, u, grid: SampledFunction, pts: np.ndarray,
         pm2_t, tag_t = np.repeat(q_r - 2.0, n_dirs), np.repeat(tag_r, n_dirs)
         m, per = len(wk_t), max(1, PLAN_BLOCK // len(wk_t))
         # the radii ascend, so a point's near nodes are the first m_near of its
-        # template; its far nodes all read c_far and fall into one group per
-        # (p - 2, level tag), each led by its first node
-        k_near = int(np.count_nonzero(rs <= r_far))
-        m_near = k_near * n_dirs
+        # template, at offsets fl(r d); its far nodes all read c_far and fall
+        # into one group per (p - 2, level tag), each led by its first node
+        m_near = int(np.count_nonzero(rs <= r_far)) * n_dirs
+        offsets = (rs[:m_near // n_dirs, None, None] * dirs[None, :, :]).reshape(m_near, N)
         f_first, f_group = _first_use_groups(pm2_t[m_near:], tag_t[m_near:])
+        if not view:  # one set of per-axis tables for the run
+            form = grid.offset_form(pts[a:b], offsets)
         for lo in range(a, b, per):
             hi = min(lo + per, b)
-            pos = _node_positions(pts[lo:hi], rs[:k_near], dirs)
-            interp, idx_n, coef_n, ext_n = u.linear_form(pos)
-            at = np.arange(hi - lo)[:, None] * m  # each point's first node in the block
-            near = (at + np.arange(m_near)).ravel()
-            inner, out = near[interp], near[~interp]
-            # near exterior nodes, then one pseudo-row per point and far group
-            keyed = np.concatenate([out, (at + (m_near + f_first)).ravel()])
-            ext_k = np.concatenate([ext_n[~interp], np.full(len(keyed) - len(out), c_far)])
-            first, group = _first_use_groups(pm2_t[keyed % m], ext_k, tag_t[keyed % m], keyed // m)
+            if view:  # an oblique plane mixes the axes: reflect every position
+                pos = (pts[lo:hi, None, :] + offsets[None, :, :]).reshape(-1, N)
+                interp, idx, coef, ext = u.linear_form(pos)
+                rcol, rval, ent, csum = _row_entries(idx.T, coef.T)
+                interp, ext = interp.reshape(hi - lo, m_near), ext.reshape(hi - lo, m_near)
+            else:
+                interp, idx, coef, ext = form.linear_form(lo - a, hi - a)
+                rcol, rval, ent, csum = _row_entries(idx, coef, interp)
+            P = hi - lo
+            in_j, in_t = np.nonzero(interp)
+            out_j, out_t = np.nonzero(~interp)
+            # near exterior nodes, then one pseudo-node per point and far group
+            key_j = np.concatenate([out_j, np.repeat(np.arange(P), len(f_first))])
+            key_t = np.concatenate([out_t, np.tile(m_near + f_first, P)])
+            ext_k = np.concatenate([ext[~interp], np.full(P * len(f_first), c_far)])
+            first, group = _first_use_groups(pm2_t[key_t], ext_k, tag_t[key_t], key_j)
             # every far node joins its pseudo-row's group after all near nodes, so
             # each merged weight adds its nodes in enumeration order
-            g_far = group[len(out):].reshape(hi - lo, -1)[:, f_group].ravel()
-            wk_ext = np.bincount(np.concatenate([group[:len(out)], g_far]),
-                                 np.concatenate([wk_t[out % m], np.tile(wk_t[m_near:], hi - lo)]),
+            g_far = group[len(out_j):].reshape(P, -1)[:, f_group].ravel()
+            wk_ext = np.bincount(np.concatenate([group[:len(out_j)], g_far]),
+                                 np.concatenate([wk_t[out_t], np.tile(wk_t[m_near:], P)]),
                                  len(first))
-            # each point's interior rows in enumeration order, then its merged exterior rows
-            node = np.concatenate([inner, keyed[first]])
-            order = np.argsort(node // m, kind="stable")
-            ext_row = order >= len(inner)
-            # dense stencils of this block only; an exterior row is (1, 0, ...), its
-            # column set to n + slot once every slot is known
-            col_b = np.zeros((len(node), idx_n.shape[1]), dtype=np.int32)
-            coef_b = np.zeros(col_b.shape)
-            col_b[~ext_row], coef_b[~ext_row], coef_b[ext_row, 0] = idx_n, coef_n, 1.0
-            keep = coef_b != 0.0
-            wk_b = np.concatenate([wk_t[inner % m], wk_ext])
-            row_t = node[order] % m
-            ext_v = ext_k[first][order[ext_row] - len(inner)]  # exterior rows' values, row order
-            blocks.append((col_b[keep], coef_b[keep], keep.sum(axis=1), coef_b.sum(axis=1),
-                           ext_row, ext_v, wk_b[order], pm2_t[row_t], tag_t[row_t],
-                           np.bincount(node // m, minlength=hi - lo)))
-            n_uncollapsed += (hi - lo) * m
+            # each point's interior rows in enumeration order, then its merged
+            # exterior rows in order of first appearance
+            by_point = np.argsort(key_j[first], kind="stable")
+            n_in, n_ext = np.bincount(in_j, minlength=P), np.bincount(key_j[first], minlength=P)
+            ext_row = np.repeat(np.tile([False, True], P), np.column_stack([n_in, n_ext]).ravel())
+            row_t, wk_b = np.empty(len(ext_row), dtype=np.int64), np.empty(len(ext_row))
+            row_t[~ext_row], row_t[ext_row] = in_t, key_t[first][by_point]
+            wk_b[~ext_row], wk_b[ext_row] = wk_t[in_t], wk_ext[by_point]
+            # an exterior row is one entry, 1.0 on a column set to n + slot once
+            # every slot is known
+            ent_b, csum_b = np.ones(len(ext_row), dtype=np.int64), np.ones(len(ext_row))
+            ent_b[~ext_row], csum_b[~ext_row] = ent, csum
+            inner = np.repeat(~ext_row, ent_b)
+            rcol_b, rval_b = np.zeros(len(inner), dtype=np.int32), np.ones(len(inner))
+            rcol_b[inner], rval_b[inner] = rcol, rval
+            blocks.append((rcol_b, rval_b, ent_b, csum_b, ext_row, ext_k[first][by_point], wk_b,
+                           pm2_t[row_t], tag_t[row_t], n_in + n_ext))
+            n_uncollapsed += P * m
 
     # a zero-row block first, so that an empty point set gives an empty plan
     empty = (np.zeros(0, dtype=np.int32), c_ext[:0], np.zeros(0, dtype=np.int64), c_ext[:0],
@@ -463,15 +481,16 @@ def _plan_rows(spec: ExponentSpec, u, grid: SampledFunction, pts: np.ndarray,
              np.zeros(0, dtype=np.int64))
     rcol, rval, entries, csum, out, ext_rows, wk, pm2, tag, counts = (
         np.concatenate(col) for col in zip(empty, *blocks))
+    del blocks
     # exterior rows, then exterior centers, read their slots
     ext_all = np.concatenate([ext_rows, c_ext[~c_interp]])
     first, slot = _first_use_groups(ext_all)
     n, n_out = grid.values.size, int(out.sum())
-    rcol[np.repeat(out, entries)] = n + slot[:n_out]
-    cidx[~c_interp], ccoef[~c_interp, 0] = n + slot[n_out:, None], 1.0
     index = np.int32 if rcol.size < 2 ** 31 else np.int64
     rcol = rcol.astype(index, copy=False)
     rptr = np.concatenate([[0], np.cumsum(entries)]).astype(index)
+    rcol[rptr[:-1][out]] = n + slot[:n_out]
+    cidx[~c_interp], ccoef[~c_interp, 0] = n + slot[n_out:, None], 1.0
 
     arrays = {"ptr": np.concatenate([[0], np.cumsum(counts)]), "rptr": rptr, "rcol": rcol,
               "rval": rval, "csum": csum, "wk": wk, "pm2": pm2, "level_tag": tag, "cidx": cidx,
@@ -483,6 +502,43 @@ def _plan_rows(spec: ExponentSpec, u, grid: SampledFunction, pts: np.ndarray,
                     meta={"dim": N, "nodes_uncollapsed": n_uncollapsed})
     _held = (key, rows)
     return rows
+
+
+def _row_entries(idx, coef, rows=None):
+    """CSR entries of stencil rows given stencil-major, idx and coef (..., S, T).
+
+    Returns the nonzero coefficients and their int32 columns row by row, each
+    row's entries in stencil order, then each row's entry count and
+    coefficient sum; `rows`, a (..., T) mask, keeps only those rows, in one
+    compress with the zeros.
+    """
+    keep = coef != 0.0
+    if rows is not None:
+        keep &= rows[..., None, :]
+    kt = np.moveaxis(keep, -2, -1)
+    rcol = np.moveaxis(idx, -2, -1)[kt].astype(np.int32, copy=False)
+    rval = np.moveaxis(coef, -2, -1)[kt]
+    ent, csum = keep.sum(axis=-2), _row_sums(coef)
+    return (rcol, rval, ent, csum) if rows is None else (rcol, rval, ent[rows], csum[rows])
+
+
+def _row_sums(coef):
+    """Sums over axis -2 of (..., S, T), the bits of `.sum()` on each contiguous row.
+
+    numpy adds a contiguous row of S <= 128 left to right below 8 entries,
+    else in 8 partial sums combined pairwise; doing the same across T skips
+    a transposing copy and a short-row `.sum`, which added 0.07-0.13 s to
+    a 0.58-0.70 s 2-d n=41 row build on 2 vCPU.
+    `TestLinearForm.test_offset_tables_match_positions` pins the result to
+    `.sum(axis=1)` for every stencil size a plan uses (3, 4, 9 and 16).
+    """
+    c = np.moveaxis(coef, -2, 0)
+    if len(c) < 8:
+        return functools.reduce(np.add, c)
+    full = len(c) - len(c) % 8
+    r = functools.reduce(np.add, (c[i:i + 8] for i in range(0, full, 8)))
+    return functools.reduce(np.add, c[full:], ((r[0] + r[1]) + (r[2] + r[3]))
+                            + ((r[4] + r[5]) + (r[6] + r[7])))
 
 
 def _first_use_groups(*keys):

@@ -108,6 +108,16 @@ class TestConfig:
             RunConfig.load(p)
         assert main(["validate-exponent", "--config", str(p)]) == 3
 
+    def test_integral_numbers_load_as_integers(self, tmp_path):
+        p = tmp_path / "whole.ini"
+        p.write_text("[solver]\nnodes = 15.0\n[exponent]\ndimension = 2.0\n")
+        cfg = RunConfig.load(p)
+        assert cfg.section("solver")["nodes"] == 15 and cfg.exponent_spec().dimension == 2
+        assert isinstance(cfg.section("solver")["nodes"], int)
+        with pytest.raises(fx.PreconditionError, match="not an integer"):
+            cfg.override("solver", "nodes", 15.5)
+        assert cfg.section("solver")["nodes"] == 15
+
     @pytest.mark.parametrize("section, key, value", [
         ("mp", "hyp_tol", float("nan")), ("mp", "concl_tol", "inf"),
         ("quadrature", "tail_radius", "nan"), ("run", "seed", float("-inf"))])
@@ -241,11 +251,17 @@ class TestExitCodes:
         ("validate-exponent", {"exponent.q_kind": "table", "exponent.q_params": "a:b"}),
         ("validate-exponent", {"exponent.q_kind": "table", "exponent.q_params": "1-2"}),
         ("validate-exponent", {"exponent.q_kind": "table", "exponent.q_params": "0:2.5,5"}),
+        ("validate-exponent", {"exponent.m": 0}),
+        ("validate-exponent", {"exponent.m": -0.5}),
+        ("validate-exponent", {"exponent.m": 1}),
+        ("validate-exponent", {"exponent.dimension": 2.7}),
+        ("validate-exponent", {"solver.nodes": 15.9}),
     ], ids=["dimension-3", "dimension-3-lemmas", "constant-abc", "table-a:b", "table-1-2",
-            "table-0:2.5,5"])
+            "table-0:2.5,5", "m-0", "m--0.5", "m-1", "dimension-2.7", "nodes-15.9"])
     def test_unrunnable_exponent_is_precondition(self, tmp_path, capsys, command, overrides):
-        # the grids, stencils and sweeps exist in 1-d and 2-d only, and
-        # q_params that do not parse used to end in a raw traceback
+        # the grids, stencils and sweeps exist in 1-d and 2-d only; q_params
+        # that do not parse and m outside (0, 1) (log m in the profile) used
+        # to end in a raw traceback; an integer key silently truncated 2.7 to 2
         cfg = small_config(tmp_path, **overrides)
         assert main([command, "--config", str(cfg)]) == 3
         assert capsys.readouterr().err.startswith("precondition error:")

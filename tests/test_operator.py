@@ -499,6 +499,43 @@ class TestTailCertificate:
 
 
 class TestLinearForm:
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("hint", [2, 3])
+    def test_offset_tables_match_positions(self, dim, hint):
+        # the plan's near rows come from per-axis tables, never from positions:
+        # they must equal linear_form on the positions x + offset bit for bit
+        rng = np.random.default_rng(11 + dim + 10 * hint)
+        u = fx.SampledFunction.from_function(bump_profile(0.5, 0.5), 1.5, 21, dim,
+                                             smoothness_hint=hint)
+        # random points, lattice nodes sharing coordinates, and a signed zero
+        nodes = u.nodes()[rng.integers(0, u.values.size, 6)]
+        pts = np.concatenate([rng.uniform(-1.4, 1.4, (6, dim)), nodes, nodes[:2],
+                              np.full((1, dim), -0.0)])
+        d = rng.normal(size=(300, dim))
+        offsets = rng.uniform(0.0, 3.2, (300, 1)) * d / np.linalg.norm(d, axis=1, keepdims=True)
+        rules = ("zero_outside_ball", "zero_outside_box", "constant:0.3",
+                 lambda p: 0.05 * np.cos(3.0 * p[:, 0]) + p[:, -1])
+        for rule in rules:
+            v = fx.SampledFunction(u.values + (rule == "constant:0.3") * 0.3, u.shape, u.extent,
+                                   exterior_rule=rule, smoothness_hint=hint)
+            pos = (pts[:, None, :] + offsets[None, :, :]).reshape(-1, dim)
+            interp, idx, coef, ext = v.linear_form(pos)
+            t_interp, t_idx, t_coef, t_ext = v.offset_form(pts, offsets).linear_form(1, len(pts))
+            rows = slice(len(offsets), None)  # the form's points 1.. only
+            np.testing.assert_array_equal(t_interp.ravel(), interp[rows], err_msg=str(rule))
+            np.testing.assert_array_equal(t_ext.ravel(), ext[rows], err_msg=str(rule))
+            skip = np.count_nonzero(interp[:len(offsets)])
+            by_row = [np.moveaxis(a, -2, -1)[t_interp] for a in (t_idx, t_coef)]
+            np.testing.assert_array_equal(by_row[0], idx[skip:], err_msg=str(rule))
+            np.testing.assert_array_equal(by_row[1], coef[skip:], err_msg=str(rule))
+            # the plan's CSR entries, from either path
+            for got, want in zip(quadrature._row_entries(t_idx, t_coef, t_interp),
+                                 quadrature._row_entries(idx[skip:].T, coef[skip:].T)):
+                np.testing.assert_array_equal(got, want, err_msg=str(rule))
+            csum = quadrature._row_entries(t_idx, t_coef, t_interp)[3]
+            np.testing.assert_array_equal(csum, coef[skip:].sum(axis=1), err_msg=str(rule))
+            assert 0 < interp.sum() < len(pos), rule
+
     @pytest.mark.parametrize("grid", ["u_bump_1d", "u_bump_2d"])
     def test_reproduces_point_eval(self, grid, request):
         # random points inside the ball, inside the box only, and outside the box [-1.5, 1.5]^N

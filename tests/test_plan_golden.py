@@ -9,6 +9,12 @@ changes no byte of any plan.  The cases cover the default exponent in 1-d
 and 2-d, every exterior rule (a callable one has no far radii), mirrored
 views whose reflections leave the box, and constant exponents, where near
 and far exterior nodes share a merge key.
+
+The last four cases were recorded at commit 26e92a2, before near-node rows
+came from per-axis stencil tables instead of `linear_form` on materialised
+node positions: cubic stencils (16-entry rows in 2-d) in 1-d and 2-d, a
+callable exterior rule in 2-d, and seeded points off the lattice, no two
+sharing a coordinate, so every point has its own table rows.
 """
 
 import hashlib
@@ -24,11 +30,24 @@ ARRAYS = ("ptr", "rptr", "rcol", "rval", "csum", "wk", "pm2", "level_tag", "cidx
           "rho", "ext_values")
 
 
-def _grid(n, dim, rule="zero_outside_ball", shift=0.0):
-    u = fx.SampledFunction.from_function(bump_profile(0.5, 0.5), 1.5, n, dim)
+def _grid(n, dim, rule="zero_outside_ball", shift=0.0, hint=2):
+    u = fx.SampledFunction.from_function(bump_profile(0.5, 0.5), 1.5, n, dim,
+                                         smoothness_hint=hint)
     if rule == "zero_outside_ball":
         return u
-    return fx.SampledFunction(u.values + shift, u.shape, u.extent, exterior_rule=rule)
+    return fx.SampledFunction(u.values + shift, u.shape, u.extent, exterior_rule=rule,
+                              smoothness_hint=hint)
+
+
+def _wave(p):
+    return 0.05 * np.cos(3.0 * p[:, 0]) * np.cos(2.0 * p[:, -1])
+
+
+def _off_lattice(count, seed):
+    """`count` seeded points with |x| < 0.9, no two sharing a coordinate."""
+    rng = np.random.default_rng(seed)
+    r, th = 0.9 * np.sqrt(rng.random(count)), 2.0 * np.pi * rng.random(count)
+    return np.column_stack([r * np.cos(th), r * np.sin(th)])
 
 
 def _ball(u):
@@ -65,6 +84,10 @@ def _case(name):
         "1d_example_i": lambda: (fx.make_spec("example_i", 1, 0.5, 0.5), u1, ball1),
         "1d_table": lambda: (fx.make_spec("table", 1, 0.3, 0.5,
                                           table=((0.0, 1.0, 10.0), (2.5, 2.8, 3.0))), u1, ball1),
+        "2d_n15_cubic": lambda: (ii2, _grid(15, 2, hint=3), ball15),
+        "1d_n101_cubic": lambda: (ii1, _grid(101, 1, hint=3), ball1),
+        "2d_callable": lambda: (ii2, _grid(15, 2, _wave), ball15),
+        "2d_off_lattice": lambda: (ii2, u15, _off_lattice(24, 7)),
     }
     return cases[name]()
 
@@ -96,6 +119,10 @@ GOLDEN = {
     "2d_constant_p2.5": "cda196ec0ce2f2da09ded10c7a5f47155cdd878d83af1dc3b31dbb8df55e24b4",
     "1d_example_i": "efb8db9c4b71310023d209985deb940352e799f17b63d5156e38846c21a712ed",
     "1d_table": "f16dbfd2b761225cf45a6e8af6a36a2f5d156a348cff4b0b91924e4ee5a896be",
+    "2d_n15_cubic": "f6261541439f1aa52338ddc440563046580a58d1a5c6e35a6d3463b88424918c",
+    "1d_n101_cubic": "20bfd11455b08a9fc382d1ca1850893e831d01107bbd2103205a0d643b025c1d",
+    "2d_callable": "d2a1c29a44826ba19f64fdbcfe97d238437af241344239675dfcc0e9c1dbdb41",
+    "2d_off_lattice": "50d89162fb4350cf16e829f03a98c129b340aec7f1d3f82564b92913f3034389",
 }
 
 
