@@ -169,6 +169,18 @@ def residual(problem: ProblemSpec, u: SampledFunction,
     return plan.sums.field(plan.rho) - problem.rhs(pts, plan.sums.centers, idx)
 
 
+def check_settings(tol_res: float, max_iters: int, eta: float) -> None:
+    """Refuse solver settings with no meaning: a `tol_res` that is not finite
+    and positive (no residual reaches it), fewer than one kernel pass, and an
+    `eta` outside [0, 1), which leaves [0, 1-eta] empty or wider than [0, 1]."""
+    if not 0.0 < tol_res < np.inf:
+        raise PreconditionError(f"tol_res must be finite and > 0, got {tol_res!r}")
+    if not max_iters >= 1:
+        raise PreconditionError(f"max_iters must be >= 1, got {max_iters!r}")
+    if not 0.0 <= eta < 1.0:
+        raise PreconditionError(f"eta must lie in [0, 1), got {eta!r}")
+
+
 def solve(problem: ProblemSpec, initial_guess: SampledFunction,
           cfg: QuadratureConfig | None = None, tol_res: float = 1e-4,
           max_iters: int = 50_000, eta: float = 1e-3, checkpoint_every: int = 25,
@@ -184,7 +196,9 @@ def solve(problem: ProblemSpec, initial_guess: SampledFunction,
     [step, sup residual, sup error to `u_star` or None], which equals an
     independent `residual()`.  Stops at tol_res, at `max_iters` applies or
     when the line search finds no decrease; `checkpoint_every` is ignored.
+    The settings must pass `check_settings`.
     """
+    check_settings(tol_res, max_iters, eta)
     cfg = cfg or QuadratureConfig()
     values = initial_guess.values.copy()
     idx = np.nonzero(interior_mask(initial_guess))[0]

@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .ball_solver import (GENERAL_F, MANUFACTURED, POWER, ProblemSpec,
-                          bump_profile, interior_mask, manufacture, solve)
+from .ball_solver import (GENERAL_F, MANUFACTURED, POWER, ProblemSpec, bump_profile,
+                          check_settings, interior_mask, manufacture, solve)
 from .config import RunConfig
 from .errors import (CheckFailedError, EvaluationError, NumericError,
                      PreconditionError, TailError)
@@ -122,6 +122,8 @@ def _parse_plane(text: str) -> PlaneGeometry:
     vals = _parse_numbers(text, "plane")
     if len(vals) < 2:
         raise PreconditionError("--plane needs direction components plus the offset")
+    if not np.all(np.isfinite(vals[:-1])) or not np.any(vals[:-1] != 0.0):
+        raise PreconditionError(f"--plane {text!r}: the direction must be finite and nonzero")
     return PlaneGeometry(tuple(vals[:-1] / np.linalg.norm(vals[:-1])), float(vals[-1]))
 
 
@@ -257,6 +259,8 @@ def _cmd_check_mp(args, cfg: RunConfig, outdir: Path) -> bool:
     qcfg = cfg.quadrature()
     mp_cfg = cfg.section("mp")
     tols = {"hyp_tol": mp_cfg["hyp_tol"], "concl_tol": mp_cfg["concl_tol"]}
+    if not 0.0 < args.ball_radius < np.inf:  # checked for every theorem, read by 3.2
+        raise PreconditionError(f"--ball-radius must be finite and > 0, got {args.ball_radius!r}")
 
     if args.theorem == "3.1":
         mask = (_auto_mask(spec, u, qcfg, tols["hyp_tol"]) if args.auto_mask
@@ -332,6 +336,7 @@ def _manufactured_problem(cfg: RunConfig, spec, n: int):
     `spec` is the caller's `cfg.exponent_spec()`: a second call would make a
     spec that compares unequal, so the steps could not share plan rows."""
     sol = cfg.section("solver")
+    check_settings(sol["tol_res"], sol["max_iters"], sol["eta"])  # before eta clips the guess
     u_star, h = manufacture(spec, n, sol["extent"], sol["amplitude"], cfg=cfg.quadrature())
     problem = ProblemSpec(exponent=spec, rhs_mode=MANUFACTURED, h_field=h,
                           domain=f"ball_{spec.dimension}d")

@@ -127,9 +127,9 @@ class SampledFunction:
     # -- interpolation ------------------------------------------------------
     #
     # One copy of each formula, fed either per-position arrays (`linear_form`)
-    # or rows of per-axis tables (`OffsetForm`): the box test and square of one
-    # axis coordinate, `_axis_stencil`, `_source` (box and ball tests) and
-    # `_tensor` (the stencil-major tensor product), and `_exterior`.
+    # or rows of per-axis tables (`OffsetForm`): `_axis_table` (the box test,
+    # square and stencil of one axis coordinate), `_source` (box and ball
+    # tests), `_tensor` (the stencil-major tensor product) and `_exterior`.
 
     def _axis_in_box(self, c: np.ndarray) -> np.ndarray:
         return np.abs(c) <= self.extent
@@ -246,9 +246,10 @@ class SampledFunction:
         zero_outside_ball), the exterior rule elsewhere.  Returns (interp, idx,
         coef, ext): the mask of interpolated points, their (interp.sum(), S)
         stencils in point order, and exterior values (0 on interpolated
-        points).  A plan's near rows around grid points come from
-        `offset_form` instead, which runs the same tests and products on
-        per-axis tables; views, point evaluation and plan centers come here.
+        points).  A plan's near rows come from `offset_form` instead, which
+        runs the same tests and products on per-axis tables (a view's computed
+        per block from its reflected positions); point evaluation and plan
+        centers come here.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         in_box, interp = self._source([self._axis_in_box(c) for c in pts.T],
@@ -261,19 +262,31 @@ class SampledFunction:
 
         Position j, t has axis coordinates fl(x_a + fl(offsets[t, a])), so per
         axis everything `linear_form` reads of it is a function of the pair
-        (distinct x_a, t).  Each axis gets one table over those pairs (box
-        test, square, stencil start and stencil-major weights); `OffsetForm`
-        gathers whole table rows per point and never forms the positions.
-        Distinct means distinct bits, so -0.0 and 0.0 get rows of their own.
+        (distinct x_a, t).  Each axis gets one `_axis_table` over those pairs;
+        `OffsetForm` gathers whole table rows per point and never forms the
+        positions.  Distinct means distinct bits, so -0.0 and 0.0 get rows of
+        their own.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        offsets = np.asarray(offsets, dtype=float)
         tables = []
-        for x, off in zip(pts.T, np.asarray(offsets, dtype=float).T):
+        for x, off in zip(pts.T, offsets.T):
             bits, inv = np.unique(np.ascontiguousarray(x).view(np.int64), return_inverse=True)
-            c = bits.view(np.float64)[:, None] + off[None, :]
-            i0, w = self._axis_stencil(c)
-            tables.append((inv.ravel(), self._axis_in_box(c), c * c, i0.astype(np.int32), w))
-        return OffsetForm(self, pts, np.asarray(offsets, dtype=float), tables)
+            tables.append((inv.ravel(), self._axis_table(bits.view(np.float64)[:, None] + off)))
+        return OffsetForm(self, pts, offsets, tables)
+
+    def _axis_table(self, c):
+        """What `linear_form` reads of axis coordinates c (..., T).
+
+        The box test, the square, the count of nonzero stencil weights (int8),
+        the stencil start (int32) and the weights, stencil-major (..., S, T).
+        A weight is 0 exactly where t snaps to a node, and above about 1e-10
+        elsewhere, so a product of axis weights is 0 only where a factor is:
+        a tensor stencil has the product of its axes' counts as nonzeros.
+        """
+        i0, w = self._axis_stencil(c)
+        return (self._axis_in_box(c), c * c, np.count_nonzero(w, axis=-2).astype(np.int8),
+                i0.astype(np.int32), w)
 
     def point_eval(self, pts) -> np.ndarray:
         """Evaluate the interpolant with the exterior rule applied pointwise."""
@@ -325,9 +338,9 @@ class SampledFunction:
 class OffsetForm:
     """`SampledFunction.linear_form` at pts[j] + offsets[t], block by block.
 
-    `tables` holds per axis (inv, box, sq, i0, w): each point's table row,
-    and per (distinct coordinate, offset) the box test, the square, the
-    stencil start (int32) and the weights, shape (U, S, T).
+    `tables` holds per axis (inv, table): each point's table row, and the
+    `_axis_table` fields (box, sq, nz, i0, w) per (distinct coordinate,
+    offset).
     """
 
     grid: SampledFunction
@@ -335,24 +348,49 @@ class OffsetForm:
     offsets: np.ndarray
     tables: list
 
-    def linear_form(self, lo: int, hi: int):
-        """(interp, idx, coef, ext) at the positions of points lo..hi.
+    def _rows(self, lo: int, hi: int, k: int) -> list:
+        """Per axis, the first k table fields at the positions of points lo..hi."""
+        return [[f[inv[lo:hi]] for f in table[:k]] for inv, table in self.tables]
 
-        `interp` and `ext` are (P, T), as `linear_form` gives them for the
-        positions in point-major order; idx (int32) and coef are the
-        stencils of every position, interpolated or not, stencil-major
-        (P, S^N, T).
+    def _positions(self, lo: int, hi: int) -> np.ndarray:
+        """The positions of points lo..hi where the grid reads u, (P, T, N)."""
+        return self.pts[lo:hi, None, :] + self.offsets
+
+    def block(self, lo: int, hi: int, stencils: bool = False):
+        """(interp, ext, nz) at the positions of points lo..hi, each (P, T).
+
+        `interp` and `ext` are what `linear_form` gives for the positions in
+        point-major order, `nz` the nonzero coefficients of each position's
+        stencil.  With `stencils`, idx (int32) and coef follow: the stencils
+        of every position, interpolated or not, stencil-major (P, S^N, T).
         """
         g = self.grid
-        box, sq, i0, w = zip(*((bx[inv[lo:hi]], sq[inv[lo:hi]], i0[inv[lo:hi]], w[inv[lo:hi]])
-                               for inv, bx, sq, i0, w in self.tables))
+        box, sq, nz, *stencil = zip(*self._rows(lo, hi, 5 if stencils else 3))
         in_box, interp = g._source(box, sq)
-        idx, coef = g._tensor(i0, w)
+        found = (interp, g._exterior(in_box, lambda: self._positions(lo, hi)[~in_box]),
+                 functools.reduce(np.multiply, nz))
+        return found + g._tensor(*stencil) if stencils else found
 
-        def outside():
-            j, t = np.nonzero(~in_box)
-            return self.pts[lo + j] + self.offsets[t]
-        return interp, idx, coef, g._exterior(in_box, outside)
+
+class ReflectedOffsets(OffsetForm):
+    """`OffsetForm` of a view at pts[j] + offsets[t].
+
+    An oblique plane mixes the axes, so a reflected coordinate is no function
+    of one axis's pair (x_a, t): each block's table rows are computed from its
+    reflected positions instead, by the same `_axis_table`.
+    """
+
+    def __init__(self, view: "ReflectedFunction", pts, offsets):
+        super().__init__(view.base, np.atleast_2d(np.asarray(pts, dtype=float)),
+                         np.asarray(offsets, dtype=float), [])
+        self.plane = view.plane
+
+    def _rows(self, lo: int, hi: int, k: int) -> list:
+        return [self.grid._axis_table(c)[:k] for c in np.moveaxis(self._positions(lo, hi), -1, 0)]
+
+    def _positions(self, lo: int, hi: int) -> np.ndarray:
+        pos = super()._positions(lo, hi)
+        return self.plane.reflect(pos.reshape(-1, self.grid.dim)).reshape(pos.shape)
 
 
 @dataclass
@@ -367,6 +405,10 @@ class ReflectedFunction:
         """`SampledFunction.linear_form` of the base grid at the reflected points."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return self.base.linear_form(self.plane.reflect(pts))
+
+    def offset_form(self, pts, offsets) -> ReflectedOffsets:
+        """`linear_form` at every position pts[j] + offsets[t], block by block."""
+        return ReflectedOffsets(self, pts, offsets)
 
     def point_eval(self, pts) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))

@@ -30,22 +30,31 @@ in enumeration order.  Under the zero and constant exterior rules this
 removes most exterior nodes.  The Gauss reference rule behind every radial
 interval is computed once per order, and each radial rule once per delta.
 
-`build_plan` makes these rows for a block of points at a time and writes
-each block's part of `R` straight from stencil-major (point, stencil, node)
-arrays, dropping zero coefficients and exterior nodes in one compress
-(`_row_entries`), so the plan never holds a dense (rows, stencil) array.
-Exterior keys there also carry the point, and each point's exterior rows
-follow its interior rows in the order above, so every row and weight sum is
-the one a point built alone gets.
+`build_plan` makes these rows a block of points at a time, in two passes
+over the same blocks.  The first sizes the plan: it counts each point's
+interior rows (its interpolated near nodes) and the block's entries (per
+interior row, the product of its axes' nonzero stencil weight counts), and
+merges the block's exterior nodes into their rows, which it keeps (one entry
+each, a few percent of the rows under a named rule).  Then every plan array
+is allocated once, at its final size, and the second pass writes each block
+straight into its slices from stencil-major (point, stencil, node) arrays,
+dropping zero coefficients and exterior nodes in one compress: no interior
+row or entry is kept between the passes, nothing is concatenated, and
+`rptr` is written as running sums.  So a build holds about one copy of the
+plan, and never a dense (rows, stencil) array.  Exterior keys there also
+carry the point, and each point's exterior rows follow its interior rows in
+the order above, so every row and weight sum is the one a point built alone
+gets.
 
-Only near nodes get stencils.  For a grid, they come from per-axis tables
-(`SampledFunction.offset_form`): a near node's axis coordinate is
-fl(x_a + fl(r d_a)), a function of the point's coordinate and the node's
-offset, so the box test, square and axis stencil are tabled once per run of
-points over (distinct coordinate, offset) and gathered per point; lattice
-points share a few coordinates per axis.  Under a view the reflection mixes
-the axes, so its near nodes' positions go through `u.linear_form`; both feed
-the same entry assembly.  A node at radius r > r_far =
+Only near nodes get stencils, from per-axis tables (`offset_form`).  For a
+grid, a near node's axis coordinate is fl(x_a + fl(r d_a)), a function of
+the point's coordinate and the node's offset, so the box test, square and
+axis stencil are tabled once per run of points over (distinct coordinate,
+offset) and gathered per point; lattice points share a few coordinates per
+axis.  Under a view the reflection mixes the axes, so each block's table
+rows are computed from its reflected positions.  One run's tables are held
+at a time: a set with one pairing radius builds them once, one with several
+builds each run's again for the second pass.  A node at radius r > r_far =
 max |x'| + sqrt(N) L (x' the point the grid reads: its mirror image under a
 view) lies outside the box in every direction, so under a named exterior
 rule it reads that rule's one value (`_far_field`); at the default
@@ -319,10 +328,10 @@ def _far_field(u, pts: np.ndarray):
 def build_plan(spec: ExponentSpec, u, points, cfg: QuadratureConfig) -> EvalPlan:
     """Assemble the quadrature plan for `points` (each strictly inside the box).
 
-    `u` may be a SampledFunction or a ReflectedFunction view.  A grid's near
-    rows come from its per-axis stencil tables (`offset_form`), a view's from
-    its `linear_form` at the node positions, so the view needs no
-    resampling; `u.linear_form` gives every center.  `r_eff` is sized for
+    `u` may be a SampledFunction or a ReflectedFunction view.  Near rows come
+    from `u.offset_form`, per-axis stencil tables (a view's computed from its
+    reflected positions, so the view needs no resampling); `u.linear_form`
+    gives every center.  `r_eff` is sized for
     |u| <= max(max|values|, 1), so the plan stays valid on other value
     vectors in that range (solver iterates), and a grid's plans share it.
     An empty point set gives an empty plan.
@@ -330,7 +339,8 @@ def build_plan(spec: ExponentSpec, u, points, cfg: QuadratureConfig) -> EvalPlan
     Rows are built a block of consecutive points with one pairing radius at
     a time, up to `PLAN_BLOCK` nodes; the points share one node template
     (kernel weight, p - 2, level tag), and the plan does not depend on the
-    blocking (see the module docs).
+    blocking.  One pass over the blocks sizes the plan, a second writes each
+    block into arrays allocated once (see the module docs).
 
     Every call checks its inputs, sizes `r_eff` from the values, certifies the
     tail (`tail_bound`) and freezes `rho` on a kernel pass over the values,
@@ -396,8 +406,7 @@ def _plan_rows(spec: ExponentSpec, u, grid: SampledFunction, pts: np.ndarray,
     template read (see `build_plan`); its `rho` is 0, its `tail_bound` NaN and its `sums` None.
     """
     global _held
-    view = isinstance(u, ReflectedFunction)
-    plane = u.plane if view else None
+    plane = u.plane if isinstance(u, ReflectedFunction) else None
     key = (spec, cfg, r_eff, grid.shape, grid.extent, grid.exterior_rule,
            grid.smoothness_hint, plane, pts.tobytes())
     if _held is not None and _held[0] == key:
@@ -413,113 +422,136 @@ def _plan_rows(spec: ExponentSpec, u, grid: SampledFunction, pts: np.ndarray,
     cidx[c_interp], ccoef[c_interp] = c_idx, c_coef
 
     r_far, c_far = _far_field(u, pts)
-    blocks, n_uncollapsed = [], 0
     starts = np.flatnonzero(np.diff(_pairing_radius(pts, grid.extent, cfg), prepend=np.nan))
-    for a, b in zip(starts, [*starts[1:], len(pts)]):  # runs of points with one delta
-        rs, _, w_node = paired_nodes(pts[a], grid.extent, r_eff, cfg, dirs, aw)
-        q_r = np.asarray(spec.q(rs), dtype=float)
-        tag_r = np.zeros(len(rs), dtype=np.int8)
-        tag_r[:cfg.nodes_per_level] = 2                      # innermost level
-        tag_r[cfg.nodes_per_level:2 * cfg.nodes_per_level] = 1
-        wk_t = w_node * np.repeat(rs ** (-(N + s * q_r)), n_dirs)
-        pm2_t, tag_t = np.repeat(q_r - 2.0, n_dirs), np.repeat(tag_r, n_dirs)
-        m, per = len(wk_t), max(1, PLAN_BLOCK // len(wk_t))
-        # the radii ascend, so a point's near nodes are the first m_near of its
-        # template, at offsets fl(r d); its far nodes all read c_far and fall
-        # into one group per (p - 2, level tag), each led by its first node
-        m_near = int(np.count_nonzero(rs <= r_far)) * n_dirs
-        offsets = (rs[:m_near // n_dirs, None, None] * dirs[None, :, :]).reshape(m_near, N)
-        f_first, f_group = _first_use_groups(pm2_t[m_near:], tag_t[m_near:])
-        if not view:  # one set of per-axis tables for the run
-            form = grid.offset_form(pts[a:b], offsets)
-        for lo in range(a, b, per):
-            hi = min(lo + per, b)
-            if view:  # an oblique plane mixes the axes: reflect every position
-                pos = (pts[lo:hi, None, :] + offsets[None, :, :]).reshape(-1, N)
-                interp, idx, coef, ext = u.linear_form(pos)
-                rcol, rval, ent, csum = _row_entries(idx.T, coef.T)
-                interp, ext = interp.reshape(hi - lo, m_near), ext.reshape(hi - lo, m_near)
-            else:
-                interp, idx, coef, ext = form.linear_form(lo - a, hi - a)
-                rcol, rval, ent, csum = _row_entries(idx, coef, interp)
-            P = hi - lo
-            in_j, in_t = np.nonzero(interp)
-            out_j, out_t = np.nonzero(~interp)
-            # near exterior nodes, then one pseudo-node per point and far group
-            key_j = np.concatenate([out_j, np.repeat(np.arange(P), len(f_first))])
-            key_t = np.concatenate([out_t, np.tile(m_near + f_first, P)])
-            ext_k = np.concatenate([ext[~interp], np.full(P * len(f_first), c_far)])
-            first, group = _first_use_groups(pm2_t[key_t], ext_k, tag_t[key_t], key_j)
-            # every far node joins its pseudo-row's group after all near nodes, so
-            # each merged weight adds its nodes in enumeration order
-            g_far = group[len(out_j):].reshape(P, -1)[:, f_group].ravel()
-            wk_ext = np.bincount(np.concatenate([group[:len(out_j)], g_far]),
-                                 np.concatenate([wk_t[out_t], np.tile(wk_t[m_near:], P)]),
-                                 len(first))
-            # each point's interior rows in enumeration order, then its merged
-            # exterior rows in order of first appearance
-            by_point = np.argsort(key_j[first], kind="stable")
-            n_in, n_ext = np.bincount(in_j, minlength=P), np.bincount(key_j[first], minlength=P)
-            ext_row = np.repeat(np.tile([False, True], P), np.column_stack([n_in, n_ext]).ravel())
-            row_t, wk_b = np.empty(len(ext_row), dtype=np.int64), np.empty(len(ext_row))
-            row_t[~ext_row], row_t[ext_row] = in_t, key_t[first][by_point]
-            wk_b[~ext_row], wk_b[ext_row] = wk_t[in_t], wk_ext[by_point]
-            # an exterior row is one entry, 1.0 on a column set to n + slot once
-            # every slot is known
-            ent_b, csum_b = np.ones(len(ext_row), dtype=np.int64), np.ones(len(ext_row))
-            ent_b[~ext_row], csum_b[~ext_row] = ent, csum
-            inner = np.repeat(~ext_row, ent_b)
-            rcol_b, rval_b = np.zeros(len(inner), dtype=np.int32), np.ones(len(inner))
-            rcol_b[inner], rval_b[inner] = rcol, rval
-            blocks.append((rcol_b, rval_b, ent_b, csum_b, ext_row, ext_k[first][by_point], wk_b,
-                           pm2_t[row_t], tag_t[row_t], n_in + n_ext))
-            n_uncollapsed += P * m
 
-    # a zero-row block first, so that an empty point set gives an empty plan
-    empty = (np.zeros(0, dtype=np.int32), c_ext[:0], np.zeros(0, dtype=np.int64), c_ext[:0],
-             c_interp[:0], c_ext[:0], c_ext[:0], c_ext[:0], np.zeros(0, dtype=np.int8),
-             np.zeros(0, dtype=np.int64))
-    rcol, rval, entries, csum, out, ext_rows, wk, pm2, tag, counts = (
-        np.concatenate(col) for col in zip(empty, *blocks))
-    del blocks
-    # exterior rows, then exterior centers, read their slots
-    ext_all = np.concatenate([ext_rows, c_ext[~c_interp]])
+    run = None  # (start, node template, form) of the one run whose tables are held
+
+    def blocks():
+        """Each block of points lo..hi in turn, with its run's node template and
+        its `OffsetForm.block`.  One run's tables are held at a time, so a set
+        with one pairing radius builds them once for both passes."""
+        nonlocal run
+        for a, b in zip(starts, [*starts[1:], len(pts)]):  # runs of points with one delta
+            if run is None or run[0] != a:
+                run = None  # drop the held tables before building these
+                rs, _, w_node = paired_nodes(pts[a], grid.extent, r_eff, cfg, dirs, aw)
+                q_r = np.asarray(spec.q(rs), dtype=float)
+                tag_r = np.zeros(len(rs), dtype=np.int8)
+                tag_r[:cfg.nodes_per_level] = 2                      # innermost level
+                tag_r[cfg.nodes_per_level:2 * cfg.nodes_per_level] = 1
+                wk_t = w_node * np.repeat(rs ** (-(N + s * q_r)), n_dirs)
+                pm2_t, tag_t = np.repeat(q_r - 2.0, n_dirs), np.repeat(tag_r, n_dirs)
+                # the radii ascend, so a point's near nodes are the first m_near of its
+                # template, at offsets fl(r d); its far nodes all read c_far and fall
+                # into one group per (p - 2, level tag), each led by its first node
+                m_near = int(np.count_nonzero(rs <= r_far)) * n_dirs
+                offsets = (rs[:m_near // n_dirs, None, None] * dirs[None, :, :]).reshape(m_near, N)
+                tm = (wk_t, pm2_t, tag_t, m_near,
+                      *_first_use_groups(pm2_t[m_near:], tag_t[m_near:]))
+                run = (a, tm, u.offset_form(pts[a:b], offsets))
+            _, tm, form = run
+            per = max(1, PLAN_BLOCK // len(tm[0]))
+            for lo in range(a, b, per):
+                hi = min(lo + per, b)
+                yield lo, hi, tm, functools.partial(form.block, lo - a, hi - a)
+
+    # size the plan: each point's rows and the interior entries; the merged
+    # exterior rows (one entry each, a few percent of the rows under a named
+    # rule) are made here and kept for the second pass
+    ptr = np.zeros(len(pts) + 1, dtype=np.int64)
+    ext_rows, n_ent, n_uncollapsed = [], 0, 0
+    for lo, hi, tm, block in blocks():
+        interp, ext, nz = block()
+        *rows_x, n_ext = _exterior_rows(tm, interp, ext, c_far)
+        ext_rows.append(rows_x)
+        ptr[lo + 1:hi + 1] = np.count_nonzero(interp, axis=1) + n_ext
+        n_ent += int(np.sum(nz, where=interp)) + len(rows_x[0])
+        n_uncollapsed += (hi - lo) * len(tm[0])
+    np.cumsum(ptr, out=ptr)
+    n_out = sum(len(x_t) for x_t, _, _ in ext_rows)
+
+    # then allocate every array once and fill it block by block
+    nnz = int(ptr[-1])
+    index = np.int32 if n_ent < 2 ** 31 else np.int64
+    rptr, rcol, rval = np.zeros(nnz + 1, dtype=index), np.empty(n_ent, dtype=index), np.empty(n_ent)
+    csum, wk, pm2, tag = np.empty(nnz), np.empty(nnz), np.empty(nnz), np.empty(nnz, dtype=np.int8)
+    # exterior rows, then exterior centers, read their slots in order of first use
+    ext_all = np.empty(n_out + np.count_nonzero(~c_interp))
+    ext_all[n_out:] = c_ext[~c_interp]
+    ext_at = np.empty(n_out, dtype=np.int64)  # the entry of each exterior row
+    k0 = 0
+    for (lo, hi, tm, block), (x_t, x_val, x_wk) in zip(blocks(), ext_rows):
+        wk_t, pm2_t, tag_t = tm[:3]
+        interp, _, nz, idx, coef = block(stencils=True)
+        # each point's interior rows in enumeration order, then its merged
+        # exterior rows
+        in_j, in_t = np.nonzero(interp)
+        n_in = np.bincount(in_j, minlength=hi - lo)
+        r0, r1, k1 = ptr[lo], ptr[hi], k0 + len(x_t)
+        ext_row = np.repeat(np.tile([False, True], hi - lo),
+                            np.column_stack([n_in, np.diff(ptr[lo:hi + 1]) - n_in]).ravel())
+        row_t = np.empty(r1 - r0, dtype=np.int64)
+        row_t[~ext_row], row_t[ext_row] = in_t, x_t
+        wk[r0:r1][~ext_row], wk[r0:r1][ext_row] = wk_t[in_t], x_wk
+        pm2[r0:r1], tag[r0:r1] = pm2_t[row_t], tag_t[row_t]
+        csum[r0:r1][~ext_row], csum[r0:r1][ext_row] = _row_sums(coef)[interp], 1.0
+        # an interior row holds its stencil's nonzero coefficients in stencil
+        # order; an exterior row is one entry, 1.0 on a column set to n + slot
+        # once every slot is known
+        ent = np.ones(r1 - r0, dtype=np.int64)
+        ent[~ext_row] = nz[interp]
+        rptr[r0 + 1:r1 + 1] = rptr[r0] + np.cumsum(ent)
+        ext_at[k0:k1], ext_all[k0:k1] = rptr[r0 + 1:r1 + 1][ext_row] - 1, x_val
+        rval[ext_at[k0:k1]] = 1.0
+        kt = np.moveaxis((coef != 0.0) & interp[:, None, :], -2, -1)
+        cols, vals = np.moveaxis(idx, -2, -1)[kt], np.moveaxis(coef, -2, -1)[kt]
+        # a point's interior entries are one run, in cols and vals and in the plan
+        cut = np.cumsum(np.sum(nz, axis=1, where=interp))
+        for i, j, e in zip([0, *cut[:-1]], cut, rptr[ptr[lo:hi]]):
+            rcol[e:e + j - i], rval[e:e + j - i] = cols[i:j], vals[i:j]
+        k0 = k1
+
     first, slot = _first_use_groups(ext_all)
-    n, n_out = grid.values.size, int(out.sum())
-    index = np.int32 if rcol.size < 2 ** 31 else np.int64
-    rcol = rcol.astype(index, copy=False)
-    rptr = np.concatenate([[0], np.cumsum(entries)]).astype(index)
-    rcol[rptr[:-1][out]] = n + slot[:n_out]
+    n = grid.values.size
+    rcol[ext_at] = n + slot[:n_out]
     cidx[~c_interp], ccoef[~c_interp, 0] = n + slot[n_out:, None], 1.0
 
-    arrays = {"ptr": np.concatenate([[0], np.cumsum(counts)]), "rptr": rptr, "rcol": rcol,
-              "rval": rval, "csum": csum, "wk": wk, "pm2": pm2, "level_tag": tag, "cidx": cidx,
-              "ccoef": ccoef, "rho": np.zeros(len(pts)), "ext_values": ext_all[first]}
+    arrays = {"ptr": ptr, "rptr": rptr, "rcol": rcol, "rval": rval, "csum": csum, "wk": wk,
+              "pm2": pm2, "level_tag": tag, "cidx": cidx, "ccoef": ccoef,
+              "rho": np.zeros(len(pts)), "ext_values": ext_all[first]}
     for a in arrays.values():
         a.flags.writeable = False
-    R = sparse.csr_array((rval, rcol, rptr), shape=(len(wk), n + len(first)))
+    R = sparse.csr_array((rval, rcol, rptr), shape=(nnz, n + len(first)))
     rows = EvalPlan(**arrays, R=R, r_eff=float(r_eff), tail_bound=float("nan"),
                     meta={"dim": N, "nodes_uncollapsed": n_uncollapsed})
     _held = (key, rows)
     return rows
 
 
-def _row_entries(idx, coef, rows=None):
-    """CSR entries of stencil rows given stencil-major, idx and coef (..., S, T).
+def _exterior_rows(tm, interp, ext, c_far):
+    """A block's merged exterior rows, each point's in order of first appearance.
 
-    Returns the nonzero coefficients and their int32 columns row by row, each
-    row's entries in stencil order, then each row's entry count and
-    coefficient sum; `rows`, a (..., T) mask, keeps only those rows, in one
-    compress with the zeros.
+    The keys are (p - 2, exterior value, level tag, point) of the near nodes
+    that `interp` (P, T) leaves out, in node order, then of one pseudo-node
+    per point and far group of the template `tm`, which reads `c_far`.
+    Returns per row its key's first template node, its exterior value and
+    its weight, then each point's row count.
     """
-    keep = coef != 0.0
-    if rows is not None:
-        keep &= rows[..., None, :]
-    kt = np.moveaxis(keep, -2, -1)
-    rcol = np.moveaxis(idx, -2, -1)[kt].astype(np.int32, copy=False)
-    rval = np.moveaxis(coef, -2, -1)[kt]
-    ent, csum = keep.sum(axis=-2), _row_sums(coef)
-    return (rcol, rval, ent, csum) if rows is None else (rcol, rval, ent[rows], csum[rows])
+    wk_t, pm2_t, tag_t, m_near, f_first, f_group = tm
+    P = len(interp)
+    out_j, out_t = np.nonzero(~interp)
+    key_j = np.concatenate([out_j, np.repeat(np.arange(P), len(f_first))])
+    key_t = np.concatenate([out_t, np.tile(m_near + f_first, P)])
+    ext_k = np.concatenate([ext[~interp], np.full(P * len(f_first), c_far)])
+    first, group = _first_use_groups(pm2_t[key_t], ext_k, tag_t[key_t], key_j)
+    # every far node joins its pseudo-row's group after all near nodes, so
+    # each merged weight adds its nodes in enumeration order
+    g_far = group[len(out_j):].reshape(P, -1)[:, f_group].ravel()
+    wk_ext = np.bincount(np.concatenate([group[:len(out_j)], g_far]),
+                         np.concatenate([wk_t[out_t], np.tile(wk_t[m_near:], P)]), len(first))
+    by_point = np.argsort(key_j[first], kind="stable")
+    rows = first[by_point]
+    return key_t[rows], ext_k[rows], wk_ext[by_point], np.bincount(key_j[first], minlength=P)
 
 
 def _row_sums(coef):

@@ -224,6 +224,45 @@ class TestExitCodes:
         assert main(["check-mp", "--config", str(cfg), "--theorem", "3.2", "--input", str(u),
                      "--plane", "1,-0.3", "--ball-radius", radius]) == 3
 
+    @pytest.mark.parametrize("theorem, plane", [("3.1", "1,0"), ("3.5", "1,-0.5")])
+    @pytest.mark.parametrize("radius", ["nan", "-1", "0"])
+    def test_ball_radius_is_checked_for_every_theorem(self, tmp_path, capsys, theorem, plane,
+                                                      radius):
+        # 3.1 and 3.5 do not read it, and used to exit 0 on any value
+        cfg = small_config(tmp_path)
+        u = make_bump_csv(tmp_path)
+        assert main(["check-mp", "--config", str(cfg), "--theorem", theorem, "--input", str(u),
+                     "--plane", plane, "--ball-radius", radius]) == 3
+        assert "--ball-radius must be finite and > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("theorem", ["3.2", "3.5"])
+    @pytest.mark.parametrize("plane", ["0,0.5", "0,0,0.5", "inf,0.5"])
+    def test_zero_plane_direction_is_precondition(self, tmp_path, capsys, theorem, plane):
+        # a zero direction used to leak a divide warning and report |e| = nan
+        dim = plane.count(",")
+        cfg = small_config(tmp_path, **{"exponent.dimension": dim})
+        u = make_bump_csv(tmp_path, n=101 if dim == 1 else 15, dim=dim)
+        assert main(["check-mp", "--config", str(cfg), "--theorem", theorem, "--input", str(u),
+                     "--plane", plane]) == 3
+        err = capsys.readouterr().err
+        assert "the direction must be finite and nonzero" in err and "Warning" not in err
+
+    @pytest.mark.parametrize("command, mode", [("solve", "manufactured"), ("solve", "power"),
+                                               ("reproduce-all", None)])
+    @pytest.mark.parametrize("key, value", [("eta", 2), ("eta", -0.5), ("eta", 1),
+                                            ("tol_res", 0), ("tol_res", -1),
+                                            ("max_iters", 0), ("max_iters", -5)])
+    def test_bad_solver_settings_are_precondition(self, tmp_path, capsys, command, mode, key,
+                                                  value):
+        # eta = 2 used to fail on the clipped guess with a zero_outside_ball message,
+        # eta = -0.5 solved on [0, 1.5] and exited 0; tol_res <= 0 and max_iters < 1
+        # ran until the line search stalled or the budget ran out, and exited 2
+        cfg = small_config(tmp_path, **{f"solver.{key}": value, "solver.nodes": 21})
+        extra = ["--mode", mode] if mode else []
+        assert main([command, "--config", str(cfg), *extra]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("precondition error:") and key in err
+
     @pytest.mark.parametrize("directions", ["0", "-3", "0;1", "nan;1", "1;2,3", "abc", "1,x"])
     def test_bad_sweep_directions_are_precondition(self, tmp_path, directions):
         # no direction at all, or one that is not a nonzero vector of the grid's

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import tracemalloc
 import weakref
 
 import mpmath
@@ -433,6 +434,28 @@ class TestPlanLayout:
                 monkeypatch.undo()
                 assert _plan_diff(got, want) == [], (name, block)
 
+    @pytest.mark.parametrize("n, bound", [(15, 1.6), (41, 1.25)])
+    def test_row_build_peak_stays_near_the_plan_size(self, spec_2d, qcfg, n, bound):
+        # the rows are sized first, then written once into arrays allocated
+        # once, so one build holds about one copy of the plan (2.29x at n=15
+        # and 2.12x at n=41 when the blocks were kept and concatenated)
+        u = fx.SampledFunction.from_function(bump_profile(0.5, 0.5), 1.5, n, 2)
+        pts = u.nodes()[interior_mask(u)]
+        r_eff = truncation_radius(spec_2d, u.values, u.extent, qcfg)
+        quadrature._drop_rows()
+        tracemalloc.start()
+        try:
+            rows = quadrature._plan_rows(spec_2d, u, u, pts, qcfg, r_eff)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            quadrature._drop_rows()
+        arrays = {f.name: getattr(rows, f.name) for f in dataclasses.fields(rows)
+                  if isinstance(getattr(rows, f.name), np.ndarray)}
+        # each array owns its buffer, so nbytes and counters() count what is held
+        assert [k for k, a in arrays.items() if a.base is not None] == []
+        assert peak <= bound * sum(a.nbytes for a in arrays.values()), peak
+
     @pytest.mark.parametrize("dim", [1, 2])
     def test_far_nodes_read_the_exterior_value(self, dim, request, qcfg):
         # the row build skips linear_form past r_far; there it must give no
@@ -502,8 +525,9 @@ class TestLinearForm:
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("hint", [2, 3])
     def test_offset_tables_match_positions(self, dim, hint):
-        # the plan's near rows come from per-axis tables, never from positions:
-        # they must equal linear_form on the positions x + offset bit for bit
+        # the plan's near rows come from per-axis tables, a grid's per run and a
+        # view's per block from its reflected positions: they must equal
+        # linear_form on the positions x + offset bit for bit
         rng = np.random.default_rng(11 + dim + 10 * hint)
         u = fx.SampledFunction.from_function(bump_profile(0.5, 0.5), 1.5, 21, dim,
                                              smoothness_hint=hint)
@@ -513,28 +537,33 @@ class TestLinearForm:
                               np.full((1, dim), -0.0)])
         d = rng.normal(size=(300, dim))
         offsets = rng.uniform(0.0, 3.2, (300, 1)) * d / np.linalg.norm(d, axis=1, keepdims=True)
+        plane = fx.PlaneGeometry((0.6, 0.8)[:dim] if dim == 2 else (1.0,), 0.3)  # oblique in 2-d
         rules = ("zero_outside_ball", "zero_outside_box", "constant:0.3",
                  lambda p: 0.05 * np.cos(3.0 * p[:, 0]) + p[:, -1])
         for rule in rules:
             v = fx.SampledFunction(u.values + (rule == "constant:0.3") * 0.3, u.shape, u.extent,
                                    exterior_rule=rule, smoothness_hint=hint)
-            pos = (pts[:, None, :] + offsets[None, :, :]).reshape(-1, dim)
-            interp, idx, coef, ext = v.linear_form(pos)
-            t_interp, t_idx, t_coef, t_ext = v.offset_form(pts, offsets).linear_form(1, len(pts))
-            rows = slice(len(offsets), None)  # the form's points 1.. only
-            np.testing.assert_array_equal(t_interp.ravel(), interp[rows], err_msg=str(rule))
-            np.testing.assert_array_equal(t_ext.ravel(), ext[rows], err_msg=str(rule))
-            skip = np.count_nonzero(interp[:len(offsets)])
-            by_row = [np.moveaxis(a, -2, -1)[t_interp] for a in (t_idx, t_coef)]
-            np.testing.assert_array_equal(by_row[0], idx[skip:], err_msg=str(rule))
-            np.testing.assert_array_equal(by_row[1], coef[skip:], err_msg=str(rule))
-            # the plan's CSR entries, from either path
-            for got, want in zip(quadrature._row_entries(t_idx, t_coef, t_interp),
-                                 quadrature._row_entries(idx[skip:].T, coef[skip:].T)):
-                np.testing.assert_array_equal(got, want, err_msg=str(rule))
-            csum = quadrature._row_entries(t_idx, t_coef, t_interp)[3]
-            np.testing.assert_array_equal(csum, coef[skip:].sum(axis=1), err_msg=str(rule))
-            assert 0 < interp.sum() < len(pos), rule
+            for name, w in ((str(rule), v), (f"{rule} view", fx.ReflectedFunction(v, plane))):
+                pos = (pts[:, None, :] + offsets[None, :, :]).reshape(-1, dim)
+                interp, idx, coef, ext = w.linear_form(pos)
+                form = w.offset_form(pts, offsets)
+                t_interp, t_ext, t_nz, t_idx, t_coef = form.block(1, len(pts), stencils=True)
+                rows = slice(len(offsets), None)  # the form's points 1.. only
+                np.testing.assert_array_equal(t_interp.ravel(), interp[rows], err_msg=name)
+                np.testing.assert_array_equal(t_ext.ravel(), ext[rows], err_msg=name)
+                sized = form.block(1, len(pts))  # what the plan is sized from
+                for got, want in zip(sized, (t_interp, t_ext, t_nz)):
+                    np.testing.assert_array_equal(got, want, err_msg=name)
+                skip = np.count_nonzero(interp[:len(offsets)])
+                by_row = [np.moveaxis(a, -2, -1)[t_interp] for a in (t_idx, t_coef)]
+                np.testing.assert_array_equal(by_row[0], idx[skip:], err_msg=name)
+                np.testing.assert_array_equal(by_row[1], coef[skip:], err_msg=name)
+                # a row's entries are its nonzero coefficients, and csum their sum
+                np.testing.assert_array_equal(t_nz[t_interp], np.count_nonzero(coef[skip:], axis=1),
+                                              err_msg=name)
+                np.testing.assert_array_equal(quadrature._row_sums(t_coef)[t_interp],
+                                              coef[skip:].sum(axis=1), err_msg=name)
+                assert 0 < interp.sum() < len(pos), name
 
     @pytest.mark.parametrize("grid", ["u_bump_1d", "u_bump_2d"])
     def test_reproduces_point_eval(self, grid, request):
