@@ -1,16 +1,17 @@
 """The plan-application kernel, its per-node reference and its Jacobian.
 
-`level_sums` is the one kernel pass: `apply_plan`, the solver and the ratio
-freeze in `quadrature` all read its sums.  `_apply_loop` is the plain-Python
-per-node reference of `apply_plan`; `jacobian` differentiates the terms.  All
-read v = [values, plan.ext_values].  A plan stores its row stencils as one
-sparse matrix `plan.R` over v, with each row's coefficient sum `plan.csum`
-(see `quadrature`).  A row's difference sum_k a_k (c - v_k), c its point's
-center value, is then csum·(c - m) - (R (v - m))_row for any shift m: one
-sparse product per pass.  The kernel takes m as the midrange of the node
-values, so constant data give t = 0 exactly, negated data give -t exactly,
-and the rounding of R v scales with the spread of the values rather than
-their size.  Each point's rows are summed in plan row order.  The centers
+`apply_plan` is the one kernel pass: `quadrature.build_plan` runs it to
+freeze `rho` and hands its sums back as `plan.sums`, which every operator
+value reads, and the solver runs it once per trial.  `_apply_loop` is the
+plain-Python per-node reference of `apply_plan`; `jacobian` differentiates
+the terms.  All read v = [values, plan.ext_values].  A plan stores its row
+stencils as one sparse matrix `plan.R` over v, with each row's coefficient
+sum `plan.csum` (see `quadrature`).  A row's difference sum_k a_k (c - v_k),
+c its point's center value, is then csum·(c - m) - (R (v - m))_row for any
+shift m: one sparse product per pass.  The kernel takes m as the midrange of
+the node values, so constant data give t = 0 exactly, negated data give -t
+exactly, and the rounding of R v scales with the spread of the values rather
+than their size.  Each point's rows are summed in plan row order.  The centers
 stay dense stencils (`cidx`, `ccoef`), read with the einsum
 `grids.SampledFunction.point_eval` uses.
 """
@@ -54,8 +55,9 @@ class LevelSums(NamedTuple):
         return self.total + self.a1 * rho / (1.0 - rho)
 
 
-def level_sums(plan, values: np.ndarray) -> LevelSums:
-    """One kernel pass of `plan` over a value vector (see module docs)."""
+def apply_plan(plan, values: np.ndarray) -> LevelSums:
+    """One kernel pass of `plan` over a value vector (see module docs); the
+    operator values are `.field(plan.rho)`, the center values `.centers`."""
     t, c = _differences(plan, values)
     contrib = plan.wk * np.abs(t) ** plan.pm2 * t
     starts = plan.ptr[:-1]
@@ -65,7 +67,7 @@ def level_sums(plan, values: np.ndarray) -> LevelSums:
 
 
 def _apply_loop(plan, values: np.ndarray):
-    """Per-node loop twin of `apply_plan(plan, values)`."""
+    """Per-node loop twin of `apply_plan(plan, values)`: (field, centers)."""
     values = np.asarray(values, dtype=float)
     m, v = float(_shift(values)), np.concatenate([values, plan.ext_values])
     v, rptr, rcol, rval, csum, wk, pm2, tag = (a.tolist() for a in (
@@ -84,15 +86,9 @@ def _apply_loop(plan, values: np.ndarray):
     return out, cout
 
 
-def apply_plan(plan, values: np.ndarray):
-    """Evaluate the planned quadrature on a value vector: (field, centers), the
-    operator values and the center values u(x_i) the plan resolved."""
-    sums = level_sums(plan, values)
-    return sums.field(plan.rho), sums.centers
-
-
 def jacobian(plan, values: np.ndarray) -> np.ndarray:
-    """Exact derivative of `apply_plan(plan, values)[0]`, shape (points, values.size).
+    """Exact derivative of `apply_plan(plan, values).field(plan.rho)`, shape
+    (points, values.size), at the plan's frozen `rho`.
 
     Each row's slope d = wk·(p-1)·|t|^(p-2), over 1 - rho on the innermost
     level, enters its point's derivative as -d times its stencil (a row of

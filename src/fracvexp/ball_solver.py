@@ -16,10 +16,11 @@ from typing import Callable
 
 import numpy as np
 
-from ._backend import jacobian, level_sums
+from ._backend import apply_plan, jacobian
 from .errors import NumericError, PreconditionError
 from .exponents import ExponentSpec
 from .grids import SampledFunction, ZERO_BALL
+from .nonlocal_operator import eval_plap_field
 from .quadrature import QuadratureConfig, _frozen_ratio, build_plan
 
 POWER = "power"
@@ -123,10 +124,6 @@ class SolveReport:
         }
 
 
-def make_ball_grid(n: int, extent: float = 1.5, dim: int = 1) -> SampledFunction:
-    return SampledFunction(np.zeros(n ** dim), (n,) * dim, extent, ZERO_BALL)
-
-
 def interior_mask(u: SampledFunction) -> np.ndarray:
     """Nodes strictly inside the unit ball (the collocation set)."""
     return np.linalg.norm(u.nodes(), axis=1) < 1.0
@@ -142,17 +139,15 @@ def bump_profile(a: float, s: float) -> Callable:
 def manufacture(spec: ExponentSpec, n: int, extent: float = 1.5,
                 amplitude: float = 0.5, cfg: QuadratureConfig | None = None):
     """Radial bump u* = a (1-|x|^2)_+^s and its operator image h on the
-    interior nodes; (u*, h) defines a discrete problem whose exact
-    solution is u* by construction."""
+    interior nodes, `eval_plap_field` of u* there (0 elsewhere); (u*, h)
+    defines a discrete problem whose exact solution is u* by construction."""
     if not 0.0 < amplitude < 1.0:
         raise PreconditionError("amplitude must lie in (0,1)")
-    cfg = cfg or QuadratureConfig()
     u_star = SampledFunction.from_function(
         bump_profile(amplitude, spec.order), extent, n, spec.dimension, ZERO_BALL)
     mask = interior_mask(u_star)
-    plan = build_plan(spec, u_star, u_star.nodes()[mask], cfg)
     h = np.zeros(u_star.values.size)
-    h[mask] = plan.sums.field(plan.rho)
+    h[mask] = eval_plap_field(spec, u_star, u_star.nodes()[mask], cfg)
     return u_star, h
 
 
@@ -190,7 +185,7 @@ def solve(problem: ProblemSpec, initial_guess: SampledFunction,
     Each step solves J d = r with the exact Jacobian (`lstsq` if singular)
     and halves d, at most MAX_HALVINGS times, until the sup residual of
     clip(u - d, 0, 1-eta) falls at the frozen ratio rho.  A trial is one
-    kernel pass (`level_sums`; `applies` counts them, with the guess's pass,
+    kernel pass (`apply_plan`; `applies` counts them, with the guess's pass,
     which the plan build hands back as `plan.sums`);
     the accepted trial's sums re-freeze rho and give its `history` row
     [step, sup residual, sup error to `u_star` or None], which equals an
@@ -233,7 +228,7 @@ def solve(problem: ProblemSpec, initial_guess: SampledFunction,
         for _ in range(MAX_HALVINGS + 1):
             trial = values.copy()
             trial[idx] = np.clip(values[idx] - step, 0.0, 1.0 - eta)
-            sums, applies = level_sums(plan, trial), applies + 1
+            sums, applies = apply_plan(plan, trial), applies + 1
             decreased = sup_residual(sums)[1] < res_sup
             if decreased or applies >= max_iters:
                 break

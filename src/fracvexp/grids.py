@@ -29,7 +29,8 @@ class SampledFunction:
     """Node values on an equispaced symmetric grid plus an exterior rule.
 
     values : flat float64 array, C-order for 2-d grids
-    shape  : (n,) or (nx, ny); nodes span [-extent, extent] per axis
+    shape  : (n,) or (n, n); nodes span [-extent, extent] per axis, extent
+        finite and > 0 (the interpolation reads one spacing for every axis)
     exterior_rule : 'zero_outside_ball', 'zero_outside_box', or a callable
         u_ext(points) giving values outside the grid box
     smoothness_hint : 2 (quadratic stencils) or 3 (cubic stencils)
@@ -44,6 +45,10 @@ class SampledFunction:
     def __post_init__(self):
         self.values = np.ascontiguousarray(self.values, dtype=float).ravel()
         self.shape = tuple(int(n) for n in np.atleast_1d(self.shape))
+        if len(self.shape) not in (1, 2) or len(set(self.shape)) != 1:
+            raise PreconditionError(f"grid shape must be (n,) or (n, n), got {self.shape}")
+        if not 0.0 < self.extent < np.inf:  # NaN fails too
+            raise PreconditionError(f"grid extent must be finite and > 0, got {self.extent!r}")
         if self.values.size != int(np.prod(self.shape)):
             raise PreconditionError("values size does not match grid shape")
         if any(n < 5 for n in self.shape):

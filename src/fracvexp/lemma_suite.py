@@ -23,11 +23,6 @@ from .nonlocal_operator import f_power, kernel
 #: target residual of the mean-value equation, relative to max(1, |f2 - f1|)
 MV_RESIDUAL_TOL = 1e-10
 
-SAME_SIGN_CLOSE = "same_sign_close"
-OPPOSITE_SIGN = "opposite_sign"
-FAR_APART = "far_apart"
-CASES = (SAME_SIGN_CLOSE, OPPOSITE_SIGN, FAR_APART)
-
 
 def _case_masks(t1, t2):
     """The case split as masks (opposite, close): signs, then |t_small| vs
@@ -44,19 +39,6 @@ def _c0(opposite, close, p_minus, p_plus):
     return np.where(close, 1.0 / 2.0 ** (p_plus - 2.0),
                     np.where(opposite, 1.0 / (2.0 * (p_plus - 1.0)),
                              (2.0 ** (p_minus - 1.0) - 1.0) / ((p_plus - 1.0) * 2.0 ** p_minus)))
-
-
-def c0_constant(case: str, p_minus: float, p_plus: float) -> float:
-    """The case constant of the uniform mean-value bound."""
-    if case not in CASES:
-        raise PreconditionError(f"unknown mean-value case {case!r}")
-    return float(_c0(case == OPPOSITE_SIGN, case == SAME_SIGN_CLOSE, p_minus, p_plus))
-
-
-def classify_case(t1: float, t2: float) -> str:
-    """Case split with |t_small| vs |t_big|/2 and the sign pattern."""
-    opposite, close = _case_masks(t1, t2)
-    return OPPOSITE_SIGN if opposite else SAME_SIGN_CLOSE if close else FAR_APART
 
 
 def _mv_slope(t1, t2, p):
@@ -129,46 +111,6 @@ def _c0_margin(alpha, t1, t2, p, c0):
     lhs = np.abs(alpha) ** (p - 2.0)
     rhs = c0 * np.maximum(np.abs(t1), np.abs(t2)) ** (p - 2.0)
     return lhs >= rhs * (1.0 - 1e-12), lhs - rhs
-
-
-@dataclass(frozen=True)
-class MeanValueWitness:
-    t1: float
-    t2: float
-    p: float
-    alpha: float
-    c0_case: str
-    c0: float
-    residual: float
-
-
-def mean_value_alpha(t1: float, t2: float, p: float) -> MeanValueWitness:
-    """The mean-value witness of one pair: `witness_alpha` on one sample,
-    with its case, c0 and residual."""
-    if p <= 2.0:
-        raise PreconditionError("mean-value witness needs p > 2")
-    t1, t2, p = float(t1), float(t2), float(p)
-    # a one-element sample, not scalars: numpy's scalar power rounds unlike
-    # its array loops, and the witness must equal the suite's bit for bit
-    sample = np.array([t1]), np.array([t2]), np.array([p])
-    alpha = witness_alpha(*sample)
-    case = classify_case(t1, t2)
-    return MeanValueWitness(t1, t2, p, float(alpha[0]), case, c0_constant(case, p, p),
-                            float(_mv_residual(*sample, alpha)[0]))
-
-
-@dataclass(frozen=True)
-class C0Check:
-    ok: bool
-    margin: float
-    c0: float
-
-
-def check_c0_bound(witness: MeanValueWitness, p_minus: float, p_plus: float) -> C0Check:
-    """Assert |alpha|^(p-2) >= c0 max(|t1|^(p-2), |t2|^(p-2)) for the case constant."""
-    c0 = c0_constant(witness.c0_case, p_minus, p_plus)
-    ok, margin = _c0_margin(witness.alpha, witness.t1, witness.t2, witness.p, c0)
-    return C0Check(bool(ok), float(margin), c0)
 
 
 @dataclass(frozen=True)
@@ -300,9 +242,9 @@ def run_mean_value_suite(n: int = 100_000, seed: int = 0,
     """n seeded samples of (t1, t2, p); every witness must satisfy the
     case bound and the mean-value residual tolerance.
 
-    The witnesses come from `witness_alpha`, the path `mean_value_alpha`
-    takes; `spot_checks` samples are re-derived by `_brentq_alpha` and must
-    agree to 1e-9.
+    The witnesses come from `witness_alpha`, the bound from `_c0_margin`
+    with the case constants `_c0` of `_case_masks`; `spot_checks` samples
+    are re-derived by `_brentq_alpha` and must agree to 1e-9.
     """
     _require_samples(n)
     rng = np.random.default_rng(seed)

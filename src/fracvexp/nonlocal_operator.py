@@ -12,10 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._backend import apply_plan
 from .errors import NumericError, PreconditionError
 from .exponents import ExponentSpec
-from .grids import ReflectedFunction
 from .quadrature import QuadratureConfig, _gauss_on, build_plan, directions
 
 
@@ -54,12 +52,10 @@ def eval_plap_field(spec: ExponentSpec, u, points,
 
     Per-point summation order is fixed by the plan, so each result matches
     the evaluation of its point alone.  A single point may be given flat.
+    The values are those of the kernel pass the plan build makes on u.
     """
-    cfg = cfg or QuadratureConfig()
-    plan = build_plan(spec, u, points, cfg)
-    base = u.base if isinstance(u, ReflectedFunction) else u
-    out, _ = apply_plan(plan, base.values)
-    return out
+    plan = build_plan(spec, u, points, cfg or QuadratureConfig())
+    return plan.sums.field(plan.rho)
 
 
 @dataclass(frozen=True)

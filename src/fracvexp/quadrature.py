@@ -9,10 +9,10 @@ discarded far tail certified by the kernel decay r^(-(N + s p_minus)).
 A plan freezes, per evaluation point, every quadrature node's kernel
 weight, exponent, and stencil into flat arrays; applying a plan to a value
 vector is then one sparse product, a power and a reduce
-(`_backend.apply_plan`).  Where u comes from at a point (interpolant,
-exterior rule, mirrored view) is decided by the box, ball and exterior
-tests of `grids` alone, but for the far nodes below, which take the
-exterior rule's one value.
+(`_backend.apply_plan`, the one kernel pass).  Where u comes from at a
+point (interpolant, exterior rule, mirrored view) is decided by the box,
+ball and exterior tests of `grids` alone, but for the far nodes below,
+which take the exterior rule's one value.
 
 Every stencil indexes the extended value vector [u.values, plan.ext_values]:
 slot k past the grid nodes holds the k-th distinct exterior value, in order
@@ -79,10 +79,11 @@ position.  The held arrays are read-only, and a miss drops the held entry
 before it builds, so at most one row set is held beyond what callers keep;
 `R` is built once per row set and held with it.  What reads the values runs
 on every call, hit or miss: the input checks, `r_eff`, the tail certificate
-with `tail_bound`, and the freeze of `rho` on a full `level_sums` pass,
-which the plan hands back as `sums`.  Each call gets its own `EvalPlan` with
-its own `rho`, `tail_bound`, `sums` and `meta`, so assigning `plan.rho`
-reaches no other plan.
+with `tail_bound`, and the freeze of `rho` on a full `apply_plan` pass,
+which the plan hands back as `sums`: an operator value is
+`sums.field(rho)`, so evaluating at a point set costs one pass.  Each call
+gets its own `EvalPlan` with its own `rho`, `tail_bound`, `sums` and
+`meta`, so assigning `plan.rho` reaches no other plan.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy import sparse
 
-from ._backend import LevelSums, level_sums
+from ._backend import LevelSums, apply_plan
 from .errors import PreconditionError, TailError
 from .exponents import ExponentSpec
 from .grids import ReflectedFunction, SampledFunction
@@ -176,7 +177,7 @@ class EvalPlan:
     ext_values: np.ndarray  # (slots,) exterior values, slot k read as value n + k
     r_eff: float
     tail_bound: float
-    sums: LevelSums | None = None  # level_sums on the values the plan was built on
+    sums: LevelSums | None = None  # apply_plan on the values the plan was built on
     meta: dict = field(default_factory=dict)
 
     @property
@@ -343,9 +344,9 @@ def build_plan(spec: ExponentSpec, u, points, cfg: QuadratureConfig) -> EvalPlan
     block into arrays allocated once (see the module docs).
 
     Every call checks its inputs, sizes `r_eff` from the values, certifies the
-    tail (`tail_bound`) and freezes `rho` on a kernel pass over the values,
-    which it hands back as `sums` (`apply_plan(plan, values)` is
-    `sums.field(rho)`, `sums.centers`).  The rows (every
+    tail (`tail_bound`) and freezes `rho` on one `apply_plan` pass over the
+    values, which it hands back as `sums`: the operator values are
+    `sums.field(rho)` and the center values `sums.centers`.  The rows (every
     other array, `r_eff` and `meta`) do not read the values, so calls that
     agree on `spec`, `cfg`, `r_eff`, the grid's shape, extent, exterior rule
     and smoothness hint, a view's plane and the exact points share one
@@ -387,7 +388,7 @@ def build_plan(spec: ExponentSpec, u, points, cfg: QuadratureConfig) -> EvalPlan
                 f"use tail_radius >= {need:.6g}")
 
     rows = _plan_rows(spec, u, grid, pts, cfg, r_eff)
-    sums = level_sums(rows, grid.values)
+    sums = apply_plan(rows, grid.values)
     return replace(rows, rho=_frozen_ratio(sums), tail_bound=float(tail_reported), sums=sums,
                    meta=dict(rows.meta))
 

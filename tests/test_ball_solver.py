@@ -42,7 +42,7 @@ class TestManufacture:
 
 class TestResidual:
     def test_zero_solution_power_mode(self, spec_model, qcfg):
-        u = bs.make_ball_grid(101)
+        u = fx.SampledFunction(np.zeros(101), (101,), 1.5)
         problem = bs.ProblemSpec(exponent=spec_model, q_function=2.0,
                                  rhs_mode=bs.POWER, domain="ball_1d")
         res = bs.residual(problem, u, qcfg)
@@ -126,10 +126,10 @@ class TestSolve:
         nodes = u_star.nodes()[:, 0]
         pert = 0.05 * np.sin(3 * nodes) * np.maximum(0.0, 1.0 - nodes ** 2)
         guess = u_star.with_values(np.clip(u_star.values + pert, 0.0, 1.0 - 1e-3))
-        passes, level_sums = [], _backend.level_sums
+        passes, apply_plan = [], _backend.apply_plan
         for module in (bs, quadrature):
-            monkeypatch.setattr(module, "level_sums",
-                                lambda *args: passes.append(1) or level_sums(*args))
+            monkeypatch.setattr(module, "apply_plan",
+                                lambda *args: passes.append(1) or apply_plan(*args))
         rep = bs.solve(problem, guess, qcfg, tol_res=1e-4, u_star=u_star)
         assert rep.converged
         assert len(passes) == rep.applies
@@ -138,7 +138,7 @@ class TestSolve:
     def test_zero_guess_power_mode_trivial_limit(self, spec_model, qcfg):
         problem = bs.ProblemSpec(exponent=spec_model, q_function=2.0,
                                  rhs_mode=bs.POWER, domain="ball_1d")
-        rep = bs.solve(problem, bs.make_ball_grid(101), qcfg)
+        rep = bs.solve(problem, fx.SampledFunction(np.zeros(101), (101,), 1.5), qcfg)
         assert rep.converged and rep.trivial_limit
         assert rep.iterations == 0
 
@@ -198,7 +198,7 @@ class TestSolve:
 
     def test_nonconvergence_reported_honestly(self, manufactured, qcfg):
         u_star, problem = manufactured
-        rep = bs.solve(problem, bs.make_ball_grid(101), qcfg,
+        rep = bs.solve(problem, fx.SampledFunction(np.zeros(101), (101,), 1.5), qcfg,
                        tol_res=1e-12, max_iters=5)
         assert not rep.converged
         assert rep.message != ""

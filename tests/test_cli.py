@@ -169,6 +169,21 @@ class TestExitCodes:
             header.unlink()
         assert main(["eval", "--config", str(cfg), "--input", str(u), "--at", "0.0"]) == code
 
+    @pytest.mark.parametrize("header, n, command", [
+        ({"shape": [5, 7]}, 35, ["eval", "--at", "0.3,0.7"]),
+        ({"shape": [5, 5, 5]}, 125, ["sweep-planes"]),
+        ({"extent": float("nan")}, 101, ["check-mp", "--theorem", "3.1", "--auto-mask"]),
+        ({"extent": 0.0}, 101, ["check-mp", "--theorem", "3.2", "--plane", "1,-0.3"]),
+        ({"extent": float("inf")}, 101, ["sweep-planes"])])
+    def test_grid_header_the_interpolation_cannot_serve(self, tmp_path, header, n, command):
+        # a u.json header with unequal axes, three axes or a degenerate extent
+        cfg = small_config(tmp_path, **{"exponent.dimension": len(header.get("shape", [n]))})
+        u = make_bump_csv(tmp_path, n=n)
+        meta = json.loads(u.with_suffix(".json").read_text())
+        u.with_suffix(".json").write_text(
+            json.dumps({**meta, "exterior_rule": "zero_outside_box", **header}))
+        assert main([command[0], "--config", str(cfg), "--input", str(u), *command[1:]]) == 3
+
     @pytest.mark.parametrize("grid", ["0", "-3"])
     def test_bad_solve_grid_is_precondition(self, tmp_path, grid):
         # --grid 0 must not fall back to the config's grid
@@ -524,8 +539,9 @@ class TestReproduceAll:
         assert len(builds) <= 13
         # one r_eff per grid: manufacture, solve and the auto-mask read the
         # interior-ball nodes of one grid, so they get one row set
+        # (manufacture and the auto-mask build through eval_plap_field)
         shared = [plan.R for _, (caller, outer), plan in builds
-                  if caller in ("manufacture", "solve") or outer == "_auto_mask"]
+                  if caller == "solve" or outer in ("manufacture", "_auto_mask")]
         assert len(shared) == 3 and all(R is shared[0] for R in shared)
         # the plans stay alive in `builds`, so no two row sets share an id
         assert len({id(plan.R) for _, _, plan in builds}) <= 11

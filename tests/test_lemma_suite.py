@@ -9,56 +9,62 @@ import fracvexp as fx
 from fracvexp import lemma_suite as ls
 
 
+def witness(t1, t2, p):
+    """(alpha, c0, bound ok, residual) per pair, through the suite's own path:
+    the witness, the case constant at p_minus = p_plus = p, the c0 bound and
+    the mean-value residual."""
+    t1, t2, p = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (t1, t2, p))
+    alpha = ls.witness_alpha(t1, t2, p)
+    c0 = ls._c0(*ls._case_masks(t1, t2), p, p)
+    ok, _ = ls._c0_margin(alpha, t1, t2, p, c0)
+    return alpha, c0, ok, ls._mv_residual(t1, t2, p, alpha)
+
+
 class TestMeanValueAlpha:
     def test_degenerate_equal_endpoints(self):
-        w = ls.mean_value_alpha(0.3, 0.3, 3.0)
-        assert w.alpha == 0.3 and w.residual == 0.0
-        chk = ls.check_c0_bound(w, 3.0, 3.0)
-        assert chk.ok and chk.c0 <= 1.0
+        alpha, c0, ok, resid = witness(0.3, 0.3, 3.0)
+        assert alpha[0] == 0.3 and resid[0] == 0.0
+        assert ok[0] and c0[0] <= 1.0
 
     def test_quadratic_case(self):
         # f(t) = t^2 on positives: 4 - 1 = 2 alpha, alpha = 1.5
-        w = ls.mean_value_alpha(1.0, 2.0, 3.0)
-        assert w.alpha == pytest.approx(1.5, abs=1e-9)
-        assert w.c0_case == ls.SAME_SIGN_CLOSE
-        chk = ls.check_c0_bound(w, 3.0, 3.0)
-        assert chk.ok and chk.c0 == pytest.approx(0.5)
-        assert abs(w.alpha) >= 0.5 * 2.0 - 1e-12
+        alpha, c0, ok, _ = witness(1.0, 2.0, 3.0)
+        assert alpha[0] == pytest.approx(1.5, abs=1e-9)
+        assert ls._case_masks(1.0, 2.0) == (False, True)  # same sign, close
+        assert ok[0] and c0[0] == pytest.approx(0.5)
+        assert abs(alpha[0]) >= 0.5 * 2.0 - 1e-12
 
     def test_cubic_opposite_sign(self):
         # f(t) = t^3: 2 = 3 alpha^2 * 2, |alpha| = 1/sqrt(3)
-        w = ls.mean_value_alpha(-1.0, 1.0, 4.0)
-        assert abs(w.alpha) == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-9)
-        assert w.c0_case == ls.OPPOSITE_SIGN
-        chk = ls.check_c0_bound(w, 4.0, 4.0)
-        assert chk.ok and chk.c0 == pytest.approx(1.0 / 6.0)
+        alpha, c0, ok, _ = witness(-1.0, 1.0, 4.0)
+        assert abs(alpha[0]) == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-9)
+        assert ls._case_masks(-1.0, 1.0) == (True, False)
+        assert ok[0] and c0[0] == pytest.approx(1.0 / 6.0)
 
     def test_alpha_between_endpoints(self):
         rng = np.random.default_rng(5)
-        for _ in range(200):
-            t1, t2 = rng.uniform(-1, 1, 2)
-            p = rng.uniform(2.001, 6.0)
-            w = ls.mean_value_alpha(t1, t2, p)
-            assert min(t1, t2) - 1e-12 <= w.alpha <= max(t1, t2) + 1e-12
-            assert w.residual <= ls.MV_RESIDUAL_TOL
+        t1, t2 = rng.uniform(-1, 1, (2, 200))
+        p = rng.uniform(2.001, 6.0, 200)
+        alpha, _, _, resid = witness(t1, t2, p)
+        assert np.all(np.minimum(t1, t2) - 1e-12 <= alpha)
+        assert np.all(alpha <= np.maximum(t1, t2) + 1e-12)
+        assert np.all(resid <= ls.MV_RESIDUAL_TOL)
 
     def test_closed_form_magnitude(self):
         # |alpha| = (slope/(p-1))^(1/(p-2)) for p away from 2
         rng = np.random.default_rng(9)
-        for _ in range(100):
-            t1, t2 = rng.uniform(-2, 2, 2)
-            if t1 == t2:
-                continue
-            p = rng.uniform(2.5, 5.0)
-            slope = (fx.f_power(t2, p) - fx.f_power(t1, p)) / (t2 - t1)
-            expect = (slope / (p - 1.0)) ** (1.0 / (p - 2.0))
-            w = ls.mean_value_alpha(t1, t2, p)
-            assert abs(w.alpha) == pytest.approx(expect, rel=1e-8, abs=1e-10)
+        t1, t2 = rng.uniform(-2, 2, (2, 100))
+        p = rng.uniform(2.5, 5.0, 100)
+        assert np.all(t1 != t2)
+        slope = (fx.f_power(t2, p) - fx.f_power(t1, p)) / (t2 - t1)
+        expect = (slope / (p - 1.0)) ** (1.0 / (p - 2.0))
+        np.testing.assert_allclose(np.abs(witness(t1, t2, p)[0]), expect, rtol=1e-8, atol=1e-10)
 
-    def test_suite_path_matches_scalar_witness(self):
-        # the suite and the scalar witness share one path: equal bit for bit on
+    def test_edge_pairs_and_batch_independence(self):
         # edge pairs (equal ends, an underflowing f, a cancelling slope, p next
         # to 2 where the raw closed form leaves the bracket) and seeded draws
+        # meet the bound inside the bracket, and a pair's witness alone equals
+        # its witness inside the batch bit for bit
         pinned = np.array([(0.3, 0.3, 3.0), (-0.7, -0.7, 2.5), (0.0, 5e-324, 3.0),
                            (-1.0, -0.9999999999999999, 2.75),
                            (0.2, -0.9, np.nextafter(2.0, 3.0)),
@@ -68,15 +74,12 @@ class TestMeanValueAlpha:
         draws = np.array([rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n),
                           rng.uniform(np.nextafter(2.0, 6.0), 6.0, n)])
         t1, t2, p = np.concatenate([draws, pinned], axis=1)
-        witnesses = [ls.mean_value_alpha(*pair) for pair in zip(t1, t2, p)]
-        alpha = np.array([w.alpha for w in witnesses])
-        np.testing.assert_array_equal(np.abs(ls.witness_alpha(t1, t2, p)), np.abs(alpha))
-        assert all(ls.check_c0_bound(w, w.p, w.p).ok for w in witnesses)
+        alpha, _, ok, _ = witness(t1, t2, p)
+        alone = np.array([ls.witness_alpha(*(np.array([v]) for v in pair))[0]
+                          for pair in zip(t1, t2, p)])
+        np.testing.assert_array_equal(alone, alpha)
+        assert np.all(ok)
         assert np.all((np.minimum(t1, t2) <= alpha) & (alpha <= np.maximum(t1, t2)))
-
-    def test_requires_p_above_2(self):
-        with pytest.raises(fx.PreconditionError):
-            ls.mean_value_alpha(0.1, 0.5, 2.0)
 
     @settings(max_examples=150, deadline=None)
     @given(st.floats(-1, 1), st.floats(-1, 1),
@@ -84,23 +87,23 @@ class TestMeanValueAlpha:
     @example(-1.0, -0.9999999999999999, 2.75)  # near-equal pair: slope cancellation
     @example(-1.0, -1.6777253686898257e-293, 3.0)  # far pair: one log1p form overflows here
     def test_bound_property(self, t1, t2, p):
-        w = ls.mean_value_alpha(t1, t2, p)
-        assert ls.check_c0_bound(w, p, p).ok
+        assert witness(t1, t2, p)[2][0]
 
 
 class TestClassification:
     def test_cases(self):
-        assert ls.classify_case(1.0, 2.0) == ls.SAME_SIGN_CLOSE
-        assert ls.classify_case(-1.0, 1.0) == ls.OPPOSITE_SIGN
-        assert ls.classify_case(0.1, 2.0) == ls.FAR_APART
-        assert ls.classify_case(0.0, 2.0) == ls.FAR_APART  # zero counts as far
-        assert ls.classify_case(0.0, 5e-324) == ls.FAR_APART
-        assert ls.classify_case(5e-324, 0.0) == ls.FAR_APART
+        # (opposite, close): same sign and close, opposite signs, far apart
+        assert ls._case_masks(1.0, 2.0) == (False, True)
+        assert ls._case_masks(-1.0, 1.0) == (True, False)
+        assert ls._case_masks(0.1, 2.0) == (False, False)
+        assert ls._case_masks(0.0, 2.0) == (False, False)  # zero counts as far
+        assert ls._case_masks(0.0, 5e-324) == (False, False)
+        assert ls._case_masks(5e-324, 0.0) == (False, False)
 
     def test_constants(self):
-        assert ls.c0_constant(ls.SAME_SIGN_CLOSE, 3.0, 3.0) == pytest.approx(0.5)
-        assert ls.c0_constant(ls.OPPOSITE_SIGN, 3.0, 4.0) == pytest.approx(1.0 / 6.0)
-        assert ls.c0_constant(ls.FAR_APART, 3.0, 3.0) == pytest.approx((4.0 - 1.0) / (2.0 * 8.0))
+        assert ls._c0(False, True, 3.0, 3.0) == pytest.approx(0.5)
+        assert ls._c0(True, False, 3.0, 4.0) == pytest.approx(1.0 / 6.0)
+        assert ls._c0(False, False, 3.0, 3.0) == pytest.approx((4.0 - 1.0) / (2.0 * 8.0))
 
 
 class TestKernelMonotone:

@@ -10,8 +10,9 @@ import pytest
 from scipy import integrate
 
 import fracvexp as fx
-from fracvexp._backend import _apply_loop, apply_plan, jacobian, level_sums
-from fracvexp.ball_solver import bump_profile, interior_mask
+from fracvexp import _backend
+from fracvexp._backend import _apply_loop, apply_plan, jacobian
+from fracvexp.ball_solver import bump_profile, interior_mask, manufacture
 from fracvexp import quadrature
 from fracvexp.oracles import brute_force_plap, constant_p_plap
 from fracvexp.quadrature import (_gauss_on, _legendre_rule, build_plan, directions,
@@ -78,6 +79,15 @@ class TestEvalPlapBasics:
         with pytest.raises(fx.PreconditionError, match="constant:abc"):
             fx.SampledFunction(np.zeros(101), (101,), 1.5, exterior_rule="constant:abc")
 
+    @pytest.mark.parametrize("shape, extent", [
+        ((5, 7), 1.5), ((7, 5), 1.5), ((5, 5, 5), 1.5),
+        ((101,), float("nan")), ((101,), 0.0), ((101,), -1.5), ((101,), float("inf"))])
+    def test_grid_the_interpolation_cannot_serve(self, shape, extent):
+        # one spacing serves every axis and a grid has one or two axes
+        with pytest.raises(fx.PreconditionError, match="shape|extent"):
+            fx.SampledFunction(np.zeros(math.prod(shape)), shape, extent,
+                               exterior_rule="zero_outside_box")
+
     def test_tent_at_exterior_point(self):
         spec = fx.make_spec("constant", dimension=1, order=0.5, m=0.5, value=3.0)
         u = fx.SampledFunction.from_function(
@@ -129,8 +139,8 @@ class TestEvalPlapBasics:
         x = np.array([[-0.4]])
         assert gap[np.argmin(np.abs(nodes + 0.4))] == 0.0
         plan = build_plan(spec_1d, u_bump_1d, x, qcfg)
-        eu, _ = apply_plan(plan, u_bump_1d.values)
-        ev, _ = apply_plan(plan, v.values)
+        eu = apply_plan(plan, u_bump_1d.values).field(plan.rho)
+        ev = apply_plan(plan, v.values).field(plan.rho)
         assert eu[0] >= ev[0] - 1e-9 * max(1.0, abs(eu[0]))
 
     def test_exterior_sign_for_nonneg_u(self, spec_1d, u_bump_1d, qcfg):
@@ -162,6 +172,24 @@ class TestEvalPlapField:
             batch = fx.eval_plap_field(spec_2d, u, pts, qcfg)
             seq = [fx.eval_plap(spec_2d, u, p, qcfg) for p in pts]
             np.testing.assert_allclose(batch, seq, rtol=0, atol=0, err_msg=name)
+
+    def test_one_kernel_pass_per_evaluation(self, spec_1d, u_bump_1d, qcfg, monkeypatch):
+        # every operator value reads the pass its plan build makes, on a row
+        # memo miss or hit, on a grid or a view; manufacture's h is one such value
+        passes, differences = [], _backend._differences
+        monkeypatch.setattr(_backend, "_differences",
+                            lambda *args: passes.append(1) or differences(*args))
+        pts = np.array([[-0.5], [0.1], [0.7]])
+        view = fx.ReflectedFunction(u_bump_1d, fx.axis_plane(1, -0.2))
+        for name, evaluate in (
+                ("field", lambda: fx.eval_plap_field(spec_1d, u_bump_1d, pts, qcfg)),
+                ("field, row memo hit", lambda: fx.eval_plap_field(spec_1d, u_bump_1d, pts, qcfg)),
+                ("field on a view", lambda: fx.eval_plap_field(spec_1d, view, pts, qcfg)),
+                ("point", lambda: fx.eval_plap(spec_1d, u_bump_1d, [0.31], qcfg)),
+                ("manufacture", lambda: manufacture(spec_1d, n=101, cfg=qcfg))):
+            passes.clear()
+            evaluate()
+            assert len(passes) == 1, name
 
     def test_bad_point_reports_index(self, spec_1d, u_bump_1d, qcfg):
         with pytest.raises(fx.PreconditionError, match="1"):
@@ -243,7 +271,8 @@ class TestBackends:
             plan = build_plan(spec, u, pts, qcfg)
             values = getattr(u, "base", u).values
             a, ca = _apply_loop(plan, values)
-            b, cb = apply_plan(plan, values)
+            sums = apply_plan(plan, values)
+            b, cb = sums.field(plan.rho), sums.centers
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-13, err_msg=name)
             np.testing.assert_allclose(ca, cb, rtol=1e-12, atol=1e-13, err_msg=name)
 
@@ -266,7 +295,8 @@ class TestBackends:
         for k in range(v.size):
             e = np.zeros(v.size)
             e[k] = eps
-            fd[:, k] = (apply_plan(plan, v + e)[0] - apply_plan(plan, v - e)[0]) / (2.0 * eps)
+            fd[:, k] = (apply_plan(plan, v + e).field(plan.rho)
+                        - apply_plan(plan, v - e).field(plan.rho)) / (2.0 * eps)
         assert np.max(np.abs(jac - fd)) <= 1e-5 * np.max(np.abs(jac))
 
 
@@ -345,7 +375,7 @@ class TestPlanLayout:
         spec_1d = request.getfixturevalue(spec_name)
         for name, u in self._views(u_bump_1d).items():
             plan = build_plan(spec_1d, u, self.POINTS, qcfg)
-            got, _ = apply_plan(plan, getattr(u, "base", u).values)
+            got = apply_plan(plan, getattr(u, "base", u).values).field(plan.rho)
             for i, x in enumerate(self.POINTS):
                 pos, wk, pm2, tag = _uncollapsed_nodes(spec_1d, plan, x, u_bump_1d.extent, qcfg)
                 c = u.point_eval(x[None, :])[0]
@@ -402,7 +432,7 @@ class TestPlanLayout:
         # the kernel's centers and point_eval come from one linear form
         for name, u in self._views(u_bump_1d).items():
             plan = build_plan(spec_1d, u, self.POINTS, qcfg)
-            _, c = apply_plan(plan, getattr(u, "base", u).values)
+            c = apply_plan(plan, getattr(u, "base", u).values).centers
             np.testing.assert_array_equal(c, u.point_eval(self.POINTS), err_msg=name)
 
     @pytest.mark.parametrize("dim", [1, 2])
@@ -413,8 +443,8 @@ class TestPlanLayout:
         assert plan.rval.size == plan.rcol.size == plan.csum.size == 0
         np.testing.assert_array_equal(plan.rptr, [0])
         assert plan.R.shape == (0, u.values.size) and plan.counters()["entries"] == 0
-        field, centers = apply_plan(plan, u.values)
-        assert field.shape == centers.shape == (0,)
+        sums = apply_plan(plan, u.values)
+        assert sums.field(plan.rho).shape == sums.centers.shape == (0,)
 
     def test_plan_does_not_depend_on_blocks(self, spec_1d, spec_2d, u_bump_1d, qcfg, monkeypatch):
         # x = 1.3 has a smaller pairing radius than the other points, so the 1-d
@@ -634,10 +664,10 @@ class TestRowMemo:
         b = build_plan(spec_2d, guess, pts, qcfg)
         assert b.wk is a.wk
         assert not np.array_equal(a.rho, b.rho) and a.tail_bound != b.tail_bound
-        np.testing.assert_array_equal(b.rho, quadrature._frozen_ratio(level_sums(b, guess.values)))
+        np.testing.assert_array_equal(b.rho, quadrature._frozen_ratio(apply_plan(b, guess.values)))
         # the build's kernel pass is handed back with the plan, on each call's values
         for plan, values in ((a, u.values), (b, guess.values)):
-            assert all(np.array_equal(x, y) for x, y in zip(plan.sums, level_sums(plan, values)))
+            assert all(np.array_equal(x, y) for x, y in zip(plan.sums, apply_plan(plan, values)))
         assert not np.array_equal(a.sums.total, b.sums.total)
 
     def test_each_key_part_forces_a_miss(self, spec_1d, const3_1d, u_bump_1d, qcfg):
