@@ -6,8 +6,8 @@ Dirichlet problem on the unit ball, and sweep reflecting hyperplanes to
 diagnose radial symmetry.
 """
 
-from .errors import (CheckFailedError, EvaluationError, FracvexpError,
-                     NumericError, PreconditionError, TailError)
+from .errors import (EvaluationError, FracvexpError, NumericError,
+                     PreconditionError, TailError)
 from .exponents import (ExponentSpec, ValidationReport, eval_p, make_spec,
                         spec_from_config, validate, validate_p1, validate_p2)
 from .geometry import PlaneGeometry, axis_plane
@@ -19,8 +19,8 @@ from .quadrature import QuadratureConfig
 __version__ = "0.1.0"
 
 __all__ = [
-    "CheckFailedError", "EvaluationError", "ExponentSpec", "FracvexpError",
-    "NumericError", "PlaneGeometry", "PreconditionError", "QuadratureConfig",
+    "EvaluationError", "ExponentSpec", "FracvexpError", "NumericError",
+    "PlaneGeometry", "PreconditionError", "QuadratureConfig",
     "ReflectedFunction", "SampledFunction", "TailError", "TailReport",
     "ValidationReport", "axis_plane", "eval_p", "eval_plap", "eval_plap_field",
     "f_power", "kernel", "make_spec", "spec_from_config",

@@ -22,8 +22,7 @@ from . import __version__
 from .ball_solver import (GENERAL_F, MANUFACTURED, POWER, ProblemSpec, bump_profile,
                           check_settings, interior_mask, manufacture, solve)
 from .config import RunConfig
-from .errors import (CheckFailedError, EvaluationError, NumericError,
-                     PreconditionError, TailError)
+from .errors import EvaluationError, NumericError, PreconditionError, TailError
 from .exponents import validate
 from .geometry import PlaneGeometry, axis_plane
 from .grids import SampledFunction, ZERO_BOX
@@ -621,9 +620,6 @@ def main(argv=None) -> int:
     except (TailError, NumericError, EvaluationError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except CheckFailedError as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return EXIT_CHECK
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -1,7 +1,10 @@
 """Exception hierarchy shared by all modules.
 
 The CLI maps these onto its documented exit codes, so new error types
-should subclass one of the four categories below.
+should subclass one of the three categories below: PreconditionError
+(exit 3), NumericError (exit 4; TailError is one) and EvaluationError
+(exit 4).  A failed check is a verdict, not an error: the command that
+reports it exits 2.
 """
 
 
@@ -34,8 +37,3 @@ class EvaluationError(FracvexpError):
     """An exponent or user callback returned a non-finite value; carries
     the offending argument in ``args``.  CLI exit code 4.
     """
-
-
-class CheckFailedError(FracvexpError):
-    """Raised by the CLI layer when a requested certification fails.
-    CLI exit code 2."""

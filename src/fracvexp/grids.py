@@ -16,7 +16,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import PreconditionError
-from .geometry import PlaneGeometry
+from .geometry import PlaneGeometry, reflect_points
 
 ZERO_BALL = "zero_outside_ball"
 ZERO_BOX = "zero_outside_box"
@@ -252,9 +252,9 @@ class SampledFunction:
         coef, ext): the mask of interpolated points, their (interp.sum(), S)
         stencils in point order, and exterior values (0 on interpolated
         points).  A plan's near rows come from `offset_form` instead, which
-        runs the same tests and products on per-axis tables (a view's computed
-        per block from its reflected positions); point evaluation and plan
-        centers come here.
+        runs the same tests and products on per-axis tables (a view's are its
+        base grid's, at the mirrored points and offsets); point evaluation and
+        plan centers come here.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         in_box, interp = self._source([self._axis_in_box(c) for c in pts.T],
@@ -270,7 +270,9 @@ class SampledFunction:
         (distinct x_a, t).  Each axis gets one `_axis_table` over those pairs;
         `OffsetForm` gathers whole table rows per point and never forms the
         positions.  Distinct means distinct bits, so -0.0 and 0.0 get rows of
-        their own.
+        their own.  Points that share no coordinate (off the lattice, or a
+        view's mirror images across an oblique plane) get a table row each,
+        so their tables hold every position of the run.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         offsets = np.asarray(offsets, dtype=float)
@@ -327,14 +329,21 @@ class SampledFunction:
     @classmethod
     def load(cls, csv_path) -> "SampledFunction":
         """Read what `save` wrote.  A missing file raises OSError; a malformed
-        header or a non-numeric cell raises PreconditionError."""
+        header (a smoothness hint other than 2 or 3, a `dim` other than the
+        shape's length) or a non-numeric cell raises PreconditionError."""
         csv_path = Path(csv_path)
         try:
             meta = json.loads(csv_path.with_suffix(".json").read_text())
+            shape, hint = tuple(meta["shape"]), meta["smoothness_hint"]
+            if hint not in (2, 3):
+                raise PreconditionError(
+                    f"{csv_path}: smoothness_hint must be 2 or 3, got {hint!r}")
+            if meta["dim"] != len(shape):
+                raise PreconditionError(
+                    f"{csv_path}: dim {meta['dim']!r} does not match shape {list(shape)}")
             data = np.loadtxt(csv_path, delimiter=",", skiprows=1)
-            return cls(np.atleast_2d(data)[:, -1], tuple(meta["shape"]),
-                       float(meta["extent"]), meta["exterior_rule"],
-                       int(meta["smoothness_hint"]))
+            return cls(np.atleast_2d(data)[:, -1], shape, float(meta["extent"]),
+                       meta["exterior_rule"], int(hint))
         except (ValueError, TypeError, KeyError, IndexError) as exc:
             raise PreconditionError(f"malformed sampled function {csv_path}: {exc!r}") from exc
 
@@ -353,14 +362,6 @@ class OffsetForm:
     offsets: np.ndarray
     tables: list
 
-    def _rows(self, lo: int, hi: int, k: int) -> list:
-        """Per axis, the first k table fields at the positions of points lo..hi."""
-        return [[f[inv[lo:hi]] for f in table[:k]] for inv, table in self.tables]
-
-    def _positions(self, lo: int, hi: int) -> np.ndarray:
-        """The positions of points lo..hi where the grid reads u, (P, T, N)."""
-        return self.pts[lo:hi, None, :] + self.offsets
-
     def block(self, lo: int, hi: int, stencils: bool = False):
         """(interp, ext, nz) at the positions of points lo..hi, each (P, T).
 
@@ -369,33 +370,14 @@ class OffsetForm:
         stencil.  With `stencils`, idx (int32) and coef follow: the stencils
         of every position, interpolated or not, stencil-major (P, S^N, T).
         """
-        g = self.grid
-        box, sq, nz, *stencil = zip(*self._rows(lo, hi, 5 if stencils else 3))
+        g, k = self.grid, 5 if stencils else 3
+        box, sq, nz, *stencil = zip(*([f[inv[lo:hi]] for f in table[:k]]
+                                      for inv, table in self.tables))
         in_box, interp = g._source(box, sq)
-        found = (interp, g._exterior(in_box, lambda: self._positions(lo, hi)[~in_box]),
+        found = (interp,
+                 g._exterior(in_box, lambda: (self.pts[lo:hi, None, :] + self.offsets)[~in_box]),
                  functools.reduce(np.multiply, nz))
         return found + g._tensor(*stencil) if stencils else found
-
-
-class ReflectedOffsets(OffsetForm):
-    """`OffsetForm` of a view at pts[j] + offsets[t].
-
-    An oblique plane mixes the axes, so a reflected coordinate is no function
-    of one axis's pair (x_a, t): each block's table rows are computed from its
-    reflected positions instead, by the same `_axis_table`.
-    """
-
-    def __init__(self, view: "ReflectedFunction", pts, offsets):
-        super().__init__(view.base, np.atleast_2d(np.asarray(pts, dtype=float)),
-                         np.asarray(offsets, dtype=float), [])
-        self.plane = view.plane
-
-    def _rows(self, lo: int, hi: int, k: int) -> list:
-        return [self.grid._axis_table(c)[:k] for c in np.moveaxis(self._positions(lo, hi), -1, 0)]
-
-    def _positions(self, lo: int, hi: int) -> np.ndarray:
-        pos = super()._positions(lo, hi)
-        return self.plane.reflect(pos.reshape(-1, self.grid.dim)).reshape(pos.shape)
 
 
 @dataclass
@@ -411,9 +393,16 @@ class ReflectedFunction:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return self.base.linear_form(self.plane.reflect(pts))
 
-    def offset_form(self, pts, offsets) -> ReflectedOffsets:
-        """`linear_form` at every position pts[j] + offsets[t], block by block."""
-        return ReflectedOffsets(self, pts, offsets)
+    def offset_form(self, pts, offsets) -> OffsetForm:
+        """The base grid's `offset_form` at the mirrored points and offsets.
+
+        T(x + d) = T(x) + R d with R = I - 2 e e^T, so the node x + d reads
+        the base grid at fl(T(x) + fl(R d)): equal to fl(T(fl(x + d))) in
+        exact arithmetic, bit for bit on an axis plane at lambda = 0 (where T
+        negates one coordinate), and one rounding apart elsewhere.
+        """
+        return self.base.offset_form(self.plane.reflect(pts),
+                                     reflect_points(offsets, self.plane.e, 0.0))
 
     def point_eval(self, pts) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))

@@ -46,15 +46,16 @@ carry the point, and each point's exterior rows follow its interior rows in
 the order above, so every row and weight sum is the one a point built alone
 gets.
 
-Only near nodes get stencils, from per-axis tables (`offset_form`).  For a
-grid, a near node's axis coordinate is fl(x_a + fl(r d_a)), a function of
-the point's coordinate and the node's offset, so the box test, square and
-axis stencil are tabled once per run of points over (distinct coordinate,
-offset) and gathered per point; lattice points share a few coordinates per
-axis.  Under a view the reflection mixes the axes, so each block's table
-rows are computed from its reflected positions.  One run's tables are held
-at a time: a set with one pairing radius builds them once, one with several
-builds each run's again for the second pass.  A node at radius r > r_far =
+Only near nodes get stencils, from per-axis tables (`offset_form`).  A near
+node's axis coordinate is fl(x_a + fl(r d_a)), a function of the point's
+coordinate and the node's offset, so the box test, square and axis stencil
+are tabled once per run of points over (distinct coordinate, offset) and
+gathered per point; lattice points share a few coordinates per axis.  Under
+a view, T(x + r d) = T(x) + r R d (T the reflection, R = I - 2 e e^T its
+linear part), so a view's tables are its base grid's at the mirrored points
+and offsets, and every plan's near rows take one path.  One run's tables
+are held at a time: a set with one pairing radius builds them once, one
+with several builds each run's again for the second pass.  A node at radius r > r_far =
 max |x'| + sqrt(N) L (x' the point the grid reads: its mirror image under a
 view) lies outside the box in every direction, so under a named exterior
 rule it reads that rule's one value (`_far_field`); at the default
@@ -330,9 +331,9 @@ def build_plan(spec: ExponentSpec, u, points, cfg: QuadratureConfig) -> EvalPlan
     """Assemble the quadrature plan for `points` (each strictly inside the box).
 
     `u` may be a SampledFunction or a ReflectedFunction view.  Near rows come
-    from `u.offset_form`, per-axis stencil tables (a view's computed from its
-    reflected positions, so the view needs no resampling); `u.linear_form`
-    gives every center.  `r_eff` is sized for
+    from `u.offset_form`, per-axis stencil tables (a view's are its base
+    grid's at the mirrored points and offsets, so the view needs no
+    resampling); `u.linear_form` gives every center.  `r_eff` is sized for
     |u| <= max(max|values|, 1), so the plan stays valid on other value
     vectors in that range (solver iterates), and a grid's plans share it.
     An empty point set gives an empty plan.

@@ -169,6 +169,16 @@ class TestExitCodes:
             header.unlink()
         assert main(["eval", "--config", str(cfg), "--input", str(u), "--at", "0.0"]) == code
 
+    @pytest.mark.parametrize("header", [
+        {"smoothness_hint": 3.9}, {"smoothness_hint": 2.5}, {"dim": 2}])
+    def test_inexact_header_is_precondition(self, tmp_path, header):
+        # a fractional hint used to load truncated, and a dim unlike the shape's used to load
+        cfg = small_config(tmp_path)
+        u = make_bump_csv(tmp_path)
+        meta = json.loads(u.with_suffix(".json").read_text())
+        u.with_suffix(".json").write_text(json.dumps({**meta, **header}))
+        assert main(["eval", "--config", str(cfg), "--input", str(u), "--at", "0.3"]) == 3
+
     @pytest.mark.parametrize("header, n, command", [
         ({"shape": [5, 7]}, 35, ["eval", "--at", "0.3,0.7"]),
         ({"shape": [5, 5, 5]}, 125, ["sweep-planes"]),
@@ -180,8 +190,10 @@ class TestExitCodes:
         cfg = small_config(tmp_path, **{"exponent.dimension": len(header.get("shape", [n]))})
         u = make_bump_csv(tmp_path, n=n)
         meta = json.loads(u.with_suffix(".json").read_text())
-        u.with_suffix(".json").write_text(
-            json.dumps({**meta, "exterior_rule": "zero_outside_box", **header}))
+        # dim matches the shape, so that the shape itself is refused
+        u.with_suffix(".json").write_text(json.dumps(
+            {**meta, "exterior_rule": "zero_outside_box",
+             "dim": len(header.get("shape", meta["shape"])), **header}))
         assert main([command[0], "--config", str(cfg), "--input", str(u), *command[1:]]) == 3
 
     @pytest.mark.parametrize("grid", ["0", "-3"])

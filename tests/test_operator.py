@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import json
 import math
 import tracemalloc
 import weakref
@@ -74,6 +75,29 @@ class TestEvalPlapBasics:
         back = fx.SampledFunction.load(tmp_path / "c.csv")
         assert back.exterior_rule == "constant:0.7"
         assert fx.eval_plap(spec_1d, back, [node], qcfg) == 0.0
+
+    @pytest.mark.parametrize("edit", [
+        {"smoothness_hint": 3.9}, {"smoothness_hint": 2.5}, {"smoothness_hint": "3"},
+        {"smoothness_hint": 1}, {"dim": 2}, {"dim": "1"}, {"dim": None}])
+    def test_load_refuses_a_header_it_cannot_keep(self, tmp_path, edit):
+        # a hint other than exactly 2 or 3 was truncated by int(), and the
+        # header's dim was never read
+        u = fx.SampledFunction.from_function(lambda p: np.zeros(len(p)), 1.5, 11)
+        u.save(tmp_path / "u.csv")
+        header = tmp_path / "u.json"
+        header.write_text(json.dumps({**json.loads(header.read_text()), **edit}))
+        with pytest.raises(fx.PreconditionError, match=next(iter(edit))):
+            fx.SampledFunction.load(tmp_path / "u.csv")
+
+    def test_load_keeps_an_integral_float_hint(self, tmp_path):
+        u = fx.SampledFunction.from_function(lambda p: np.zeros(len(p)), 1.5, 11, 2,
+                                             smoothness_hint=3)
+        u.save(tmp_path / "u.csv")
+        header = tmp_path / "u.json"
+        header.write_text(json.dumps({**json.loads(header.read_text()), "smoothness_hint": 3.0}))
+        back = fx.SampledFunction.load(tmp_path / "u.csv")
+        assert back.smoothness_hint == 3 and type(back.smoothness_hint) is int
+        assert back.shape == (11, 11)
 
     def test_malformed_constant_rule(self):
         with pytest.raises(fx.PreconditionError, match="constant:abc"):
@@ -464,18 +488,28 @@ class TestPlanLayout:
                 monkeypatch.undo()
                 assert _plan_diff(got, want) == [], (name, block)
 
-    @pytest.mark.parametrize("n, bound", [(15, 1.6), (41, 1.25)])
-    def test_row_build_peak_stays_near_the_plan_size(self, spec_2d, qcfg, n, bound):
+    @pytest.mark.parametrize("n, bound, plane", [
+        pytest.param(15, 1.6, None, id="15-1.6"),
+        pytest.param(41, 1.25, None, id="41-1.25"),
+        pytest.param(41, 1.35, ((1.0, 0.0), -0.5), id="41-axis_view-1.35"),
+        pytest.param(41, 1.8, ((0.6, 0.8), -0.3), id="41-oblique_view-1.8")])
+    def test_row_build_peak_stays_near_the_plan_size(self, spec_2d, qcfg, n, bound, plane):
         # the rows are sized first, then written once into arrays allocated
         # once, so one build holds about one copy of the plan (2.29x at n=15
-        # and 2.12x at n=41 when the blocks were kept and concatenated)
+        # and 2.12x at n=41 when the blocks were kept and concatenated).  A
+        # view on the Omega nodes of a plane uses its grid's tables at the
+        # mirror images, which across an oblique plane share no coordinate, so
+        # one run's tables hold every near node (1.31x axis, 1.76x oblique)
         u = fx.SampledFunction.from_function(bump_profile(0.5, 0.5), 1.5, n, 2)
-        pts = u.nodes()[interior_mask(u)]
+        pts, w = u.nodes()[interior_mask(u)], u
+        if plane is not None:
+            w = fx.ReflectedFunction(u, fx.PlaneGeometry(*plane))
+            pts = pts[w.plane.in_halfspace(pts)]
         r_eff = truncation_radius(spec_2d, u.values, u.extent, qcfg)
         quadrature._drop_rows()
         tracemalloc.start()
         try:
-            rows = quadrature._plan_rows(spec_2d, u, u, pts, qcfg, r_eff)
+            rows = quadrature._plan_rows(spec_2d, w, u, pts, qcfg, r_eff)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -555,9 +589,10 @@ class TestLinearForm:
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("hint", [2, 3])
     def test_offset_tables_match_positions(self, dim, hint):
-        # the plan's near rows come from per-axis tables, a grid's per run and a
-        # view's per block from its reflected positions: they must equal
-        # linear_form on the positions x + offset bit for bit
+        # the plan's near rows come from per-axis tables: a grid's must equal
+        # its linear_form on the positions x + offset bit for bit, and a view's
+        # are its base grid's at T(x) + R offset (R the reflection's linear
+        # part), which is T(x + offset) to round-off
         rng = np.random.default_rng(11 + dim + 10 * hint)
         u = fx.SampledFunction.from_function(bump_profile(0.5, 0.5), 1.5, 21, dim,
                                              smoothness_hint=hint)
@@ -574,9 +609,17 @@ class TestLinearForm:
             v = fx.SampledFunction(u.values + (rule == "constant:0.3") * 0.3, u.shape, u.extent,
                                    exterior_rule=rule, smoothness_hint=hint)
             for name, w in ((str(rule), v), (f"{rule} view", fx.ReflectedFunction(v, plane))):
-                pos = (pts[:, None, :] + offsets[None, :, :]).reshape(-1, dim)
-                interp, idx, coef, ext = w.linear_form(pos)
                 form = w.offset_form(pts, offsets)
+                assert form.grid is v, name
+                pos = (form.pts[:, None, :] + form.offsets).reshape(-1, dim)
+                shifted = (pts[:, None, :] + offsets).reshape(-1, dim)
+                if w is v:
+                    np.testing.assert_array_equal(pos, shifted, err_msg=name)
+                else:
+                    # a few ulps of the largest |coordinate|, about 4.6
+                    np.testing.assert_allclose(pos, plane.reflect(shifted), rtol=0, atol=4e-15,
+                                               err_msg=name)
+                interp, idx, coef, ext = v.linear_form(pos)
                 t_interp, t_ext, t_nz, t_idx, t_coef = form.block(1, len(pts), stencils=True)
                 rows = slice(len(offsets), None)  # the form's points 1.. only
                 np.testing.assert_array_equal(t_interp.ravel(), interp[rows], err_msg=name)

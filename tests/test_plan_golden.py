@@ -15,6 +15,15 @@ came from per-axis stencil tables instead of `linear_form` on materialised
 node positions: cubic stencils (16-entry rows in 2-d) in 1-d and 2-d, a
 callable exterior rule in 2-d, and seeded points off the lattice, no two
 sharing a coordinate, so every point has its own table rows.
+
+`1d_view_0` and `2d_view_0` (the second on the y axis, with cubic stencils)
+were recorded at commit 13e75d2, before a view's near rows came from its
+base grid's tables at the mirrored points and offsets, T(x) + r R d, in
+place of stencils at the mirrored positions T(x + r d).  At lambda = 0 on an
+axis plane the reflection is an exact negation and the two agree bit for
+bit; the four lambda = +-0.5 view digests were re-recorded there, since the
+two are one rounding apart elsewhere (only `rval`, `csum`, `rho` and the
+field changed, the field by at most 1.1e-11 relative).
 """
 
 import hashlib
@@ -76,6 +85,10 @@ def _case(name):
         "2d_view_-0.5": lambda: (ii2, fx.ReflectedFunction(u15, fx.axis_plane(2, -0.5)), ball15),
         "2d_view_+0.5": lambda: (ii2, fx.ReflectedFunction(
             _grid(15, 2, "constant:0.2", 0.2), fx.axis_plane(2, 0.5)), ball15),
+        "1d_view_0": lambda: (ii1, fx.ReflectedFunction(
+            _grid(101, 1, "zero_outside_box"), fx.axis_plane(1, 0.0)), box1),
+        "2d_view_0": lambda: (ii2, fx.ReflectedFunction(
+            _grid(15, 2, hint=3), fx.axis_plane(2, 0.0, axis=1)), ball15),
         "1d_constant_p2": lambda: (fx.make_spec("constant", 1, 0.3, 0.5, value=2.0), u1, ball1),
         "1d_constant_p2.5": lambda: (fx.make_spec("constant", 1, 0.3, 0.5, value=2.5),
                                      _grid(101, 1, "constant:0.2", 0.2), box1),
@@ -110,10 +123,12 @@ GOLDEN = {
     "1d_zero_outside_box": "3b581ae777adbae87d49de601293d21adb5244ac880467bc324b0c553e91bb8d",
     "1d_callable": "85262d253a56f347a9f6803cac6de7524d4780547f7f49b75a7f0192a94c574c",
     "2d_constant_0.2": "5ddf0cc97a70bbf3685ae9cac445ef6adcd50b004241d2a031c0755f7ddf186a",
-    "1d_view_-0.5": "36a5f36440532f87d11bcdfba05a61c0919179cdfbd5bf2f16dbbb36aba72069",
-    "1d_view_+0.5": "41e6fb8559b13154abc7f027d2a691088b6e4ac47e717fa1f313233b209afdc1",
-    "2d_view_-0.5": "538247e5a2c66e693ecddedb9a0cf3698170a33a3043e8b0cc0ffe7e8898cbdc",
-    "2d_view_+0.5": "bea14137e96017f0f791fc7bf99f3de3dd67bdc8f22d7be8081f04d68c0e74e3",
+    "1d_view_-0.5": "fe0073216dd1d10e307c4a31b11ca72b5f9f676a8c8ac3ce7150a23b20ea20db",
+    "1d_view_+0.5": "373c92b006bf75a8bb1f9efd716f9917ab0dcf5da120d571387f40a6b853ac7e",
+    "2d_view_-0.5": "05959759c94daf633ca83853331510b46ee3777a1ddbd1ed7036660f8e3af858",
+    "2d_view_+0.5": "60c59161c8b7aa1fe4030e08b4ee4b1ebe4ad06cc6c1b3cc8668929b7959e03f",
+    "1d_view_0": "d59b90ac273257ccd3794e9ce1c49258daa4daab7298d5796cca241baefa81b1",
+    "2d_view_0": "aedb202254aac2e20d974997c262b227542a82c7d5c6b9caa5754cf8ef505761",
     "1d_constant_p2": "29d37c064ffd91a53edb3b0cbe8faeed7efda758d389a3dfa6c18ffe414c200b",
     "1d_constant_p2.5": "40212d0f1e28aae8cbc4b3427cff67bff02f8aec33f0ef8e9a6f8a1ebb3fff3d",
     "2d_constant_p2.5": "cda196ec0ce2f2da09ded10c7a5f47155cdd878d83af1dc3b31dbb8df55e24b4",
