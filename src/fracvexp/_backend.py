@@ -5,10 +5,11 @@ freeze `rho` and hands its sums back as `plan.sums`, which every operator
 value reads, and the solver runs it once per trial.  `_apply_loop` is the
 plain-Python per-node reference of `apply_plan`; `jacobian` differentiates
 the terms.  All read v = [values, plan.ext_values].  A plan stores its row
-stencils as one sparse matrix `plan.R` over v, with each row's coefficient
-sum `plan.csum` (see `quadrature`).  A row's difference sum_k a_k (c - v_k),
-c its point's center value, is then csum·(c - m) - (R (v - m))_row for any
-shift m: one sparse product per pass.  The kernel takes m as the midrange of
+stencils as one sparse matrix `plan.R` over v (see `quadrature`).  A row's
+difference is its point's center value c minus the interpolant at its node,
+as everywhere else in the lab: t = (c - m) - (R (v - m))_row, one sparse
+product per pass.  A row's coefficients are Lagrange weights that sum to one,
+so the shift m cancels up to rounding.  The kernel takes m as the midrange of
 the node values, so constant data give t = 0 exactly, negated data give -t
 exactly, and the rounding of R v scales with the spread of the values rather
 than their size.  Each point's rows are summed in plan row order.  The centers
@@ -34,12 +35,12 @@ def _shift(values) -> float:
 
 
 def _differences(plan, values):
-    """Per row, t = csum·(c - m) - R (v - m), with v = [values, ext_values],
-    c the row's center value and m = `_shift(values)`; and the center values."""
+    """Per row, t = (c - m) - R (v - m), with v = [values, ext_values], c the
+    row's center value and m = `_shift(values)`; and the center values."""
     values = np.asarray(values, dtype=float)
     v, m = np.concatenate([values, plan.ext_values]), _shift(values)
     c = np.einsum("ps,ps->p", plan.ccoef, v[plan.cidx])
-    return plan.csum * np.repeat(c - m, np.diff(plan.ptr)) - plan.R @ (v - m), c
+    return np.repeat(c - m, np.diff(plan.ptr)) - plan.R @ (v - m), c
 
 
 class LevelSums(NamedTuple):
@@ -70,15 +71,14 @@ def _apply_loop(plan, values: np.ndarray):
     """Per-node loop twin of `apply_plan(plan, values)`: (field, centers)."""
     values = np.asarray(values, dtype=float)
     m, v = float(_shift(values)), np.concatenate([values, plan.ext_values])
-    v, rptr, rcol, rval, csum, wk, pm2, tag = (a.tolist() for a in (
-        v, plan.rptr, plan.rcol, plan.rval, plan.csum, plan.wk, plan.pm2, plan.level_tag))
+    v, rptr, rcol, rval, wk, pm2, tag = (a.tolist() for a in (
+        v, plan.rptr, plan.rcol, plan.rval, plan.wk, plan.pm2, plan.level_tag))
     out, cout = np.empty(plan.n_points), np.empty(plan.n_points)
     for i in range(plan.n_points):
         c = cout[i] = sum(a * v[k] for a, k in zip(plan.ccoef[i].tolist(), plan.cidx[i].tolist()))
         acc = a1 = 0.0
         for j in range(plan.ptr[i], plan.ptr[i + 1]):
-            t = csum[j] * (c - m) - sum(rval[e] * (v[rcol[e]] - m)
-                                        for e in range(rptr[j], rptr[j + 1]))
+            t = (c - m) - sum(rval[e] * (v[rcol[e]] - m) for e in range(rptr[j], rptr[j + 1]))
             term = wk[j] * abs(t) ** pm2[j] * t
             acc += term
             a1 += term if tag[j] == 2 else 0.0
@@ -92,7 +92,7 @@ def jacobian(plan, values: np.ndarray) -> np.ndarray:
 
     Each row's slope d = wk·(p-1)·|t|^(p-2), over 1 - rho on the innermost
     level, enters its point's derivative as -d times its stencil (a row of
-    R) and, times its coefficient sum, as d·csum times the center stencil.
+    R) and as d times the center stencil.
     The stencil part of a block of points is the product of the segment-sum
     matrix with data -d and indptr `plan.ptr` and R.  Exterior slots are
     constants and drop out.  Where t = 0 and p < 2 the slope is infinite; it
@@ -105,7 +105,7 @@ def jacobian(plan, values: np.ndarray) -> np.ndarray:
         d = plan.wk * (plan.pm2 + 1.0) * np.abs(t) ** plan.pm2
     d = np.where(np.isfinite(d), d, 0.0)
     d /= np.where(plan.level_tag == 2, 1.0 - plan.rho[own], 1.0)
-    dc = np.bincount(own, d * plan.csum, plan.n_points)
+    dc = np.bincount(own, d, plan.n_points)
     jac = np.zeros((plan.n_points, n))
     index = plan.R.indptr.dtype
     for lo in range(0, plan.n_points, JACOBIAN_BLOCK):

@@ -18,8 +18,10 @@ Every stencil indexes the extended value vector [u.values, plan.ext_values]:
 slot k past the grid nodes holds the k-th distinct exterior value, in order
 of first use.  The row stencils form one CSR matrix `R` with a row per plan
 row and a column per entry of that vector, with its zero coefficients
-dropped, int32 column indices and each row's coefficient sum beside it
-(`csum`).  An exterior row is one entry, 1.0 on its slot's column n + slot;
+dropped and int32 column indices.  An interior row's coefficients are
+Lagrange weights, which sum to one, so the kernel forms a row's difference
+as the center minus the row's product with the values, and no per-row sum
+is stored.  An exterior row is one entry, 1.0 on its slot's column n + slot;
 an exterior center is the dense center stencil (1, 0, ...) on its slot.
 Each point's segment of rows holds its interior nodes first
 (those whose value comes from the interpolant), in node enumeration order.
@@ -156,18 +158,20 @@ class EvalPlan:
     (paired decay exponent p - 1 - s p can be close to zero).
 
     The row stencils are `R`, a scipy CSR matrix over the stored arrays
-    `rval`, `rcol` and `rptr` (int32 indices; int64 past 2^31 entries).  It
-    is built once per row set, and the arrays stay fields, so byte counts
-    and comparisons of plans see them.  The row arrays are read-only and may
-    be shared with other plans on the same point set; `rho`, `tail_bound`,
-    `sums` and `meta` are each plan's own.
+    `rval`, `rcol` and `rptr` (int32 indices; int64 past 2^31 entries).  A
+    row's entries are Lagrange weights that sum to one, so no per-row sum is
+    stored: a row's difference is its center value minus the row's product
+    with the values (see `_backend`).  `R` is built once per row set, and
+    the arrays stay fields, so byte counts and comparisons of plans see
+    them.  The row arrays are read-only and may be shared with other plans
+    on the same point set; `rho`, `tail_bound`, `sums` and `meta` are each
+    plan's own.
     """
 
     ptr: np.ndarray        # (npts+1,) segment offsets: point i's rows are ptr[i]..ptr[i+1]-1
     rptr: np.ndarray       # (nnz+1,) offsets of each row's entries in rcol and rval
     rcol: np.ndarray       # (entries,) columns in [values, ext_values] (n + slot on exterior rows)
     rval: np.ndarray       # (entries,) nonzero stencil coefficients (1.0 on exterior rows)
-    csum: np.ndarray       # (nnz,) each row's stencil coefficient sum
     R: sparse.csr_array = field(repr=False, compare=False)  # CSR view of rval, rcol, rptr
     wk: np.ndarray         # (nnz,) quadrature weight times kernel, summed over a merged key
     pm2: np.ndarray        # (nnz,) p(r) - 2
@@ -476,7 +480,7 @@ def _plan_rows(spec: ExponentSpec, u, grid: SampledFunction, pts: np.ndarray,
     nnz = int(ptr[-1])
     index = np.int32 if n_ent < 2 ** 31 else np.int64
     rptr, rcol, rval = np.zeros(nnz + 1, dtype=index), np.empty(n_ent, dtype=index), np.empty(n_ent)
-    csum, wk, pm2, tag = np.empty(nnz), np.empty(nnz), np.empty(nnz), np.empty(nnz, dtype=np.int8)
+    wk, pm2, tag = np.empty(nnz), np.empty(nnz), np.empty(nnz, dtype=np.int8)
     # exterior rows, then exterior centers, read their slots in order of first use
     ext_all = np.empty(n_out + np.count_nonzero(~c_interp))
     ext_all[n_out:] = c_ext[~c_interp]
@@ -496,7 +500,6 @@ def _plan_rows(spec: ExponentSpec, u, grid: SampledFunction, pts: np.ndarray,
         row_t[~ext_row], row_t[ext_row] = in_t, x_t
         wk[r0:r1][~ext_row], wk[r0:r1][ext_row] = wk_t[in_t], x_wk
         pm2[r0:r1], tag[r0:r1] = pm2_t[row_t], tag_t[row_t]
-        csum[r0:r1][~ext_row], csum[r0:r1][ext_row] = _row_sums(coef)[interp], 1.0
         # an interior row holds its stencil's nonzero coefficients in stencil
         # order; an exterior row is one entry, 1.0 on a column set to n + slot
         # once every slot is known
@@ -512,14 +515,15 @@ def _plan_rows(spec: ExponentSpec, u, grid: SampledFunction, pts: np.ndarray,
         for i, j, e in zip([0, *cut[:-1]], cut, rptr[ptr[lo:hi]]):
             rcol[e:e + j - i], rval[e:e + j - i] = cols[i:j], vals[i:j]
         k0 = k1
+        del idx, coef, kt, cols, vals  # so two blocks' stencils never coexist
 
     first, slot = _first_use_groups(ext_all)
     n = grid.values.size
     rcol[ext_at] = n + slot[:n_out]
     cidx[~c_interp], ccoef[~c_interp, 0] = n + slot[n_out:, None], 1.0
 
-    arrays = {"ptr": ptr, "rptr": rptr, "rcol": rcol, "rval": rval, "csum": csum, "wk": wk,
-              "pm2": pm2, "level_tag": tag, "cidx": cidx, "ccoef": ccoef,
+    arrays = {"ptr": ptr, "rptr": rptr, "rcol": rcol, "rval": rval, "wk": wk, "pm2": pm2,
+              "level_tag": tag, "cidx": cidx, "ccoef": ccoef,
               "rho": np.zeros(len(pts)), "ext_values": ext_all[first]}
     for a in arrays.values():
         a.flags.writeable = False
@@ -554,25 +558,6 @@ def _exterior_rows(tm, interp, ext, c_far):
     by_point = np.argsort(key_j[first], kind="stable")
     rows = first[by_point]
     return key_t[rows], ext_k[rows], wk_ext[by_point], np.bincount(key_j[first], minlength=P)
-
-
-def _row_sums(coef):
-    """Sums over axis -2 of (..., S, T), the bits of `.sum()` on each contiguous row.
-
-    numpy adds a contiguous row of S <= 128 left to right below 8 entries,
-    else in 8 partial sums combined pairwise; doing the same across T skips
-    a transposing copy and a short-row `.sum`, which added 0.07-0.13 s to
-    a 0.58-0.70 s 2-d n=41 row build on 2 vCPU.
-    `TestLinearForm.test_offset_tables_match_positions` pins the result to
-    `.sum(axis=1)` for every stencil size a plan uses (3, 4, 9 and 16).
-    """
-    c = np.moveaxis(coef, -2, 0)
-    if len(c) < 8:
-        return functools.reduce(np.add, c)
-    full = len(c) - len(c) % 8
-    r = functools.reduce(np.add, (c[i:i + 8] for i in range(0, full, 8)))
-    return functools.reduce(np.add, c[full:], ((r[0] + r[1]) + (r[2] + r[3]))
-                            + ((r[4] + r[5]) + (r[6] + r[7])))
 
 
 def _first_use_groups(*keys):
