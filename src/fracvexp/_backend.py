@@ -1,10 +1,12 @@
 """The plan-application kernel, its per-node reference and its Jacobian.
 
-`apply_plan` is the one kernel pass: `quadrature.build_plan` runs it to
-freeze `rho` and hands its sums back as `plan.sums`, which every operator
-value reads, and the solver runs it once per trial.  `_apply_loop` is the
-plain-Python per-node reference of `apply_plan`; `jacobian` differentiates
-the terms.  All read v = [values, plan.ext_values].  A plan stores its row
+`apply_plan` is the one kernel pass: `quadrature.build_plan` runs it on
+the values it certified and hands its sums back as `plan.sums`, which every
+operator value reads, and the solver runs it once per trial.  A plan stores
+no ratio: whoever reads a pass freezes rho = `quadrature._frozen_ratio` of
+it and takes `sums.field(rho)`.  `_apply_loop` is the plain-Python per-node
+reference of `apply_plan`; `jacobian` differentiates the terms at a given
+rho.  All read v = [values, plan.ext_values].  A plan stores its row
 stencils as one sparse matrix `plan.R` over v (see `quadrature`).  A row's
 difference is its point's center value c minus the interpolant at its node,
 as everywhere else in the lab: t = (c - m) - (R (v - m))_row, one sparse
@@ -12,9 +14,10 @@ product per pass.  A row's coefficients are Lagrange weights that sum to one,
 so the shift m cancels up to rounding.  The kernel takes m as the midrange of
 the node values, so constant data give t = 0 exactly, negated data give -t
 exactly, and the rounding of R v scales with the spread of the values rather
-than their size.  Each point's rows are summed in plan row order.  The centers
-stay dense stencils (`cidx`, `ccoef`), read with the einsum
-`grids.SampledFunction.point_eval` uses.
+than their size.  A row with t = 0 adds exactly 0, since f(0) = 0 for every
+p (wk |t|^(p-2) t would be inf * 0 where p < 2).  Each point's rows are
+summed in plan row order.  The centers stay dense stencils (`cidx`,
+`ccoef`), read with the einsum `grids.SampledFunction.point_eval` uses.
 """
 
 from __future__ import annotations
@@ -58,37 +61,40 @@ class LevelSums(NamedTuple):
 
 def apply_plan(plan, values: np.ndarray) -> LevelSums:
     """One kernel pass of `plan` over a value vector (see module docs); the
-    operator values are `.field(plan.rho)`, the center values `.centers`."""
+    operator values are `.field(rho)`, the center values `.centers`."""
     t, c = _differences(plan, values)
-    contrib = plan.wk * np.abs(t) ** plan.pm2 * t
+    with np.errstate(divide="ignore", invalid="ignore"):
+        contrib = plan.wk * np.abs(t) ** plan.pm2 * t
+    contrib[t == 0.0] = 0.0
     starts = plan.ptr[:-1]
     a1, a2 = (np.add.reduceat(np.where(plan.level_tag == tag, contrib, 0.0), starts)
               for tag in (2, 1))
     return LevelSums(np.add.reduceat(contrib, starts), a1, a2, c)
 
 
-def _apply_loop(plan, values: np.ndarray):
-    """Per-node loop twin of `apply_plan(plan, values)`: (field, centers)."""
+def _apply_loop(plan, values: np.ndarray) -> LevelSums:
+    """Per-node loop twin of `apply_plan(plan, values)`: the same four sums."""
     values = np.asarray(values, dtype=float)
     m, v = float(_shift(values)), np.concatenate([values, plan.ext_values])
     v, rptr, rcol, rval, wk, pm2, tag = (a.tolist() for a in (
         v, plan.rptr, plan.rcol, plan.rval, plan.wk, plan.pm2, plan.level_tag))
-    out, cout = np.empty(plan.n_points), np.empty(plan.n_points)
+    sums = np.empty((4, plan.n_points))
     for i in range(plan.n_points):
-        c = cout[i] = sum(a * v[k] for a, k in zip(plan.ccoef[i].tolist(), plan.cidx[i].tolist()))
-        acc = a1 = 0.0
+        c = sum(a * v[k] for a, k in zip(plan.ccoef[i].tolist(), plan.cidx[i].tolist()))
+        acc = a1 = a2 = 0.0
         for j in range(plan.ptr[i], plan.ptr[i + 1]):
             t = (c - m) - sum(rval[e] * (v[rcol[e]] - m) for e in range(rptr[j], rptr[j + 1]))
-            term = wk[j] * abs(t) ** pm2[j] * t
+            term = wk[j] * abs(t) ** pm2[j] * t if t != 0.0 else 0.0
             acc += term
             a1 += term if tag[j] == 2 else 0.0
-        out[i] = acc + a1 * plan.rho[i] / (1.0 - plan.rho[i])
-    return out, cout
+            a2 += term if tag[j] == 1 else 0.0
+        sums[:, i] = acc, a1, a2, c
+    return LevelSums(*sums)
 
 
-def jacobian(plan, values: np.ndarray) -> np.ndarray:
-    """Exact derivative of `apply_plan(plan, values).field(plan.rho)`, shape
-    (points, values.size), at the plan's frozen `rho`.
+def jacobian(plan, values: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Exact derivative of `apply_plan(plan, values).field(rho)`, shape
+    (points, values.size), at the frozen ratio `rho`.
 
     Each row's slope d = wk·(p-1)·|t|^(p-2), over 1 - rho on the innermost
     level, enters its point's derivative as -d times its stencil (a row of
@@ -104,7 +110,7 @@ def jacobian(plan, values: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         d = plan.wk * (plan.pm2 + 1.0) * np.abs(t) ** plan.pm2
     d = np.where(np.isfinite(d), d, 0.0)
-    d /= np.where(plan.level_tag == 2, 1.0 - plan.rho[own], 1.0)
+    d /= np.where(plan.level_tag == 2, 1.0 - rho[own], 1.0)
     dc = np.bincount(own, d, plan.n_points)
     jac = np.zeros((plan.n_points, n))
     index = plan.R.indptr.dtype

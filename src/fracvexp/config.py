@@ -9,7 +9,7 @@ import configparser
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .errors import PreconditionError
@@ -20,9 +20,7 @@ DEFAULTS = {
     "run": {"seed": 12345, "output_dir": "out"},
     "exponent": {"dimension": 1, "order": 0.5, "m": 0.5,
                  "q_kind": "example_ii", "q_params": ""},
-    "quadrature": {"pairing_radius": 0.25, "graded_levels": 12,
-                   "nodes_per_level": 8, "angular_nodes": 32,
-                   "tail_radius": 4.0, "tail_tolerance": 1e-8},
+    "quadrature": asdict(QuadratureConfig()),
     # checkpoint_every is read by nothing in the package (the Newton solver
     # has no checkpoints); it stays a valid key so older configs still load
     "solver": {"nodes": 201, "extent": 1.5, "amplitude": 0.5,
@@ -34,18 +32,14 @@ DEFAULTS = {
     "mp": {"hyp_tol": 1e-6, "concl_tol": 1e-5},
 }
 
-_INT_KEYS = {"seed", "dimension", "graded_levels", "nodes_per_level",
-             "angular_nodes", "nodes", "max_iters", "checkpoint_every",
-             "count", "refine", "directions", "n_mean_value", "n_kernel",
-             "n_gprime"}
-_STR_KEYS = {"output_dir", "q_kind", "q_params"}
 
-
-def _coerce(key: str, value):
-    """A key's value as its type; a number must be finite, since a NaN or
-    infinite tolerance would turn a falsifiable check into a pass, and an
-    integer key's number integral (15.0 loads as 15, 15.9 is refused)."""
-    if key in _STR_KEYS:
+def _coerce(section: str, key: str, value):
+    """A key's value as the type of its default; a number must be finite,
+    since a NaN or infinite tolerance would turn a falsifiable check into a
+    pass, and an integer key's number integral (15.0 loads as 15, 15.9 is
+    refused)."""
+    default = DEFAULTS[section][key]
+    if isinstance(default, str):
         return str(value)
     try:
         number = float(value)
@@ -53,7 +47,7 @@ def _coerce(key: str, value):
         raise PreconditionError(f"bad value {value!r} for key {key!r}") from exc
     if not math.isfinite(number):
         raise PreconditionError(f"bad value {value!r} for key {key!r}: not finite")
-    if key not in _INT_KEYS:
+    if isinstance(default, float):
         return number
     if not number.is_integer():
         raise PreconditionError(f"bad value {value!r} for key {key!r}: not an integer")
@@ -92,7 +86,7 @@ class RunConfig:
                 for key, val in vals.items():
                     if key not in merged[sec]:
                         raise PreconditionError(f"unknown key {key!r} in section [{sec}]")
-                    merged[sec][key] = _coerce(key, val)
+                    merged[sec][key] = _coerce(sec, key, val)
         cfg = cls(merged, None if path is None else str(path))
         return cfg
 
@@ -110,21 +104,13 @@ class RunConfig:
     def override(self, section: str, key: str, value) -> None:
         if section not in self.sections or key not in self.sections[section]:
             raise PreconditionError(f"unknown config entry [{section}] {key}")
-        self.sections[section][key] = _coerce(key, value)
+        self.sections[section][key] = _coerce(section, key, value)
 
     def exponent_spec(self) -> ExponentSpec:
         return spec_from_config(self.sections["exponent"])
 
     def quadrature(self) -> QuadratureConfig:
-        q = self.sections["quadrature"]
-        return QuadratureConfig(
-            pairing_radius=q["pairing_radius"],
-            graded_levels=q["graded_levels"],
-            nodes_per_level=q["nodes_per_level"],
-            angular_nodes=q["angular_nodes"],
-            tail_radius=q["tail_radius"],
-            tail_tolerance=q["tail_tolerance"],
-        )
+        return QuadratureConfig(**self.sections["quadrature"])
 
     def config_hash(self) -> str:
         """Hash of everything that shapes results (output_dir excluded)."""

@@ -58,12 +58,7 @@ class ExponentSpec:
     def q(self, t):
         """Evaluate Q at t (scalar or array), checking finiteness."""
         t_arr = np.asarray(t, dtype=float)
-        try:
-            out = np.asarray(self.q_function(t_arr), dtype=float)
-        except TypeError:
-            # scalar-only callable
-            out = np.asarray([self.q_function(float(v)) for v in np.atleast_1d(t_arr)])
-            out = out.reshape(t_arr.shape)
+        out = np.asarray(self.q_function(t_arr), dtype=float)
         if not np.all(np.isfinite(out)):
             bad = np.atleast_1d(t_arr)[~np.isfinite(np.atleast_1d(out))]
             raise EvaluationError(f"Q(t) not finite at t={bad.flat[0]!r}")

@@ -301,10 +301,6 @@ class SampledFunction:
         ext[interp] = np.einsum("ms,ms->m", coef, self.values[idx])
         return ext
 
-    def __call__(self, pts):
-        res = self.point_eval(pts)
-        return float(res[0]) if np.asarray(pts).ndim <= 1 else res
-
     # -- serialization ------------------------------------------------------
 
     def save(self, csv_path) -> None:
@@ -407,11 +403,3 @@ class ReflectedFunction:
     def point_eval(self, pts) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return self.base.point_eval(self.plane.reflect(pts))
-
-    def __call__(self, pts):
-        res = self.point_eval(pts)
-        return float(res[0]) if np.asarray(pts).ndim <= 1 else res
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim

@@ -24,6 +24,7 @@ from scipy import integrate
 
 from .exponents import ExponentSpec
 from .grids import SampledFunction, ZERO_BALL
+from .nonlocal_operator import f_power
 from .quadrature import sphere_measure
 
 #: cutoff ladder in units of the coarse grid spacing, descending
@@ -97,8 +98,7 @@ def brute_force_plap(spec: ExponentSpec, u: SampledFunction, x,
         uv = u.point_eval(pos.reshape(-1, N)).reshape(len(rr), len(dirs))
         q = np.asarray(spec.q(rr), dtype=float)
         kern = rr ** (-(N + s * q))
-        t = c - uv
-        fvals = np.abs(t) ** (q[:, None] - 2.0) * t
+        fvals = f_power(c - uv, q[:, None])
         contrib[lo:lo + chunk] = (fvals * aw[None, :]).sum(axis=1) * kern * rr ** (N - 1) * h_r
 
     sums = []
@@ -145,8 +145,7 @@ def constant_p_plap(p: float, s: float, u: SampledFunction, x,
 
     def g(r: float) -> float:
         pos = x[None, :] + r * dirs
-        t = c - u.point_eval(pos)
-        fv = np.abs(t) ** (p - 2.0) * t
+        fv = f_power(c - u.point_eval(pos), p)
         return float((fv * aw).sum()) * r ** (N - 1) * r ** (-(N + s * p))
 
     r_out = _support_radius(u, x)
@@ -166,5 +165,5 @@ def constant_p_plap(p: float, s: float, u: SampledFunction, x,
             val, _ = integrate.quad(g, a, b, limit=200)
             total += val
     sp = s * p
-    tail = (abs(c) ** (p - 2.0) * c) * sphere_measure(N) * r_out ** (-sp) / sp
+    tail = f_power(c, p) * sphere_measure(N) * r_out ** (-sp) / sp
     return total + tail

@@ -82,11 +82,11 @@ position.  The held arrays are read-only, and a miss drops the held entry
 before it builds, so at most one row set is held beyond what callers keep;
 `R` is built once per row set and held with it.  What reads the values runs
 on every call, hit or miss: the input checks, `r_eff`, the tail certificate
-with `tail_bound`, and the freeze of `rho` on a full `apply_plan` pass,
-which the plan hands back as `sums`: an operator value is
-`sums.field(rho)`, so evaluating at a point set costs one pass.  Each call
-gets its own `EvalPlan` with its own `rho`, `tail_bound`, `sums` and
-`meta`, so assigning `plan.rho` reaches no other plan.
+with `tail_bound`, and a full `apply_plan` pass, which the plan hands back
+as `sums`.  A plan stores no ratio: an operator value is
+`sums.field(_frozen_ratio(sums))`, so evaluating at a point set costs one
+pass.  Each call gets its own frozen `EvalPlan` with its own `tail_bound`,
+`sums` and `meta`.
 """
 
 from __future__ import annotations
@@ -147,15 +147,16 @@ class QuadratureConfig:
                 raise PreconditionError(f"{name} must be finite and positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvalPlan:
     """Frozen quadrature for a batch of evaluation points (see module docs).
 
     `level_tag` marks the two innermost dyadic levels (2 = innermost,
-    1 = next): their measured contribution ratio drives a geometric
-    remainder for the part of the grading truncated below the last level,
-    which matters when an interpolant kink sits at the evaluation point
-    (paired decay exponent p - 1 - s p can be close to zero).
+    1 = next): their measured contribution ratio (`_frozen_ratio`, taken by
+    whoever reads a pass) drives a geometric remainder for the part of the
+    grading truncated below the last level, which matters when an
+    interpolant kink sits at the evaluation point (paired decay exponent
+    p - 1 - s p can be close to zero).
 
     The row stencils are `R`, a scipy CSR matrix over the stored arrays
     `rval`, `rcol` and `rptr` (int32 indices; int64 past 2^31 entries).  A
@@ -164,8 +165,8 @@ class EvalPlan:
     with the values (see `_backend`).  `R` is built once per row set, and
     the arrays stay fields, so byte counts and comparisons of plans see
     them.  The row arrays are read-only and may be shared with other plans
-    on the same point set; `rho`, `tail_bound`, `sums` and `meta` are each
-    plan's own.
+    on the same point set; `tail_bound`, `sums` and `meta` are each plan's
+    own.  The fields cannot be assigned.
     """
 
     ptr: np.ndarray        # (npts+1,) segment offsets: point i's rows are ptr[i]..ptr[i+1]-1
@@ -178,7 +179,6 @@ class EvalPlan:
     level_tag: np.ndarray  # (nnz,) int8: 2 innermost level, 1 second, 0 rest
     cidx: np.ndarray       # (npts, S) center stencil indices into [values, ext_values]
     ccoef: np.ndarray      # (npts, S) center stencil coefficients ((1, 0, ...) if exterior)
-    rho: np.ndarray        # (npts,) frozen level-contribution ratio (0: off)
     ext_values: np.ndarray  # (slots,) exterior values, slot k read as value n + k
     r_eff: float
     tail_bound: float
@@ -349,13 +349,13 @@ def build_plan(spec: ExponentSpec, u, points, cfg: QuadratureConfig) -> EvalPlan
     block into arrays allocated once (see the module docs).
 
     Every call checks its inputs, sizes `r_eff` from the values, certifies the
-    tail (`tail_bound`) and freezes `rho` on one `apply_plan` pass over the
-    values, which it hands back as `sums`: the operator values are
-    `sums.field(rho)` and the center values `sums.centers`.  The rows (every
-    other array, `r_eff` and `meta`) do not read the values, so calls that
-    agree on `spec`, `cfg`, `r_eff`, the grid's shape, extent, exterior rule
-    and smoothness hint, a view's plane and the exact points share one
-    read-only row set (see the module docs).
+    tail (`tail_bound`) and runs one `apply_plan` pass over the values, which
+    it hands back as `sums`: the operator values are
+    `sums.field(_frozen_ratio(sums))` and the center values `sums.centers`.
+    The rows (every other array, `r_eff` and `meta`) do not read the values,
+    so calls that agree on `spec`, `cfg`, `r_eff`, the grid's shape, extent,
+    exterior rule and smoothness hint, a view's plane and the exact points
+    share one read-only row set (see the module docs).
     """
     grid = u.base if isinstance(u, ReflectedFunction) else u
     if not isinstance(grid, SampledFunction):
@@ -394,8 +394,7 @@ def build_plan(spec: ExponentSpec, u, points, cfg: QuadratureConfig) -> EvalPlan
 
     rows = _plan_rows(spec, u, grid, pts, cfg, r_eff)
     sums = apply_plan(rows, grid.values)
-    return replace(rows, rho=_frozen_ratio(sums), tail_bound=float(tail_reported), sums=sums,
-                   meta=dict(rows.meta))
+    return replace(rows, tail_bound=float(tail_reported), sums=sums, meta=dict(rows.meta))
 
 
 def _drop_rows() -> None:
@@ -409,7 +408,7 @@ def _plan_rows(spec: ExponentSpec, u, grid: SampledFunction, pts: np.ndarray,
     """The value-independent part of `build_plan`: every row, read-only.
 
     The result is held under a key of everything the stencils and the node
-    template read (see `build_plan`); its `rho` is 0, its `tail_bound` NaN and its `sums` None.
+    template read (see `build_plan`); its `tail_bound` is NaN and its `sums` None.
     """
     global _held
     plane = u.plane if isinstance(u, ReflectedFunction) else None
@@ -523,8 +522,7 @@ def _plan_rows(spec: ExponentSpec, u, grid: SampledFunction, pts: np.ndarray,
     cidx[~c_interp], ccoef[~c_interp, 0] = n + slot[n_out:, None], 1.0
 
     arrays = {"ptr": ptr, "rptr": rptr, "rcol": rcol, "rval": rval, "wk": wk, "pm2": pm2,
-              "level_tag": tag, "cidx": cidx, "ccoef": ccoef,
-              "rho": np.zeros(len(pts)), "ext_values": ext_all[first]}
+              "level_tag": tag, "cidx": cidx, "ccoef": ccoef, "ext_values": ext_all[first]}
     for a in arrays.values():
         a.flags.writeable = False
     R = sparse.csr_array((rval, rcol, rptr), shape=(nnz, n + len(first)))

@@ -70,6 +70,12 @@ class TestProblemSpec:
         with pytest.raises(fx.PreconditionError):
             bs.ProblemSpec(exponent=spec_model, rhs_mode=bs.GENERAL_F)
 
+    def test_unknown_domain_and_mode(self, spec_model):
+        with pytest.raises(fx.PreconditionError, match="domain"):
+            bs.ProblemSpec(exponent=spec_model, q_function=2.0, domain="ball_3d")
+        with pytest.raises(fx.PreconditionError, match="rhs_mode"):
+            bs.ProblemSpec(exponent=spec_model, q_function=2.0, rhs_mode="linear")
+
     def test_general_f_sign_check(self, spec_model):
         with pytest.raises(fx.PreconditionError):
             bs.ProblemSpec(exponent=spec_model, rhs_mode=bs.GENERAL_F,
@@ -156,6 +162,20 @@ class TestSolve:
                                  exterior_rule="zero_outside_box")
         with pytest.raises(fx.PreconditionError):
             bs.solve(problem, bad, qcfg)  # values exceed 1 - eta
+        flat = fx.SampledFunction.from_function(lambda p: 0.0 * p[:, 0], 1.5, 11, 2)
+        with pytest.raises(fx.PreconditionError, match="dimension"):
+            bs.solve(problem, flat, qcfg)  # a 2-d guess for the 1-d problem
+        outside = fx.SampledFunction(np.full(u_star.values.size, 0.1), u_star.shape,
+                                     u_star.extent, exterior_rule="zero_outside_box")
+        with pytest.raises(fx.PreconditionError, match="vanish outside"):
+            bs.solve(problem, outside, qcfg)
+
+    def test_non_finite_residual_is_numeric_error(self, manufactured, qcfg):
+        u_star, made = manufactured
+        problem = bs.ProblemSpec(exponent=made.exponent, rhs_mode=bs.GENERAL_F,
+                                 f=lambda t: np.full(np.shape(t), np.nan))
+        with pytest.raises(fx.NumericError, match="non-finite residual"):
+            bs.solve(problem, u_star, qcfg)
 
     def test_symmetry_preserved_each_step(self, manufactured, qcfg):
         u_star, problem = manufactured

@@ -1,0 +1,68 @@
+"""The names the benchmark under `perfbench/` binds in the package.
+
+`perfbench/tracing.py` wraps entry points by (module, attribute), and a
+name it cannot find is recorded as absent rather than failing;
+`perfbench/workloads.py` probes `cli` bindings and calls `solve` and
+`ProblemSpec` with keywords.  So renaming or deleting one of these would
+pass every other tier-1 test and break the benchmark.  These tests load
+both files by path and check each name against a fresh import.
+"""
+
+import importlib
+import importlib.util
+import inspect
+import pkgutil
+import sys
+from pathlib import Path
+
+import pytest
+
+from fracvexp.quadrature import build_plan
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(monkeypatch, name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def fresh(monkeypatch) -> dict:
+    """Every fracvexp module imported anew; the old ones return after the test."""
+    for name in [m for m in sys.modules if m == "fracvexp" or m.startswith("fracvexp.")]:
+        monkeypatch.delitem(sys.modules, name)
+    pkg = importlib.import_module("fracvexp")
+    return {info.name: importlib.import_module(f"fracvexp.{info.name}")
+            for info in pkgutil.iter_modules(pkg.__path__)}
+
+
+def test_every_traced_entry_point_resolves(monkeypatch, fresh):
+    tracing = _load(monkeypatch, "tracing")
+    missing = []
+    for module, attr, *_ in tracing.LAYERS:
+        owner = fresh.get(module)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{module}.{attr}")
+    assert missing == []
+
+
+def test_workload_bindings_exist(monkeypatch, fresh):
+    workloads = _load(monkeypatch, "workloads")
+    cli, bs = fresh["cli"], fresh["ball_solver"]
+    assert all(callable(getattr(cli, n, None)) for n in workloads.Reproduce1D.probes)
+    # Solve2D.run passes both by keyword
+    assert "checkpoint_every" in inspect.signature(bs.solve).parameters
+    assert "domain" in inspect.signature(bs.ProblemSpec).parameters
+
+
+def test_trace_counters_read_a_plan(monkeypatch, spec_1d, u_bump_1d, qcfg):
+    tracing = _load(monkeypatch, "tracing")
+    plan = build_plan(spec_1d, u_bump_1d, [[0.0], [0.4]], qcfg)
+    assert tracing._plan_counts((), {}, plan)["plan_mb_max"] > 0.0
+    assert tracing._apply_counts((plan, u_bump_1d.values), {}, plan.sums)["nodes"] == plan.wk.size

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -118,6 +119,39 @@ class TestConfig:
             cfg.override("solver", "nodes", 15.5)
         assert cfg.section("solver")["nodes"] == 15
 
+    def test_every_key_takes_its_default_type(self, tmp_path):
+        # an INI file gives strings; each key loads as the type of its default,
+        # and the quadrature section is QuadratureConfig's own fields
+        defaults = RunConfig.load(None).sections
+        p = tmp_path / "all.ini"
+        p.write_text("".join(f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in vals.items())
+                             for sec, vals in defaults.items()))
+        cfg = RunConfig.load(p)
+        assert cfg.sections == defaults
+        assert all(type(cfg.sections[sec][k]) is type(v)
+                   for sec, vals in defaults.items() for k, v in vals.items())
+        assert cfg.quadrature() == fx.QuadratureConfig()
+        assert sorted(defaults["quadrature"]) == sorted(
+            f.name for f in dataclasses.fields(fx.QuadratureConfig))
+
+    def test_unknown_section_or_entry_rejected(self, tmp_path):
+        p = tmp_path / "bad.ini"
+        p.write_text("[plotting]\ndpi = 300\n")
+        with pytest.raises(fx.PreconditionError, match="unknown config section"):
+            RunConfig.load(p)
+        with pytest.raises(fx.PreconditionError, match="unknown config entry"):
+            RunConfig.load(None).override("solver", "wibble", 3)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("pairing_radius", 2.0, "pairing_radius"), ("graded_levels", 0, "graded_levels"),
+        ("angular_nodes", 6.0, None), ("angular_nodes", 5, "angular_nodes")])
+    def test_quadrature_settings_are_checked(self, tmp_path, capsys, key, value, message):
+        p = small_config(tmp_path, **{f"quadrature.{key}": value})
+        code = main(["eval", "--config", str(p), "--input", str(make_bump_csv(tmp_path)),
+                     "--at", "0.0"])
+        assert code == (0 if message is None else 3)
+        assert message is None or message in capsys.readouterr().err
+
     @pytest.mark.parametrize("section, key, value", [
         ("mp", "hyp_tol", float("nan")), ("mp", "concl_tol", "inf"),
         ("quadrature", "tail_radius", "nan"), ("run", "seed", float("-inf"))])
@@ -178,6 +212,66 @@ class TestExitCodes:
         meta = json.loads(u.with_suffix(".json").read_text())
         u.with_suffix(".json").write_text(json.dumps({**meta, **header}))
         assert main(["eval", "--config", str(cfg), "--input", str(u), "--at", "0.3"]) == 3
+
+    @pytest.mark.parametrize("damage, message", [
+        ("unknown exterior rule", "unknown exterior rule"),
+        ("even n", "odd node count"),
+        ("n = 3", "at least 5 nodes"),
+        ("size unlike the shape", "values size does not match"),
+        ("NaN value", "must be finite"),
+        ("nonzero value outside the ball", "zero values at nodes with |x| >= 1"),
+        ("extent 0.9", "contain the unit ball")])
+    def test_grid_refusals_through_the_input(self, tmp_path, capsys, damage, message):
+        # each refusal of a grid the interpolant cannot serve, from a saved u.csv/u.json
+        cfg = small_config(tmp_path)
+        u = make_bump_csv(tmp_path)
+        meta = json.loads(u.with_suffix(".json").read_text())
+        values = np.loadtxt(u, delimiter=",", skiprows=1)[:, -1]
+        if damage == "unknown exterior rule":
+            meta["exterior_rule"] = "zero_somewhere"
+        elif damage == "even n":
+            meta["shape"], values = [100], values[:100]
+        elif damage == "n = 3":
+            meta["shape"], values = [3], values[:3]
+        elif damage == "size unlike the shape":
+            values = values[:99]
+        elif damage == "NaN value":
+            values[50] = np.nan
+        elif damage == "nonzero value outside the ball":
+            values[-1] = 0.1  # at x = 1.5
+        else:
+            meta["extent"] = 0.9
+        u.with_suffix(".json").write_text(json.dumps(meta))
+        np.savetxt(u, np.column_stack([np.zeros(values.size), values]), delimiter=",",
+                   header="x,value", comments="")
+        assert main(["eval", "--config", str(cfg), "--input", str(u), "--at", "0.0"]) == 3
+        assert message in capsys.readouterr().err
+
+    def test_callable_rule_is_not_saved(self, tmp_path):
+        u = fx.SampledFunction(np.zeros(11), (11,), 1.5, exterior_rule=lambda p: 0.0 * p[:, 0])
+        with pytest.raises(fx.PreconditionError, match="callable"):
+            u.save(tmp_path / "u.csv")
+        assert not (tmp_path / "u.csv").exists()
+
+    def test_plane_without_an_offset_is_precondition(self, tmp_path, capsys):
+        cfg = small_config(tmp_path)
+        u = make_bump_csv(tmp_path)
+        assert main(["check-mp", "--config", str(cfg), "--theorem", "3.2", "--input", str(u),
+                     "--plane", "1"]) == 3
+        assert "plus the offset" in capsys.readouterr().err
+
+    def test_help_and_version_exit_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert "reproduce-all" in capsys.readouterr().out
+        assert main(["--version"]) == 0
+        assert capsys.readouterr().out.strip() == fx.__version__
+
+    def test_seed_override(self, tmp_path):
+        cfg = small_config(tmp_path)
+        u = make_bump_csv(tmp_path)
+        assert main(["eval", "--config", str(cfg), "--input", str(u), "--at", "0.0",
+                     "--seed", "99"]) == 0
+        assert json.loads((tmp_path / "out" / "eval.json").read_text())["seed"] == 99
 
     @pytest.mark.parametrize("header, n, command", [
         ({"shape": [5, 7]}, 35, ["eval", "--at", "0.3,0.7"]),
@@ -380,6 +474,15 @@ class TestEval:
         assert rep["value"] > 0.0  # operator is positive at the bump peak
         assert "config_hash" in rep and rep["seed"] == 7
 
+    def test_finite_where_p_is_below_two(self, tmp_path):
+        # m = 0.3 gives p in [1.83, 2.33]; at x = 1.2, outside the bump's
+        # support, rows with u(x) - u(y) = 0 at p < 2 add f(0) = 0, not NaN
+        cfg = small_config(tmp_path, **{"exponent.m": 0.3})
+        u = make_bump_csv(tmp_path)
+        assert main(["eval", "--config", str(cfg), "--input", str(u), "--at", "1.2"]) == 0
+        rep = json.loads((tmp_path / "out" / "eval.json").read_text())
+        assert math.isfinite(rep["value"]) and rep["value"] < 0.0
+
     def test_uncertified_tail_is_numeric_error(self, tmp_path):
         # an exterior value of 3 needs tail_radius >= 2.3e7 (TestTailCertificate)
         u = fx.SampledFunction.from_function(bump_profile(0.5, 0.5), 1.5, 101, 1,
@@ -418,6 +521,17 @@ class TestCheckMP:
         assert code == 0
         rep = json.loads((tmp_path / "out" / "mp_3_1.json").read_text())
         assert rep["verdict"] == "holds"
+
+    def test_theorem_31_on_the_interior_mask(self, tmp_path):
+        # without --auto-mask, Omega is every interior ball node, and the
+        # operator hypothesis fails near the support edge: exit 2, inconclusive
+        cfg = small_config(tmp_path)
+        u = make_bump_csv(tmp_path)
+        code = main(["check-mp", "--config", str(cfg), "--theorem", "3.1", "--input", str(u)])
+        assert code == 2
+        rep = json.loads((tmp_path / "out" / "mp_3_1.json").read_text())
+        assert rep["verdict"] == "inconclusive"
+        assert rep["diagnostics"]["reason"] == "operator hypothesis fails on the domain"
 
     def test_theorem_32_degenerate(self, tmp_path):
         cfg = small_config(tmp_path)
@@ -475,6 +589,22 @@ class TestSolveCommand:
         rep = json.loads((tmp_path / "out" / "solve.json").read_text())
         assert code in (0, 2)  # converged or honestly reported
         assert rep["mode"] == "power"
+
+
+    def test_general_f_with_a_derivative(self, tmp_path):
+        cfg = small_config(tmp_path, **{"solver.max_iters": 3})
+        code = main(["solve", "--config", str(cfg), "--mode", "general-f",
+                     "--f-expr", "0.3 - 0.1*t", "--fp-expr", "-0.1 + 0*t"])
+        rep = json.loads((tmp_path / "out" / "solve.json").read_text())
+        assert code == 2 and rep["mode"] == "general-f"
+        assert rep["applies"] == 3 and rep["message"] == "apply budget exhausted before tolerance"
+
+    def test_power_mode_exponent_in_y(self, tmp_path):
+        cfg = small_config(tmp_path, **{"exponent.dimension": 2, "solver.max_iters": 3})
+        code = main(["solve", "--config", str(cfg), "--mode", "power",
+                     "--q", "2 + 0.1*y*y", "--grid", "11"])
+        rep = json.loads((tmp_path / "out" / "solve.json").read_text())
+        assert code == 2 and rep["grid"]["shape"] == [11, 11] and rep["applies"] == 3
 
 
 class TestSweepCommand:

@@ -24,6 +24,15 @@ def star_2d(spec_2d, qcfg):
     return u_star
 
 
+def bump_1d(center=0.0, plateau=0.0):
+    """0.4 (1 - ((x - center)^2 - plateau^2) / (1 - plateau^2))^2, clipped to [0, 0.4]:
+    a bump of height 0.4 on |x - center| <= plateau, 0 past |x - center| = 1."""
+    def fn(p):
+        t = ((p[:, 0] - center) ** 2 - plateau ** 2) / (1.0 - plateau ** 2)
+        return 0.4 * np.clip(1.0 - t, 0.0, 1.0) ** 2
+    return fx.SampledFunction.from_function(fn, 1.5, 201, 1)
+
+
 def pointwise_gamma(spec, u, plane, x, cfg):
     """The operator difference at one point, each side from its own plan."""
     return (fx.eval_plap(spec, ReflectedFunction(u, plane), x, cfg)
@@ -162,6 +171,23 @@ class TestStrongMP:
         assert rep.verdict in (mp.HOLDS, mp.INCONCLUSIVE)
 
 
+    def test_empty_mask_holds_vacuously(self, spec_1d, qcfg):
+        u = bump_1d()
+        rep = mp.check_strong_mp(spec_1d, u, np.zeros(u.values.size, bool), qcfg)
+        assert rep.verdict == mp.HOLDS and rep.diagnostics["min_u"] is None
+
+    def test_interior_zero_of_a_nonzero_u_is_violated(self, spec_1d, qcfg):
+        # Omega reaches past the support, where u = 0.  There the operator is
+        # negative, so the hypothesis tolerance is opened to let the degenerate
+        # branch run: a zero in Omega with u > 0 elsewhere contradicts the MP
+        u = bump_1d()
+        mask = np.abs(u.nodes()[:, 0]) < 1.2
+        rep = mp.check_strong_mp(spec_1d, u, mask, qcfg, hyp_tol=1e3)
+        assert rep.verdict == mp.VIOLATED
+        assert rep.diagnostics["reason"] == "interior zero but u does not vanish everywhere"
+        assert rep.witness_value > mp.CONCLUSION_TOL
+
+
 class TestAntisymMP:
     def test_degenerate_symmetric(self, spec_model, star, qcfg):
         rep = mp.check_antisym_mp(spec_model, star, fx.axis_plane(1, 0.0),
@@ -212,6 +238,31 @@ class TestAntisymMP:
         assert ("min_delta" in rep.diagnostics) != violated  # which path ran
         x = np.array(rep.diagnostics["omega_minimizer"])
         assert rep.diagnostics["gamma"] == pointwise_gamma(spec, u, plane, x, qcfg)
+
+    def test_u_vanishing_on_omega_is_refused(self, spec_model, star, qcfg):
+        # a ball of radius 1.2 takes in nodes past the support, where u = 0
+        with pytest.raises(fx.PreconditionError, match="positive on the ball part"):
+            mp.check_antisym_mp(spec_model, star, fx.axis_plane(1, -0.5), ball_radius=1.2,
+                                m_bound=0.7, cfg=qcfg)
+
+    def test_negative_w_outside_the_ball_is_refused(self, spec_model, qcfg):
+        # the bump peaks at x = -0.3, so w < 0 at x = -0.5, outside the ball of radius 0.3
+        with pytest.raises(fx.PreconditionError, match="outside the ball"):
+            mp.check_antisym_mp(spec_model, bump_1d(center=-0.3), fx.axis_plane(1, -0.1),
+                                ball_radius=0.3, cfg=qcfg)
+
+    def test_interior_zero_of_w_is_violated(self, spec_model, qcfg):
+        # on the plateau |x| <= 0.6 both x and its mirror image read 0.4, so w = 0
+        # on Omega nodes in (-0.6, -0.3), and w > 0 nearer the support edge; at
+        # lambda = -0.3 every mirror image is a node, so w carries no
+        # interpolation error.  The hypothesis tolerance is opened to let the
+        # degenerate branch run
+        rep = mp.check_antisym_mp(spec_model, bump_1d(plateau=0.6), fx.axis_plane(1, -0.3),
+                                  cfg=qcfg, hyp_tol=1e3)
+        assert rep.verdict == mp.VIOLATED
+        assert rep.diagnostics["reason"] == "interior zero of w but w not identically zero"
+        assert abs(rep.diagnostics["min_w_omega"]) <= mp.CONCLUSION_TOL
+        assert rep.witness_value > mp.CONCLUSION_TOL
 
     def test_range_precondition(self, spec_model, star, qcfg):
         with pytest.raises(fx.PreconditionError):
@@ -269,6 +320,18 @@ class TestBoundaryProbe:
         xs = [np.array([-0.6]), np.array([-0.7])]  # increasing delta
         with pytest.raises(fx.PreconditionError):
             mp.boundary_estimate_probe(spec_model, star, [plane] * 2, xs, qcfg)
+
+    def test_sequences_of_different_lengths_are_refused(self, spec_model, star, qcfg):
+        plane = fx.axis_plane(1, -0.5)
+        with pytest.raises(fx.PreconditionError, match="must match"):
+            mp.boundary_estimate_probe(spec_model, star, [plane] * 2, [np.array([-0.6])], qcfg)
+
+    def test_no_ball_half_space_nodes_is_inconclusive(self, spec_model, star, qcfg):
+        plane = fx.axis_plane(1, -1.2)  # the half-space x < -1.2 misses the unit ball
+        xs = [np.array([-1.2 - 2.0 ** -k]) for k in range(3, 6)]
+        rep = mp.boundary_estimate_probe(spec_model, star, [plane] * 3, xs, qcfg)
+        assert rep.verdict == mp.INCONCLUSIVE and not rep.ok
+        assert rep.diagnostics["reason"] == "no ball half-space nodes for the limiting plane"
 
     def test_zero_delta_is_numeric_error(self, spec_model, star, qcfg):
         plane = fx.axis_plane(1, -0.5)

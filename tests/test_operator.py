@@ -16,8 +16,8 @@ from fracvexp._backend import _apply_loop, apply_plan, jacobian
 from fracvexp.ball_solver import bump_profile, interior_mask, manufacture
 from fracvexp import quadrature
 from fracvexp.oracles import brute_force_plap, constant_p_plap
-from fracvexp.quadrature import (_gauss_on, _legendre_rule, build_plan, directions,
-                                 paired_nodes, truncation_radius)
+from fracvexp.quadrature import (_frozen_ratio, _gauss_on, _legendre_rule, build_plan,
+                                 directions, paired_nodes, truncation_radius)
 
 
 class TestFPower:
@@ -163,8 +163,9 @@ class TestEvalPlapBasics:
         x = np.array([[-0.4]])
         assert gap[np.argmin(np.abs(nodes + 0.4))] == 0.0
         plan = build_plan(spec_1d, u_bump_1d, x, qcfg)
-        eu = apply_plan(plan, u_bump_1d.values).field(plan.rho)
-        ev = apply_plan(plan, v.values).field(plan.rho)
+        rho = _frozen_ratio(plan.sums)
+        eu = apply_plan(plan, u_bump_1d.values).field(rho)
+        ev = apply_plan(plan, v.values).field(rho)
         assert eu[0] >= ev[0] - 1e-9 * max(1.0, abs(eu[0]))
 
     def test_exterior_sign_for_nonneg_u(self, spec_1d, u_bump_1d, qcfg):
@@ -281,10 +282,10 @@ class TestTailIntegrability:
 class TestBackends:
     def test_parity(self, spec_1d, spec_2d, u_bump_1d, qcfg):
         # the per-node loop is the reference for the arithmetic of the kernel
-        # apply_plan runs (per-node order, exterior slots, graded remainder);
-        # x = 1.3 has an exterior center under zero_outside_ball, so center
-        # slots are read too.  The 2-d solver set and its reflected view add
-        # box-clipped stencils and 16,000 rows of mirrored slots
+        # apply_plan runs (per-node order, exterior slots, level sums, graded
+        # remainder); x = 1.3 has an exterior center under zero_outside_ball,
+        # so center slots are read too.  The 2-d solver set and its reflected
+        # view add box-clipped stencils and 16,000 rows of mirrored slots
         u2 = fx.SampledFunction.from_function(bump_profile(0.5, 0.5), 1.5, 15, 2)
         cases = {name: (spec_1d, u, TestPlanLayout.POINTS)
                  for name, u in TestPlanLayout._views(u_bump_1d).items()}
@@ -294,11 +295,17 @@ class TestBackends:
         for name, (spec, u, pts) in cases.items():
             plan = build_plan(spec, u, pts, qcfg)
             values = getattr(u, "base", u).values
-            a, ca = _apply_loop(plan, values)
-            sums = apply_plan(plan, values)
-            b, cb = sums.field(plan.rho), sums.centers
-            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-13, err_msg=name)
-            np.testing.assert_allclose(ca, cb, rtol=1e-12, atol=1e-13, err_msg=name)
+            loop, sums = _apply_loop(plan, values), apply_plan(plan, values)
+            # the level sums to round-off of the largest total, the field at one ratio
+            scale = 1e-12 * np.max(np.abs(sums.total))
+            for k in ("total", "a1", "a2"):
+                np.testing.assert_allclose(getattr(loop, k), getattr(sums, k), rtol=0,
+                                           atol=scale, err_msg=f"{name} {k}")
+            rho = _frozen_ratio(sums)
+            np.testing.assert_allclose(loop.field(rho), sums.field(rho), rtol=1e-12, atol=1e-13,
+                                       err_msg=name)
+            np.testing.assert_allclose(loop.centers, sums.centers, rtol=1e-12, atol=1e-13,
+                                       err_msg=name)
 
     @pytest.mark.parametrize("spec_name", ["spec_1d", "spec_2d", "const3_1d", "const3_2d"])
     def test_jacobian_matches_finite_differences(self, spec_name, qcfg, request):
@@ -309,19 +316,51 @@ class TestBackends:
         u = fx.SampledFunction.from_function(bump_profile(0.5, 0.5), 1.5, n, spec.dimension)
         idx = np.nonzero(interior_mask(u))[0]
         plan = build_plan(spec, u, u.nodes()[idx], qcfg)
-        assert np.any(plan.rho > 0.0) and plan.ext_values.size > 0
+        rho = _frozen_ratio(plan.sums)
+        assert np.any(rho > 0.0) and plan.ext_values.size > 0
         v = u.values.copy()
         v[idx] += 0.02 * np.random.default_rng(3).standard_normal(len(idx))
-        jac = jacobian(plan, v)
+        jac = jacobian(plan, v, rho)
         assert jac.shape == (len(idx), v.size)
         eps = 1e-6
         fd = np.empty_like(jac)
         for k in range(v.size):
             e = np.zeros(v.size)
             e[k] = eps
-            fd[:, k] = (apply_plan(plan, v + e).field(plan.rho)
-                        - apply_plan(plan, v - e).field(plan.rho)) / (2.0 * eps)
+            fd[:, k] = (apply_plan(plan, v + e).field(rho)
+                        - apply_plan(plan, v - e).field(rho)) / (2.0 * eps)
         assert np.max(np.abs(jac - fd)) <= 1e-5 * np.max(np.abs(jac))
+
+
+class TestZeroDifferences:
+    """f(0) = 0 for every p: a row whose difference t is exactly 0 adds 0, also
+    where p < 2 and wk |t|^(p-2) t would be inf * 0."""
+
+    #: m = 0.3 puts p in [1.83, 2.33]: p < 2 on the innermost levels
+    SPEC = fx.make_spec("example_ii", dimension=1, order=0.5, m=0.3)
+
+    def test_constant_data_give_exact_zeros(self, qcfg):
+        assert self.SPEC.p_minus < 2.0
+        u = fx.SampledFunction(np.full(101, 0.2), (101,), 1.5, exterior_rule="constant:0.2")
+        np.testing.assert_array_equal(
+            fx.eval_plap_field(self.SPEC, u, [[0.3], [1.2]], qcfg), [0.0, 0.0])
+        plan = build_plan(self.SPEC, u, [[0.3], [1.2]], qcfg)
+        for sums in (plan.sums, _apply_loop(plan, u.values)):
+            np.testing.assert_array_equal(np.stack(sums[:3]), 0.0)
+
+    def test_value_outside_the_support_is_finite(self, u_bump_1d, qcfg):
+        # at x = 1.2 the center and every node past |y| = 1 read 0, so the
+        # innermost rows have t = 0 at p < 2
+        plan = build_plan(self.SPEC, u_bump_1d, [[1.2]], qcfg)
+        t, _ = _backend._differences(plan, u_bump_1d.values)
+        assert np.any((t == 0.0) & (plan.pm2 < 0.0))
+        rho = _frozen_ratio(plan.sums)
+        value = plan.sums.field(rho)
+        assert np.isfinite(value[0]) and value[0] < 0.0
+        np.testing.assert_allclose(_apply_loop(plan, u_bump_1d.values).field(rho), value,
+                                   rtol=1e-12)
+        orc = brute_force_plap(self.SPEC, u_bump_1d, [1.2])
+        assert value[0] == pytest.approx(orc.value, rel=1e-2)
 
 
 def _plan_diff(a, b):
@@ -399,14 +438,15 @@ class TestPlanLayout:
         spec_1d = request.getfixturevalue(spec_name)
         for name, u in self._views(u_bump_1d).items():
             plan = build_plan(spec_1d, u, self.POINTS, qcfg)
-            got = apply_plan(plan, getattr(u, "base", u).values).field(plan.rho)
+            rho = _frozen_ratio(plan.sums)
+            got = apply_plan(plan, getattr(u, "base", u).values).field(rho)
             for i, x in enumerate(self.POINTS):
                 pos, wk, pm2, tag = _uncollapsed_nodes(spec_1d, plan, x, u_bump_1d.extent, qcfg)
                 c = u.point_eval(x[None, :])[0]
                 t = c - u.point_eval(pos)
                 terms = wk * np.abs(t) ** pm2 * t
                 a1 = terms[tag == 2].sum()
-                want = terms.sum() + a1 * plan.rho[i] / (1.0 - plan.rho[i])
+                want = terms.sum() + a1 * rho[i] / (1.0 - rho[i])
                 assert abs(got[i] - want) <= 1e-12 * np.abs(terms).sum(), (name, i)
 
     def test_one_exterior_row_per_key(self, spec_1d, u_bump_1d, qcfg):
@@ -470,7 +510,7 @@ class TestPlanLayout:
         np.testing.assert_array_equal(plan.rptr, [0])
         assert plan.R.shape == (0, u.values.size) and plan.counters()["entries"] == 0
         sums = apply_plan(plan, u.values)
-        assert sums.field(plan.rho).shape == sums.centers.shape == (0,)
+        assert sums.field(_frozen_ratio(sums)).shape == sums.centers.shape == (0,)
 
     def test_plan_does_not_depend_on_blocks(self, spec_1d, spec_2d, u_bump_1d, qcfg, monkeypatch):
         # x = 1.3 has a smaller pairing radius than the other points, so the 1-d
@@ -708,8 +748,7 @@ class TestRowMemo:
         a = build_plan(spec_2d, u, pts, qcfg)
         b = build_plan(spec_2d, guess, pts, qcfg)
         assert b.wk is a.wk
-        assert not np.array_equal(a.rho, b.rho) and a.tail_bound != b.tail_bound
-        np.testing.assert_array_equal(b.rho, quadrature._frozen_ratio(apply_plan(b, guess.values)))
+        assert a.tail_bound != b.tail_bound
         # the build's kernel pass is handed back with the plan, on each call's values
         for plan, values in ((a, u.values), (b, guess.values)):
             assert all(np.array_equal(x, y) for x, y in zip(plan.sums, apply_plan(plan, values)))
@@ -754,17 +793,16 @@ class TestRowMemo:
                   "ext_values"):
             with pytest.raises(ValueError):
                 getattr(plan, f).flat[0] = 0
-        plan.rho[0] = 0.5  # each call's own ratio
 
-    def test_assigned_ratio_does_not_leak(self, spec_1d, u_bump_1d, qcfg):
-        # solve re-freezes rho by assignment; the next build on the rows keeps its own
+    def test_plan_fields_are_frozen_and_meta_per_call(self, spec_1d, u_bump_1d, qcfg):
+        # no field of a plan can be assigned; the next build on the rows keeps its own meta
         a = build_plan(spec_1d, u_bump_1d, TestPlanLayout.POINTS, qcfg)
-        want = a.rho.copy()
-        a.rho = np.full(a.n_points, 0.5)
+        for name in ("sums", "tail_bound", "wk"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(a, name, None)
         a.meta["dim"] = 0
         b = build_plan(spec_1d, u_bump_1d, TestPlanLayout.POINTS, qcfg)
         assert b.rcol is a.rcol
-        np.testing.assert_array_equal(b.rho, want)
         assert b.meta["dim"] == 1
 
     def test_miss_releases_held_rows(self, spec_1d, u_bump_1d, qcfg):
