@@ -107,22 +107,6 @@ class SolveReport:
     message: str = ""
     plan: dict = field(default_factory=dict)      # EvalPlan.counters() of the solver plan
 
-    def to_dict(self):
-        return {
-            "iterations": self.iterations,
-            "final_residual_sup": self.final_residual_sup,
-            "converged": bool(self.converged),
-            "range_ok": bool(self.range_ok),
-            "trivial_limit": bool(self.trivial_limit),
-            "history": [[int(i), float(r), None if e is None else float(e)]
-                        for i, r, e in self.history],
-            "applies": self.applies,
-            "message": self.message,
-            "plan": dict(self.plan),
-            "grid": {"shape": list(self.solution.shape),
-                     "extent": self.solution.extent},
-        }
-
 
 def interior_mask(u: SampledFunction) -> np.ndarray:
     """Nodes strictly inside the unit ball (the collocation set)."""

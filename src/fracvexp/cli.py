@@ -66,8 +66,12 @@ def _json_value(obj):
 
 
 def _write_json(path: Path, payload) -> None:
+    """Write a report as strict JSON: a non-finite number becomes null, so no
+    `NaN` or `Infinity` token (which RFC 8259 lacks) reaches the file."""
+    text = json.dumps(payload, default=_json_value)
+    plain = json.loads(text, parse_constant=lambda _: None)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=1, default=_json_value) + "\n")
+    path.write_text(json.dumps(plain, sort_keys=True, indent=1, allow_nan=False) + "\n")
 
 
 def _stamp(report, cfg: RunConfig) -> dict:
@@ -86,23 +90,24 @@ def _write_meta(outdir: Path, argv, t0: float) -> None:
     _write_json(outdir / "run_meta.json", meta)
 
 
+def _write_csv(path: Path, header: str, *columns) -> None:
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
+               header=header, comments="")
+
+
 def write_sweep_csv(rep, path: Path) -> None:
-    rows = list(zip(rep.lambda_grid, rep.min_w))
-    lines = ["lambda,min_w"] + [f"{l:.17g},{m:.17g}" for l, m in rows]
-    path.write_text("\n".join(lines) + "\n")
+    _write_csv(path, "lambda,min_w", rep.lambda_grid, rep.min_w)
 
 
 def write_residual_csv(history, path: Path) -> None:
-    lines = ["iter,sup_residual"] + [f"{int(row[0])},{row[1]:.17g}" for row in history]
-    path.write_text("\n".join(lines) + "\n")
+    steps, residuals, _ = zip(*history)  # rows: [step, sup residual, sup error]
+    _write_csv(path, "iter,sup_residual", steps, residuals)
 
 
-def write_profile_csv(u: SampledFunction, path: Path, center=None) -> None:
-    ctr = np.zeros(u.dim) if center is None else np.asarray(center, float)
-    r = np.linalg.norm(u.nodes() - ctr[None, :], axis=1)
+def write_profile_csv(u: SampledFunction, path: Path) -> None:
+    r = np.linalg.norm(u.nodes(), axis=1)
     order = np.lexsort((np.arange(len(r)), r))
-    lines = ["r,u"] + [f"{r[i]:.17g},{u.values[i]:.17g}" for i in order]
-    path.write_text("\n".join(lines) + "\n")
+    _write_csv(path, "r,u", r[order], u.values[order])
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +354,9 @@ def _solve_and_write(cfg: RunConfig, problem, guess, u_star, outdir: Path,
     sol = cfg.section("solver")
     report = solve(problem, guess, cfg.quadrature(), tol_res=sol["tol_res"],
                    max_iters=sol["max_iters"], eta=sol["eta"], u_star=u_star)
-    payload = _stamp({**report.to_dict(), **extra}, cfg)
+    payload = _stamp(report, cfg)
+    u = payload.pop("solution")  # its values go to u.csv
+    payload.update(grid={"shape": list(u.shape), "extent": u.extent}, **extra)
     sup_err = None
     if u_star is not None:
         sup_err = float(np.max(np.abs(report.solution.values - u_star.values)))

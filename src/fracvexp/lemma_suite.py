@@ -215,12 +215,10 @@ class SuiteReport:
     detail: dict = field(default_factory=dict)
 
 
-def _brentq_alpha(t1: float, t2: float, p: float) -> float:
-    """|alpha| by brentq on psi(a) = (p-1) a^(p-2) - slope over [0, max|t|]:
-    a reference for `witness_alpha` that shares only the slope with it."""
-    slope = float(_mv_slope(t1, t2, p))
-    t_max = max(abs(t1), abs(t2))
-
+def _brentq_alpha(slope: float, t_max: float, p: float) -> float:
+    """|alpha| by brentq on psi(a) = (p-1) a^(p-2) - slope over [0, t_max],
+    t_max = max|t|: a reference for `witness_alpha` that shares only the
+    slope `_mv_slope` with it."""
     def psi(a: float) -> float:
         return (p - 1.0) * a ** (p - 2.0) - slope
 
@@ -258,10 +256,13 @@ def run_mean_value_suite(n: int = 100_000, seed: int = 0,
     ok, margin = _c0_margin(alpha, t1, t2, p, _c0(*_case_masks(t1, t2), p, p))
     ok &= resid <= MV_RESIDUAL_TOL
 
-    a = np.abs(alpha)
     idx = rng.choice(n, size=min(spot_checks, n), replace=False)
-    spot_fail = int(sum(abs(_brentq_alpha(float(t1[i]), float(t2[i]), float(p[i])) - a[i])
-                        > 1e-9 * max(1.0, a[i]) for i in idx))
+    a = np.abs(alpha[idx])
+    slope = _mv_slope(t1[idx], t2[idx], p[idx])
+    t_max = np.maximum(np.abs(t1[idx]), np.abs(t2[idx]))
+    ref = np.array([_brentq_alpha(*args) for args in  # Python floats keep brentq fast
+                    zip(slope.tolist(), t_max.tolist(), p[idx].tolist())])
+    spot_fail = int(np.count_nonzero(np.abs(ref - a) > 1e-9 * np.maximum(1.0, a)))
 
     failures = int(np.count_nonzero(~ok)) + spot_fail
     return SuiteReport("mean_value_c0", failures == 0, n, failures,

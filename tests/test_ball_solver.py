@@ -1,9 +1,13 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
 import fracvexp as fx
 from fracvexp import _backend, quadrature
 from fracvexp import ball_solver as bs
+from fracvexp.cli import main
 
 
 @pytest.fixture(scope="module")
@@ -226,10 +230,14 @@ class TestSolve:
 
 
 class TestReportShape:
-    def test_to_dict_roundtrip(self, manufactured, qcfg):
-        u_star, problem = manufactured
-        rep = bs.solve(problem, u_star, qcfg, tol_res=1e-6, max_iters=50)
-        d = rep.to_dict()
-        assert set(d) >= {"iterations", "final_residual_sup", "converged",
-                          "range_ok", "trivial_limit", "history", "grid"}
-        assert d["grid"]["shape"] == [101]
+    def test_solve_json_keys(self, tmp_path):
+        # solve.json is the report's fields like every report, except that the
+        # solution grid, saved to u.csv, is replaced by its shape and extent
+        cfg = tmp_path / "config.ini"
+        cfg.write_text(f"[run]\noutput_dir = {tmp_path}\n[solver]\nnodes = 101\n")
+        assert main(["solve", "--config", str(cfg)]) == 0
+        rep = json.loads((tmp_path / "solve.json").read_text())
+        fields = {f.name for f in dataclasses.fields(bs.SolveReport)} - {"solution"}
+        assert set(rep) == fields | {"grid", "mode", "sup_error_vs_target",
+                                     "config_hash", "seed", "version"}
+        assert rep["grid"]["shape"] == [101]

@@ -5,7 +5,9 @@ name it cannot find is recorded as absent rather than failing;
 `perfbench/workloads.py` probes `cli` bindings and calls `solve` and
 `ProblemSpec` with keywords.  So renaming or deleting one of these would
 pass every other tier-1 test and break the benchmark.  These tests load
-both files by path and check each name against a fresh import.
+both files by path and check each name against a fresh import, and what
+`reproduce-1d` reads from its probes: one `manufacture` and one `solve`
+result, and the auto-mask's field as the first `eval_plap_field` result.
 """
 
 import importlib
@@ -15,6 +17,7 @@ import pkgutil
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fracvexp.quadrature import build_plan
@@ -66,3 +69,20 @@ def test_trace_counters_read_a_plan(monkeypatch, spec_1d, u_bump_1d, qcfg):
     plan = build_plan(spec_1d, u_bump_1d, [[0.0], [0.4]], qcfg)
     assert tracing._plan_counts((), {}, plan)["plan_mb_max"] > 0.0
     assert tracing._apply_counts((plan, u_bump_1d.values), {}, plan.sums)["nodes"] == plan.wk.size
+
+
+def test_reproduce_probes_read_one_solve_and_the_auto_mask_field(monkeypatch, fresh, tmp_path):
+    tracing, workloads = _load(monkeypatch, "tracing"), _load(monkeypatch, "workloads")
+    probe = tracing.Probe(fresh["cli"], workloads.Reproduce1D.probes)
+    cfg = fresh["config"].RunConfig.load(None)
+    for key, value in {"solver.nodes": 101, "lemmas.n_mean_value": 500,
+                       "lemmas.n_kernel": 500, "lemmas.n_gprime": 500,
+                       "sweep.count": 21, "sweep.directions": 2}.items():
+        cfg.override(*key.split("."), value)
+    fresh["cli"].run_reproduce_all(cfg, tmp_path)
+    (u_star, _), = probe.results["manufacture"]
+    assert len(probe.results["solve"]) == 1
+    interior = u_star.nodes()[fresh["ball_solver"].interior_mask(u_star)]
+    field = fresh["nonlocal_operator"].eval_plap_field(
+        cfg.exponent_spec(), u_star, interior, cfg.quadrature())
+    np.testing.assert_array_equal(probe.results["eval_plap_field"][0], field)

@@ -26,6 +26,11 @@ def make_bump_csv(tmp_path: Path, name="u.csv", n=101, power=2.0, dim=1) -> Path
     return path
 
 
+def refuse_constant(token):
+    """`json.loads` hook that rejects the non-JSON tokens NaN and +-Infinity."""
+    raise ValueError(f"{token} is not JSON")
+
+
 def small_config(tmp_path: Path, **overrides) -> Path:
     # the model order 0.5 (the boundary-probe mechanism is tied to it);
     # sweep tol sits at the smoke-solve recovery-error scale
@@ -672,21 +677,22 @@ class TestReproduceAll:
         assert len(specs) > 2 and all(s == specs[0] for s in specs)
 
     def test_plan_builds_per_run(self, tmp_path, monkeypatch):
-        # manufacture, solve, auto-mask, strong MP (field + minimizer) and two
-        # builds per operator difference: three antisymmetric checks, one probe
+        # manufacture, solve, auto-mask, strong MP and its dip control (one
+        # pass each) and two builds per operator difference: three
+        # antisymmetric checks, one probe
         builds = self.record_builds(monkeypatch)
         cfg = RunConfig.load(small_config(tmp_path))
         assert cfg.section("solver")["nodes"] == 101
         assert run_reproduce_all(cfg, tmp_path / "out")["passed"]
         assert len(builds) <= 13
-        # one r_eff per grid: manufacture, solve and the auto-mask read the
-        # interior-ball nodes of one grid, so they get one row set
-        # (manufacture and the auto-mask build through eval_plap_field)
-        shared = [plan.R for _, (caller, outer), plan in builds
-                  if caller == "solve" or outer in ("manufacture", "_auto_mask")]
-        assert len(shared) == 3 and all(R is shared[0] for R in shared)
+        # one r_eff per grid: manufacture, solve, the auto-mask and both
+        # strong-MP checks read the interior-ball nodes of one grid, so they
+        # get one row set (all but solve build through eval_plap_field)
+        shared = [plan.R for _, (caller, outer), plan in builds if caller == "solve"
+                  or outer in ("manufacture", "_auto_mask", "check_strong_mp")]
+        assert len(shared) == 5 and all(R is shared[0] for R in shared)
         # the plans stay alive in `builds`, so no two row sets share an id
-        assert len({id(plan.R) for _, _, plan in builds}) <= 11
+        assert len({id(plan.R) for _, _, plan in builds}) <= 9
 
     def test_summary_structure(self, tmp_path):
         cfg = small_config(tmp_path)
@@ -709,8 +715,8 @@ class TestReports:
         return {f.name for f in dataclasses.fields(report_type)}
 
     def test_json_keys_are_field_names(self, tmp_path):
-        # a report's JSON object is its dataclass's fields (SolveReport, the
-        # one exception, is checked in TestSolveCommand)
+        # a report's JSON object is its dataclass's fields (SolveReport's, whose
+        # solution grid becomes `grid`, are checked in test_ball_solver)
         cfg = small_config(tmp_path)
         assert main(["reproduce-all", "--config", str(cfg)]) == 0
         out = tmp_path / "out"
@@ -752,6 +758,24 @@ class TestReports:
         _write_json(tmp_path / "python.json", python)
         _write_json(tmp_path / "numpy.json", numpy)
         assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "python.json").read_bytes()
+
+    def test_non_finite_numbers_written_as_null(self, tmp_path):
+        _write_json(tmp_path / "r.json", {"x": math.inf, "y": [math.nan], "z": -np.inf})
+        assert json.loads((tmp_path / "r.json").read_text(), parse_constant=refuse_constant) \
+            == {"x": None, "y": [None], "z": None}
+
+    def test_every_report_is_strict_json(self, tmp_path):
+        # RFC 8259 has no NaN or Infinity: a sweep plane with no half-space
+        # node has min_w = inf, and a 3.5 probe refused on its limiting plane
+        # has a NaN margin
+        cfg = small_config(tmp_path)
+        assert main(["reproduce-all", "--config", str(cfg)]) == 0
+        out = tmp_path / "out"
+        assert main(["check-mp", "--config", str(cfg), "--theorem", "3.5",
+                     "--input", str(out / "u.csv"), "--plane", "1,0"]) == 2
+        assert json.loads((out / "mp_3_5.json").read_text())["margin"] is None
+        for path in sorted(out.glob("*.json")):
+            json.loads(path.read_text(), parse_constant=refuse_constant)
 
     def test_other_objects_are_refused(self, tmp_path):
         # a value grid must never land in a report

@@ -171,6 +171,15 @@ class TestStrongMP:
         assert rep.verdict in (mp.HOLDS, mp.INCONCLUSIVE)
 
 
+    def test_box_smaller_than_the_ball(self, spec_1d, qcfg):
+        # the operator pass covers Omega and the ball nodes strictly inside the
+        # box; the box-edge nodes at +-0.8 lie in the ball but cannot be evaluated
+        u = fx.SampledFunction.from_function(
+            lambda p: np.maximum(0.0, 0.64 - p[:, 0] ** 2) ** 2, 0.8, 41, 1,
+            exterior_rule="zero_outside_box")
+        rep = mp.check_strong_mp(spec_1d, u, u.inside_box(u.nodes(), strict=True), qcfg)
+        assert rep.verdict in (mp.HOLDS, mp.INCONCLUSIVE)
+
     def test_empty_mask_holds_vacuously(self, spec_1d, qcfg):
         u = bump_1d()
         rep = mp.check_strong_mp(spec_1d, u, np.zeros(u.values.size, bool), qcfg)

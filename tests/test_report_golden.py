@@ -16,6 +16,10 @@ interpolant, (c - m) - (R (v - m))_row, in place of the row's stored
 coefficient sum times (c - m), minus (R (v - m))_row: every number moved by
 round-off (at most 1.7e-11 relative to max(1, |value|), the 2-d boundary
 margin again), and no verdict, flag, string or iteration count did.
+The two `sweep.json` digests were re-recorded on top of commit dd7171d once
+the JSON writer wrote a non-finite number as `null`: the `Infinity` tokens
+(the `min_w` of planes with no half-space node; 2 in 1-d, 3 in 2-d) became
+`null`, and no other byte changed.
 The configs keep the lemma suites, sweeps and solver small so the two runs
 stay near a second.
 """
@@ -56,7 +60,7 @@ GOLDEN = {
         "solve.json": "0cd42ce8a0b102187b0fe240508ce730926ccbb18ee9957182cdaeb4df879d3f",
         "summary.json": "aa97b0fecd7ee7da2d3ed4adb824b45687e97bd1284a949bb992846807a32e6e",
         "sweep.csv": "0d98c3f1c2937b4c609458c60f5900cd2b0a562a258abd311c108950d612d35c",
-        "sweep.json": "fae73e9cddc3706ce81c2e33f240deaed4ae1d54fa3abcc808e83a3391b3acdb",
+        "sweep.json": "a2c9a68a76009db148893d95f5c932dc651f083143f90c4c3fd6ea008557f6fd",
         "u.csv": "382683e596339b2ebad6da147d00e8ee72c38b4b34a4fdced7fe8c25cf0ca195",
         "u.json": "bcee8cbf8210a5d16d75c8bf4b87ee2e329831a0e5013bae26d0eea7630176ae",
         "validate.json": "5a463b5d0cc37bbee034b93fa183f8334d39b2cfe2b2e29314391fdf99d02894",
@@ -71,7 +75,7 @@ GOLDEN = {
         "solve.json": "1d21663b7d75c860aeaa3df27e5d3b4da2c918d56e039a8a15a72a76b3423647",
         "summary.json": "649c19e454c424b833240b81284103d5075265ba56c32e01b287e0eb6536825f",
         "sweep.csv": "33583bba67c3356c46384d2fc863cbbea0fd71e19f382f5870a45fe2e710b0a3",
-        "sweep.json": "70de25ae7c90b22a6ee5df3def2b089782b972a080b727b1d89b5255a7a98f1e",
+        "sweep.json": "642c20247e42baca4b748db48988c75bbdd53dc4c54cc82a1e406b892dcb8169",
         "u.csv": "b3e56c48eb829741845ff78f03378445b0440bc76115f609470a050e97d4bab8",
         "u.json": "32f093543143b504454d0796a3220047a54e48875ae2c819c792dde3aeb759a0",
         "validate.json": "bedb173614fd84f663be122479dc79879e6c9c9c740c60b85a627ccff9b7c365",
