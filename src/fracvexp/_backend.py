@@ -1,12 +1,11 @@
 """The plan-application kernel, its per-node reference and its Jacobian.
 
 `apply_plan` is the one kernel pass: `quadrature.build_plan` runs it on
-the values it certified and hands its sums back as `plan.sums`, which every
-operator value reads, and the solver runs it once per trial.  A plan stores
-no ratio: whoever reads a pass freezes rho = `quadrature._frozen_ratio` of
-it and takes `sums.field(rho)`.  `_apply_loop` is the plain-Python per-node
-reference of `apply_plan`; `jacobian` differentiates the terms at a given
-rho.  All read v = [values, plan.ext_values].  A plan stores its row
+the values it certified and hands its sums back as `plan.sums`, and the
+solver runs it once per trial.  An operator value is `sums.total`, the plain
+sum of every node term over the graded levels.  `_apply_loop` is the
+plain-Python per-node reference of `apply_plan`; `jacobian` differentiates
+the totals.  All read v = [values, plan.ext_values].  A plan stores its row
 stencils as one sparse matrix `plan.R` over v (see `quadrature`).  A row's
 difference is its point's center value c minus the interpolant at its node,
 as everywhere else in the lab: t = (c - m) - (R (v - m))_row, one sparse
@@ -46,59 +45,47 @@ def _differences(plan, values):
     return np.repeat(c - m, np.diff(plan.ptr)) - plan.R @ (v - m), c
 
 
-class LevelSums(NamedTuple):
-    """Per point: all node terms, the innermost and next dyadic level, the center."""
+class KernelPass(NamedTuple):
+    """One kernel pass, per point: the sum of all node terms (the operator
+    value) and the center value."""
 
     total: np.ndarray
-    a1: np.ndarray
-    a2: np.ndarray
     centers: np.ndarray
 
-    def field(self, rho: np.ndarray) -> np.ndarray:
-        """The total plus the graded remainder below the innermost level, a1·rho/(1-rho)."""
-        return self.total + self.a1 * rho / (1.0 - rho)
 
-
-def apply_plan(plan, values: np.ndarray) -> LevelSums:
+def apply_plan(plan, values: np.ndarray) -> KernelPass:
     """One kernel pass of `plan` over a value vector (see module docs); the
-    operator values are `.field(rho)`, the center values `.centers`."""
+    operator values are `.total`, the center values `.centers`."""
     t, c = _differences(plan, values)
     with np.errstate(divide="ignore", invalid="ignore"):
         contrib = plan.wk * np.abs(t) ** plan.pm2 * t
     contrib[t == 0.0] = 0.0
-    starts = plan.ptr[:-1]
-    a1, a2 = (np.add.reduceat(np.where(plan.level_tag == tag, contrib, 0.0), starts)
-              for tag in (2, 1))
-    return LevelSums(np.add.reduceat(contrib, starts), a1, a2, c)
+    return KernelPass(np.add.reduceat(contrib, plan.ptr[:-1]), c)
 
 
-def _apply_loop(plan, values: np.ndarray) -> LevelSums:
-    """Per-node loop twin of `apply_plan(plan, values)`: the same four sums."""
+def _apply_loop(plan, values: np.ndarray) -> KernelPass:
+    """Per-node loop twin of `apply_plan(plan, values)`: the same two arrays."""
     values = np.asarray(values, dtype=float)
     m, v = float(_shift(values)), np.concatenate([values, plan.ext_values])
-    v, rptr, rcol, rval, wk, pm2, tag = (a.tolist() for a in (
-        v, plan.rptr, plan.rcol, plan.rval, plan.wk, plan.pm2, plan.level_tag))
-    sums = np.empty((4, plan.n_points))
+    v, rptr, rcol, rval, wk, pm2 = (a.tolist() for a in (
+        v, plan.rptr, plan.rcol, plan.rval, plan.wk, plan.pm2))
+    sums = np.empty((2, plan.n_points))
     for i in range(plan.n_points):
         c = sum(a * v[k] for a, k in zip(plan.ccoef[i].tolist(), plan.cidx[i].tolist()))
-        acc = a1 = a2 = 0.0
+        acc = 0.0
         for j in range(plan.ptr[i], plan.ptr[i + 1]):
             t = (c - m) - sum(rval[e] * (v[rcol[e]] - m) for e in range(rptr[j], rptr[j + 1]))
-            term = wk[j] * abs(t) ** pm2[j] * t if t != 0.0 else 0.0
-            acc += term
-            a1 += term if tag[j] == 2 else 0.0
-            a2 += term if tag[j] == 1 else 0.0
-        sums[:, i] = acc, a1, a2, c
-    return LevelSums(*sums)
+            acc += wk[j] * abs(t) ** pm2[j] * t if t != 0.0 else 0.0
+        sums[:, i] = acc, c
+    return KernelPass(*sums)
 
 
-def jacobian(plan, values: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Exact derivative of `apply_plan(plan, values).field(rho)`, shape
-    (points, values.size), at the frozen ratio `rho`.
+def jacobian(plan, values: np.ndarray) -> np.ndarray:
+    """Exact derivative of `apply_plan(plan, values).total`, shape
+    (points, values.size).
 
-    Each row's slope d = wk·(p-1)·|t|^(p-2), over 1 - rho on the innermost
-    level, enters its point's derivative as -d times its stencil (a row of
-    R) and as d times the center stencil.
+    Each row's slope d = wk·(p-1)·|t|^(p-2) enters its point's derivative
+    as -d times its stencil (a row of R) and as d times the center stencil.
     The stencil part of a block of points is the product of the segment-sum
     matrix with data -d and indptr `plan.ptr` and R.  Exterior slots are
     constants and drop out.  Where t = 0 and p < 2 the slope is infinite; it
@@ -110,7 +97,6 @@ def jacobian(plan, values: np.ndarray, rho: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         d = plan.wk * (plan.pm2 + 1.0) * np.abs(t) ** plan.pm2
     d = np.where(np.isfinite(d), d, 0.0)
-    d /= np.where(plan.level_tag == 2, 1.0 - rho[own], 1.0)
     dc = np.bincount(own, d, plan.n_points)
     jac = np.zeros((plan.n_points, n))
     index = plan.R.indptr.dtype

@@ -21,7 +21,7 @@ from .errors import NumericError, PreconditionError
 from .exponents import ExponentSpec
 from .grids import SampledFunction, ZERO_BALL
 from .nonlocal_operator import eval_plap_field
-from .quadrature import QuadratureConfig, _frozen_ratio, build_plan
+from .quadrature import QuadratureConfig, build_plan
 
 POWER = "power"
 MANUFACTURED = "manufactured"
@@ -140,12 +140,12 @@ def residual(problem: ProblemSpec, u: SampledFunction,
     """r(x_i) = operator(u)(x_i) - rhs(x_i) over interior ball nodes.
 
     The plan is built for u: its tail certificate and kernel pass `sums`
-    come from u's values, and the ratio is frozen on that pass; its rows may
-    be those of an earlier build on the same points (see `quadrature`)."""
+    come from u's values, and the operator is that pass's `total`; its rows
+    may be those of an earlier build on the same points (see `quadrature`)."""
     idx = np.nonzero(interior_mask(u))[0]
     pts = u.nodes()[idx]
     sums = build_plan(problem.exponent, u, pts, cfg or QuadratureConfig()).sums
-    return sums.field(_frozen_ratio(sums)) - problem.rhs(pts, sums.centers, idx)
+    return sums.total - problem.rhs(pts, sums.centers, idx)
 
 
 def check_settings(tol_res: float, max_iters: int, eta: float) -> None:
@@ -168,12 +168,12 @@ def solve(problem: ProblemSpec, initial_guess: SampledFunction,
 
     Each step solves J d = r with the exact Jacobian (`lstsq` if singular)
     and halves d, at most MAX_HALVINGS times, until the sup residual of
-    clip(u - d, 0, 1-eta) falls at the frozen ratio rho, first frozen on
-    the guess's pass (the plan stores none).  A trial is one kernel pass
-    (`apply_plan`; `applies` counts them, with the guess's pass, which the
-    plan build hands back as `plan.sums`); the accepted trial's sums
-    re-freeze rho and give its `history` row [step, sup residual, sup error
-    to `u_star` or None], which equals an independent `residual()`.  Stops
+    clip(u - d, 0, 1-eta) falls.  Every trial is measured against one
+    discrete equation, the plan's `sums.total` = rhs.  A trial is one kernel
+    pass (`apply_plan`; `applies` counts them, with the guess's pass, which
+    the plan build hands back as `plan.sums`); the accepted trial's sums
+    give its `history` row [step, sup residual, sup error to `u_star` or
+    None], which equals an independent `residual()`.  Stops
     at tol_res, at `max_iters` applies or when the line search finds no
     decrease; `checkpoint_every` is ignored.  The settings must pass
     `check_settings`.
@@ -192,20 +192,19 @@ def solve(problem: ProblemSpec, initial_guess: SampledFunction,
     plan = build_plan(problem.exponent, initial_guess, pts, cfg)
 
     def sup_residual(sums):
-        res = sums.field(rho) - problem.rhs(pts, sums.centers, idx)
+        res = sums.total - problem.rhs(pts, sums.centers, idx)
         if not np.all(np.isfinite(res)):
             raise NumericError(f"non-finite residual at apply {applies}")
         return res, float(np.max(np.abs(res)))
 
     sums, applies, history = plan.sums, 1, []  # the build's pass on the guess
-    rho = _frozen_ratio(sums)
     res, res_sup = sup_residual(sums)
     while True:
         history.append((len(history), res_sup, None if u_star is None
                         else float(np.max(np.abs(values - u_star.values)))))
         if res_sup <= tol_res or applies >= max_iters:
             break
-        jac = jacobian(plan, values, rho)[:, idx]
+        jac = jacobian(plan, values)[:, idx]
         jac.flat[::len(idx) + 1] -= problem.rhs_derivative(pts, values[idx], idx)
         try:
             step = np.linalg.solve(jac, res)
@@ -222,7 +221,6 @@ def solve(problem: ProblemSpec, initial_guess: SampledFunction,
         if not decreased:
             break
         values = trial
-        rho = _frozen_ratio(sums)
         res, res_sup = sup_residual(sums)
 
     converged = res_sup <= tol_res

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import NumericError, PreconditionError
 from .exponents import ExponentSpec
-from .quadrature import QuadratureConfig, _frozen_ratio, _gauss_on, build_plan, directions
+from .quadrature import QuadratureConfig, _gauss_on, build_plan, directions
 
 
 def f_power(t, p):
@@ -52,11 +52,9 @@ def eval_plap_field(spec: ExponentSpec, u, points,
 
     Per-point summation order is fixed by the plan, so each result matches
     the evaluation of its point alone.  A single point may be given flat.
-    The values are those of the kernel pass the plan build makes on u, at
-    the ratio frozen on that pass.
+    The values are the totals of the kernel pass the plan build makes on u.
     """
-    sums = build_plan(spec, u, points, cfg or QuadratureConfig()).sums
-    return sums.field(_frozen_ratio(sums))
+    return build_plan(spec, u, points, cfg or QuadratureConfig()).sums.total
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,10 @@ is stored.  An exterior row is one entry, 1.0 on its slot's column n + slot;
 an exterior center is the dense center stencil (1, 0, ...) on its slot.
 Each point's segment of rows holds its interior nodes first
 (those whose value comes from the interpolant), in node enumeration order.
-After them comes one row per distinct exterior key (p - 2, slot, level tag),
-in order of first appearance: nodes sharing a key differ only in their
-weight, so they merge into one row whose weight is the sum of theirs, added
-in enumeration order.  Under the zero and constant exterior rules this
+After them comes one row per distinct exterior key (p - 2, slot), in order
+of first appearance: nodes sharing a key differ only in their weight, so
+they merge into one row whose weight is the sum of theirs, added in
+enumeration order.  Under the zero and constant exterior rules this
 removes most exterior nodes.  The Gauss reference rule behind every radial
 interval is computed once per order, and each radial rule once per delta.
 
@@ -62,9 +62,9 @@ max |x'| + sqrt(N) L (x' the point the grid reads: its mirror image under a
 view) lies outside the box in every direction, so under a named exterior
 rule it reads that rule's one value (`_far_field`); at the default
 tolerance about 60% of the nodes are far.  Far rows come from the template:
-once per pairing radius its far nodes are grouped by (p - 2, level tag), and
-each point gets one pseudo-row per group, keyed after its near exterior
-nodes, so a far key equal to a near key merges into that row.  One
+once per pairing radius its far nodes are grouped by p - 2, and each point
+gets one pseudo-row per group, keyed after its near exterior nodes, so a
+far key equal to a near key merges into that row.  One
 `np.bincount` over the near exterior nodes and then every far node adds
 each merged weight node by node in enumeration order, as if every node had
 been keyed.  A callable rule has no far radii.
@@ -83,10 +83,9 @@ before it builds, so at most one row set is held beyond what callers keep;
 `R` is built once per row set and held with it.  What reads the values runs
 on every call, hit or miss: the input checks, `r_eff`, the tail certificate
 with `tail_bound`, and a full `apply_plan` pass, which the plan hands back
-as `sums`.  A plan stores no ratio: an operator value is
-`sums.field(_frozen_ratio(sums))`, so evaluating at a point set costs one
-pass.  Each call gets its own frozen `EvalPlan` with its own `tail_bound`,
-`sums` and `meta`.
+as `sums`.  An operator value is `sums.total`, the plain sum over the graded
+levels, so evaluating at a point set costs one pass.  Each call gets its
+own frozen `EvalPlan` with its own `tail_bound`, `sums` and `meta`.
 """
 
 from __future__ import annotations
@@ -97,7 +96,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy import sparse
 
-from ._backend import LevelSums, apply_plan
+from ._backend import KernelPass, apply_plan
 from .errors import PreconditionError, TailError
 from .exponents import ExponentSpec
 from .grids import ReflectedFunction, SampledFunction
@@ -151,13 +150,6 @@ class QuadratureConfig:
 class EvalPlan:
     """Frozen quadrature for a batch of evaluation points (see module docs).
 
-    `level_tag` marks the two innermost dyadic levels (2 = innermost,
-    1 = next): their measured contribution ratio (`_frozen_ratio`, taken by
-    whoever reads a pass) drives a geometric remainder for the part of the
-    grading truncated below the last level, which matters when an
-    interpolant kink sits at the evaluation point (paired decay exponent
-    p - 1 - s p can be close to zero).
-
     The row stencils are `R`, a scipy CSR matrix over the stored arrays
     `rval`, `rcol` and `rptr` (int32 indices; int64 past 2^31 entries).  A
     row's entries are Lagrange weights that sum to one, so no per-row sum is
@@ -176,13 +168,12 @@ class EvalPlan:
     R: sparse.csr_array = field(repr=False, compare=False)  # CSR view of rval, rcol, rptr
     wk: np.ndarray         # (nnz,) quadrature weight times kernel, summed over a merged key
     pm2: np.ndarray        # (nnz,) p(r) - 2
-    level_tag: np.ndarray  # (nnz,) int8: 2 innermost level, 1 second, 0 rest
     cidx: np.ndarray       # (npts, S) center stencil indices into [values, ext_values]
     ccoef: np.ndarray      # (npts, S) center stencil coefficients ((1, 0, ...) if exterior)
     ext_values: np.ndarray  # (slots,) exterior values, slot k read as value n + k
     r_eff: float
     tail_bound: float
-    sums: LevelSums | None = None  # apply_plan on the values the plan was built on
+    sums: KernelPass | None = None  # apply_plan on the values the plan was built on
     meta: dict = field(default_factory=dict)
 
     @property
@@ -344,14 +335,14 @@ def build_plan(spec: ExponentSpec, u, points, cfg: QuadratureConfig) -> EvalPlan
 
     Rows are built a block of consecutive points with one pairing radius at
     a time, up to `PLAN_BLOCK` nodes; the points share one node template
-    (kernel weight, p - 2, level tag), and the plan does not depend on the
-    blocking.  One pass over the blocks sizes the plan, a second writes each
-    block into arrays allocated once (see the module docs).
+    (kernel weight, p - 2), and the plan does not depend on the blocking.
+    One pass over the blocks sizes the plan, a second writes each block into
+    arrays allocated once (see the module docs).
 
     Every call checks its inputs, sizes `r_eff` from the values, certifies the
     tail (`tail_bound`) and runs one `apply_plan` pass over the values, which
-    it hands back as `sums`: the operator values are
-    `sums.field(_frozen_ratio(sums))` and the center values `sums.centers`.
+    it hands back as `sums`: the operator values are `sums.total` and the
+    center values `sums.centers`.
     The rows (every other array, `r_eff` and `meta`) do not read the values,
     so calls that agree on `spec`, `cfg`, `r_eff`, the grid's shape, extent,
     exterior rule and smoothness hint, a view's plane and the exact points
@@ -441,18 +432,14 @@ def _plan_rows(spec: ExponentSpec, u, grid: SampledFunction, pts: np.ndarray,
                 run = None  # drop the held tables before building these
                 rs, _, w_node = paired_nodes(pts[a], grid.extent, r_eff, cfg, dirs, aw)
                 q_r = np.asarray(spec.q(rs), dtype=float)
-                tag_r = np.zeros(len(rs), dtype=np.int8)
-                tag_r[:cfg.nodes_per_level] = 2                      # innermost level
-                tag_r[cfg.nodes_per_level:2 * cfg.nodes_per_level] = 1
                 wk_t = w_node * np.repeat(rs ** (-(N + s * q_r)), n_dirs)
-                pm2_t, tag_t = np.repeat(q_r - 2.0, n_dirs), np.repeat(tag_r, n_dirs)
+                pm2_t = np.repeat(q_r - 2.0, n_dirs)
                 # the radii ascend, so a point's near nodes are the first m_near of its
                 # template, at offsets fl(r d); its far nodes all read c_far and fall
-                # into one group per (p - 2, level tag), each led by its first node
+                # into one group per p - 2, each led by its first node
                 m_near = int(np.count_nonzero(rs <= r_far)) * n_dirs
                 offsets = (rs[:m_near // n_dirs, None, None] * dirs[None, :, :]).reshape(m_near, N)
-                tm = (wk_t, pm2_t, tag_t, m_near,
-                      *_first_use_groups(pm2_t[m_near:], tag_t[m_near:]))
+                tm = (wk_t, pm2_t, m_near, *_first_use_groups(pm2_t[m_near:]))
                 run = (a, tm, u.offset_form(pts[a:b], offsets))
             _, tm, form = run
             per = max(1, PLAN_BLOCK // len(tm[0]))
@@ -479,14 +466,14 @@ def _plan_rows(spec: ExponentSpec, u, grid: SampledFunction, pts: np.ndarray,
     nnz = int(ptr[-1])
     index = np.int32 if n_ent < 2 ** 31 else np.int64
     rptr, rcol, rval = np.zeros(nnz + 1, dtype=index), np.empty(n_ent, dtype=index), np.empty(n_ent)
-    wk, pm2, tag = np.empty(nnz), np.empty(nnz), np.empty(nnz, dtype=np.int8)
+    wk, pm2 = np.empty(nnz), np.empty(nnz)
     # exterior rows, then exterior centers, read their slots in order of first use
     ext_all = np.empty(n_out + np.count_nonzero(~c_interp))
     ext_all[n_out:] = c_ext[~c_interp]
     ext_at = np.empty(n_out, dtype=np.int64)  # the entry of each exterior row
     k0 = 0
     for (lo, hi, tm, block), (x_t, x_val, x_wk) in zip(blocks(), ext_rows):
-        wk_t, pm2_t, tag_t = tm[:3]
+        wk_t, pm2_t = tm[:2]
         interp, _, nz, idx, coef = block(stencils=True)
         # each point's interior rows in enumeration order, then its merged
         # exterior rows
@@ -498,7 +485,7 @@ def _plan_rows(spec: ExponentSpec, u, grid: SampledFunction, pts: np.ndarray,
         row_t = np.empty(r1 - r0, dtype=np.int64)
         row_t[~ext_row], row_t[ext_row] = in_t, x_t
         wk[r0:r1][~ext_row], wk[r0:r1][ext_row] = wk_t[in_t], x_wk
-        pm2[r0:r1], tag[r0:r1] = pm2_t[row_t], tag_t[row_t]
+        pm2[r0:r1] = pm2_t[row_t]
         # an interior row holds its stencil's nonzero coefficients in stencil
         # order; an exterior row is one entry, 1.0 on a column set to n + slot
         # once every slot is known
@@ -522,7 +509,7 @@ def _plan_rows(spec: ExponentSpec, u, grid: SampledFunction, pts: np.ndarray,
     cidx[~c_interp], ccoef[~c_interp, 0] = n + slot[n_out:, None], 1.0
 
     arrays = {"ptr": ptr, "rptr": rptr, "rcol": rcol, "rval": rval, "wk": wk, "pm2": pm2,
-              "level_tag": tag, "cidx": cidx, "ccoef": ccoef, "ext_values": ext_all[first]}
+              "cidx": cidx, "ccoef": ccoef, "ext_values": ext_all[first]}
     for a in arrays.values():
         a.flags.writeable = False
     R = sparse.csr_array((rval, rcol, rptr), shape=(nnz, n + len(first)))
@@ -535,19 +522,19 @@ def _plan_rows(spec: ExponentSpec, u, grid: SampledFunction, pts: np.ndarray,
 def _exterior_rows(tm, interp, ext, c_far):
     """A block's merged exterior rows, each point's in order of first appearance.
 
-    The keys are (p - 2, exterior value, level tag, point) of the near nodes
-    that `interp` (P, T) leaves out, in node order, then of one pseudo-node
-    per point and far group of the template `tm`, which reads `c_far`.
+    The keys are (p - 2, exterior value, point) of the near nodes that
+    `interp` (P, T) leaves out, in node order, then of one pseudo-node per
+    point and far group of the template `tm`, which reads `c_far`.
     Returns per row its key's first template node, its exterior value and
     its weight, then each point's row count.
     """
-    wk_t, pm2_t, tag_t, m_near, f_first, f_group = tm
+    wk_t, pm2_t, m_near, f_first, f_group = tm
     P = len(interp)
     out_j, out_t = np.nonzero(~interp)
     key_j = np.concatenate([out_j, np.repeat(np.arange(P), len(f_first))])
     key_t = np.concatenate([out_t, np.tile(m_near + f_first, P)])
     ext_k = np.concatenate([ext[~interp], np.full(P * len(f_first), c_far)])
-    first, group = _first_use_groups(pm2_t[key_t], ext_k, tag_t[key_t], key_j)
+    first, group = _first_use_groups(pm2_t[key_t], ext_k, key_j)
     # every far node joins its pseudo-row's group after all near nodes, so
     # each merged weight adds its nodes in enumeration order
     g_far = group[len(out_j):].reshape(P, -1)[:, f_group].ravel()
@@ -577,14 +564,3 @@ def _first_use_groups(*keys):
     group = np.empty(len(order), dtype=np.int64)
     group[order] = rank[np.cumsum(head) - 1]
     return first[by_first], group
-
-
-def _frozen_ratio(sums: LevelSums) -> np.ndarray:
-    """Ratio a1/a2 of the two innermost dyadic level sums where it lies in (0, 0.98), else 0.
-
-    Freezing it keeps the applied map smooth in the value vector (solver iterations would
-    otherwise chatter on the acceptance gates); the remainder still scales with live a1."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rho = np.where(sums.a2 != 0.0, sums.a1 / sums.a2, 0.0)
-    ok = (rho > 0.0) & (rho < 0.98) & np.isfinite(rho)
-    return np.where(ok, rho, 0.0)

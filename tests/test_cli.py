@@ -651,6 +651,12 @@ class TestReproduceAll:
             b = (reports[1] / name).read_bytes()
             assert a == b, f"{name} differs between identical runs"
 
+    def test_order_0_8_passes(self, tmp_path):
+        # s = 0.8 at n = 201: the manufactured solve converges once the
+        # discrete equation stays fixed through the solve
+        cfg = small_config(tmp_path, **{"exponent.order": 0.8, "solver.nodes": 201})
+        assert main(["reproduce-all", "--config", str(cfg)]) == 0
+
     @staticmethod
     def record_builds(monkeypatch) -> list:
         """Patch every fracvexp binding of build_plan to log (spec, the names of its

@@ -23,7 +23,11 @@ the second significant digit; the half-space and torsion bounds were
 measured the same way at commit c94006e.  An accuracy change may tighten a
 bound; none may loosen one.  Bands whose error was 0.1 or more there (the
 profile is only C^{0,s} at the sphere, x_+^s at the origin) are printed,
-not gated, with that error beside them below.
+not gated, with that error beside them below.  The ball and torsion bounds
+that improved were tightened, and the ball's reported errors re-measured, on
+top of commit edbf08c, once an operator value became the plain sum over the
+graded levels with no extrapolated remainder; the torsion solve then took
+one Newton step where it took 47, and its step count is gated.
 """
 
 import math
@@ -39,16 +43,16 @@ BANDS = (0.0, 0.5, 0.8, 0.9, 1.0)
 #: name -> (dimension, nodes per axis, s, tail_tolerance, view plane (e, lambda),
 #: bound per band); None marks a band that is reported, not gated
 CASES = {
-    "1d_n201_s0.3": (1, 201, 0.3, None, None, (9.4e-3, 5.7e-3, 9.6e-3, None)),   # 0.49
-    "1d_n201_s0.5": (1, 201, 0.5, None, None, (6.3e-3, 1.5e-2, 8.8e-2, None)),   # 1.5
-    "2d_n21_s0.5": (2, 21, 0.5, None, None, (4.3e-2, None, None, None)),         # 0.25, 1.4, 0.90
+    "1d_n201_s0.3": (1, 201, 0.3, None, None, (9.4e-3, 5.6e-3, 9.5e-3, None)),   # 0.42
+    "1d_n201_s0.5": (1, 201, 0.5, None, None, (6.2e-3, 9.1e-3, 1.9e-2, None)),   # 1.2
+    "2d_n21_s0.5": (2, 21, 0.5, None, None, (3.8e-2, None, None, None)),         # 0.25, 1.4, 0.90
     # the default tolerance puts r_eff past R_EFF_CAP at s = 0.3 in 2-d
-    "2d_n21_s0.3": (2, 21, 0.3, 1e-6, None, (7.6e-3, 4.1e-2, None, None)),       # 0.31, 0.21
+    "2d_n21_s0.3": (2, 21, 0.3, 1e-6, None, (7.4e-3, 4.0e-2, None, None)),       # 0.30, 0.19
     # on the Omega nodes (half-space and ball) of a plane; no mirror image has |x| > 0.9
     "2d_n21_s0.5_axis_view": (2, 21, 0.5, None, ((1.0, 0.0), -0.5),
                               (1.8e-2, None, None, None)),                       # 0.12, 0.86
     "2d_n21_s0.5_oblique_view": (2, 21, 0.5, None, ((0.6, 0.8), -0.3),
-                                 (5.8e-3, None, None, None)),                    # 0.12, 0.14
+                                 (5.7e-3, None, None, None)),                    # 0.12, 0.14
 }
 
 
@@ -110,8 +114,7 @@ def test_half_space_profile_is_harmonic(p):
 
 
 def test_torsion_solve_meets_the_closed_form():
-    # h = 1 on the interior nodes through the manufactured right-hand side;
-    # the step count is not gated
+    # h = 1 on the interior nodes through the manufactured right-hand side
     s = 0.5
     spec = fx.make_spec("constant", 1, s, 0.5, value=2.0)
     guess = fx.SampledFunction.from_function(bump_profile(0.5, s), 1.5, 101, 1)
@@ -125,4 +128,5 @@ def test_torsion_solve_meets_the_closed_form():
     print(f"torsion: {report.iterations} Newton steps, sup error {err.max():.3g}, "
           f"{err[inner].max():.3g} on |x| < 0.8")
     assert report.converged, report.message
-    assert err.max() <= 5.9e-3 and err[inner].max() <= 5.6e-3, (err.max(), err[inner].max())
+    assert report.iterations <= 3, report.iterations
+    assert err.max() <= 4.4e-3 and err[inner].max() <= 2.5e-3, (err.max(), err[inner].max())

@@ -16,8 +16,8 @@ from fracvexp._backend import _apply_loop, apply_plan, jacobian
 from fracvexp.ball_solver import bump_profile, interior_mask, manufacture
 from fracvexp import quadrature
 from fracvexp.oracles import brute_force_plap, constant_p_plap
-from fracvexp.quadrature import (_frozen_ratio, _gauss_on, _legendre_rule, build_plan,
-                                 directions, paired_nodes, truncation_radius)
+from fracvexp.quadrature import (_gauss_on, _legendre_rule, build_plan, directions,
+                                 paired_nodes, truncation_radius)
 
 
 class TestFPower:
@@ -163,9 +163,8 @@ class TestEvalPlapBasics:
         x = np.array([[-0.4]])
         assert gap[np.argmin(np.abs(nodes + 0.4))] == 0.0
         plan = build_plan(spec_1d, u_bump_1d, x, qcfg)
-        rho = _frozen_ratio(plan.sums)
-        eu = apply_plan(plan, u_bump_1d.values).field(rho)
-        ev = apply_plan(plan, v.values).field(rho)
+        eu = apply_plan(plan, u_bump_1d.values).total
+        ev = apply_plan(plan, v.values).total
         assert eu[0] >= ev[0] - 1e-9 * max(1.0, abs(eu[0]))
 
     def test_exterior_sign_for_nonneg_u(self, spec_1d, u_bump_1d, qcfg):
@@ -282,8 +281,8 @@ class TestTailIntegrability:
 class TestBackends:
     def test_parity(self, spec_1d, spec_2d, u_bump_1d, qcfg):
         # the per-node loop is the reference for the arithmetic of the kernel
-        # apply_plan runs (per-node order, exterior slots, level sums, graded
-        # remainder); x = 1.3 has an exterior center under zero_outside_ball,
+        # apply_plan runs (per-node order, exterior slots, the per-point sum of
+        # every node term); x = 1.3 has an exterior center under zero_outside_ball,
         # so center slots are read too.  The 2-d solver set and its reflected
         # view add box-clipped stencils and 16,000 rows of mirrored slots
         u2 = fx.SampledFunction.from_function(bump_profile(0.5, 0.5), 1.5, 15, 2)
@@ -296,39 +295,32 @@ class TestBackends:
             plan = build_plan(spec, u, pts, qcfg)
             values = getattr(u, "base", u).values
             loop, sums = _apply_loop(plan, values), apply_plan(plan, values)
-            # the level sums to round-off of the largest total, the field at one ratio
-            scale = 1e-12 * np.max(np.abs(sums.total))
-            for k in ("total", "a1", "a2"):
-                np.testing.assert_allclose(getattr(loop, k), getattr(sums, k), rtol=0,
-                                           atol=scale, err_msg=f"{name} {k}")
-            rho = _frozen_ratio(sums)
-            np.testing.assert_allclose(loop.field(rho), sums.field(rho), rtol=1e-12, atol=1e-13,
+            np.testing.assert_allclose(loop.total, sums.total, rtol=1e-12, atol=1e-13,
                                        err_msg=name)
             np.testing.assert_allclose(loop.centers, sums.centers, rtol=1e-12, atol=1e-13,
                                        err_msg=name)
 
     @pytest.mark.parametrize("spec_name", ["spec_1d", "spec_2d", "const3_1d", "const3_2d"])
     def test_jacobian_matches_finite_differences(self, spec_name, qcfg, request):
-        # a perturbed bump on the solver's collocation set: rows of every level,
-        # nonzero frozen ratios (the 1/(1-rho) factor) and exterior slots
+        # a perturbed bump on the solver's collocation set: rows of every level
+        # and exterior slots, which are constants and must drop out
         spec = request.getfixturevalue(spec_name)
         n = 41 if spec.dimension == 1 else 11
         u = fx.SampledFunction.from_function(bump_profile(0.5, 0.5), 1.5, n, spec.dimension)
         idx = np.nonzero(interior_mask(u))[0]
         plan = build_plan(spec, u, u.nodes()[idx], qcfg)
-        rho = _frozen_ratio(plan.sums)
-        assert np.any(rho > 0.0) and plan.ext_values.size > 0
+        assert plan.ext_values.size > 0
         v = u.values.copy()
         v[idx] += 0.02 * np.random.default_rng(3).standard_normal(len(idx))
-        jac = jacobian(plan, v, rho)
+        jac = jacobian(plan, v)
         assert jac.shape == (len(idx), v.size)
         eps = 1e-6
         fd = np.empty_like(jac)
         for k in range(v.size):
             e = np.zeros(v.size)
             e[k] = eps
-            fd[:, k] = (apply_plan(plan, v + e).field(rho)
-                        - apply_plan(plan, v - e).field(rho)) / (2.0 * eps)
+            fd[:, k] = (apply_plan(plan, v + e).total
+                        - apply_plan(plan, v - e).total) / (2.0 * eps)
         assert np.max(np.abs(jac - fd)) <= 1e-5 * np.max(np.abs(jac))
 
 
@@ -346,7 +338,7 @@ class TestZeroDifferences:
             fx.eval_plap_field(self.SPEC, u, [[0.3], [1.2]], qcfg), [0.0, 0.0])
         plan = build_plan(self.SPEC, u, [[0.3], [1.2]], qcfg)
         for sums in (plan.sums, _apply_loop(plan, u.values)):
-            np.testing.assert_array_equal(np.stack(sums[:3]), 0.0)
+            np.testing.assert_array_equal(sums.total, 0.0)
 
     def test_value_outside_the_support_is_finite(self, u_bump_1d, qcfg):
         # at x = 1.2 the center and every node past |y| = 1 read 0, so the
@@ -354,10 +346,9 @@ class TestZeroDifferences:
         plan = build_plan(self.SPEC, u_bump_1d, [[1.2]], qcfg)
         t, _ = _backend._differences(plan, u_bump_1d.values)
         assert np.any((t == 0.0) & (plan.pm2 < 0.0))
-        rho = _frozen_ratio(plan.sums)
-        value = plan.sums.field(rho)
+        value = plan.sums.total
         assert np.isfinite(value[0]) and value[0] < 0.0
-        np.testing.assert_allclose(_apply_loop(plan, u_bump_1d.values).field(rho), value,
+        np.testing.assert_allclose(_apply_loop(plan, u_bump_1d.values).total, value,
                                    rtol=1e-12)
         orc = brute_force_plap(self.SPEC, u_bump_1d, [1.2])
         assert value[0] == pytest.approx(orc.value, rel=1e-2)
@@ -377,16 +368,13 @@ def _plan_diff(a, b):
 
 
 def _uncollapsed_nodes(spec, plan, x, extent, cfg):
-    """Positions, weights w_node * kernel, p - 2 and level tags of every node around x."""
+    """Positions, weights w_node * kernel and p - 2 of every node around x."""
     dirs, aw = directions(spec.dimension, cfg.angular_nodes)
     rs, pos, w_node = paired_nodes(x, extent, plan.r_eff, cfg, dirs, aw)
     q = np.asarray(spec.q(rs), dtype=float)
     kern = rs ** (-(spec.dimension + spec.order * q))
-    tag = np.zeros(len(rs), dtype=np.int8)
-    tag[:cfg.nodes_per_level] = 2
-    tag[cfg.nodes_per_level:2 * cfg.nodes_per_level] = 1
     rep = len(dirs)
-    return pos, w_node * np.repeat(kern, rep), np.repeat(q - 2.0, rep), np.repeat(tag, rep)
+    return pos, w_node * np.repeat(kern, rep), np.repeat(q - 2.0, rep)
 
 
 def _exterior_rule(u, pos):
@@ -417,36 +405,32 @@ class TestPlanLayout:
         return {"zero_outside_ball": u, "constant": const, "callable": wavy,
                 "reflected": refl}
 
-    # with a constant exponent every exterior row shares p - 2, so only the
-    # level tag keeps the innermost levels' rows apart
+    # with a constant exponent every exterior row shares p - 2, so exterior
+    # nodes of every level that read one slot merge into one row
     @pytest.mark.parametrize("spec_name", ["spec_1d", "const3_1d"])
     def test_weight_sums_match_uncollapsed_nodes(self, spec_name, u_bump_1d, qcfg, request):
-        # per point and per level tag, so the frozen remainder ratio sees the same sums
+        # merging nodes into rows keeps each point's total weight
         spec_1d = request.getfixturevalue(spec_name)
         for name, u in self._views(u_bump_1d).items():
             plan = build_plan(spec_1d, u, self.POINTS, qcfg)
             for i, x in enumerate(self.POINTS):
-                _, wk, _, tag = _uncollapsed_nodes(spec_1d, plan, x, u_bump_1d.extent, qcfg)
-                seg = slice(plan.ptr[i], plan.ptr[i + 1])
-                for t in (0, 1, 2):
-                    got = plan.wk[seg][plan.level_tag[seg] == t].sum()
-                    np.testing.assert_allclose(got, wk[tag == t].sum(), rtol=1e-13, atol=0,
-                                               err_msg=f"{name} point {i} tag {t}")
+                _, wk, _ = _uncollapsed_nodes(spec_1d, plan, x, u_bump_1d.extent, qcfg)
+                got = plan.wk[plan.ptr[i]:plan.ptr[i + 1]].sum()
+                np.testing.assert_allclose(got, wk.sum(), rtol=1e-13, atol=0,
+                                           err_msg=f"{name} point {i}")
 
     @pytest.mark.parametrize("spec_name", ["spec_1d", "const3_1d"])
     def test_apply_matches_direct_node_sum(self, spec_name, u_bump_1d, qcfg, request):
         spec_1d = request.getfixturevalue(spec_name)
         for name, u in self._views(u_bump_1d).items():
             plan = build_plan(spec_1d, u, self.POINTS, qcfg)
-            rho = _frozen_ratio(plan.sums)
-            got = apply_plan(plan, getattr(u, "base", u).values).field(rho)
+            got = apply_plan(plan, getattr(u, "base", u).values).total
             for i, x in enumerate(self.POINTS):
-                pos, wk, pm2, tag = _uncollapsed_nodes(spec_1d, plan, x, u_bump_1d.extent, qcfg)
+                pos, wk, pm2 = _uncollapsed_nodes(spec_1d, plan, x, u_bump_1d.extent, qcfg)
                 c = u.point_eval(x[None, :])[0]
                 t = c - u.point_eval(pos)
                 terms = wk * np.abs(t) ** pm2 * t
-                a1 = terms[tag == 2].sum()
-                want = terms.sum() + a1 * rho[i] / (1.0 - rho[i])
+                want = terms.sum()
                 assert abs(got[i] - want) <= 1e-12 * np.abs(terms).sum(), (name, i)
 
     def test_one_exterior_row_per_key(self, spec_1d, u_bump_1d, qcfg):
@@ -471,14 +455,14 @@ class TestPlanLayout:
                 np.testing.assert_array_equal(hi[ext] - lo[ext], 1, err_msg=name)
                 np.testing.assert_array_equal(plan.rval[lo[ext]], 1.0, err_msg=name)
                 slot = plan.rcol[lo[ext]] - n
-                keys = set(zip(plan.pm2[a:b][ext], slot, plan.level_tag[a:b][ext]))
+                keys = set(zip(plan.pm2[a:b][ext], slot))
                 assert len(keys) == int(ext.sum()), name
                 # the slots hold the exterior rule's values, one row per key of the nodes
-                pos, _, pm2, tag = _uncollapsed_nodes(spec_1d, plan, self.POINTS[i],
-                                                      base.extent, qcfg)
+                pos, _, pm2 = _uncollapsed_nodes(spec_1d, plan, self.POINTS[i],
+                                                 base.extent, qcfg)
                 out, val = _exterior_rule(u, pos)
-                got = zip(plan.pm2[a:b][ext], plan.ext_values[slot], plan.level_tag[a:b][ext])
-                assert set(got) == set(zip(pm2[out], val[out], tag[out])), (name, i)
+                got = zip(plan.pm2[a:b][ext], plan.ext_values[slot])
+                assert set(got) == set(zip(pm2[out], val[out])), (name, i)
 
     def test_row_weights_sum_to_one(self, spec_1d, spec_2d, u_bump_1d, qcfg):
         # the kernel forms a row's difference as c - (R v)_row, which is
@@ -510,7 +494,7 @@ class TestPlanLayout:
         np.testing.assert_array_equal(plan.rptr, [0])
         assert plan.R.shape == (0, u.values.size) and plan.counters()["entries"] == 0
         sums = apply_plan(plan, u.values)
-        assert sums.field(_frozen_ratio(sums)).shape == sums.centers.shape == (0,)
+        assert sums.total.shape == sums.centers.shape == (0,)
 
     def test_plan_does_not_depend_on_blocks(self, spec_1d, spec_2d, u_bump_1d, qcfg, monkeypatch):
         # x = 1.3 has a smaller pairing radius than the other points, so the 1-d
@@ -789,8 +773,7 @@ class TestRowMemo:
 
     def test_rows_are_read_only(self, spec_1d, u_bump_1d, qcfg):
         plan = build_plan(spec_1d, u_bump_1d, TestPlanLayout.POINTS, qcfg)
-        for f in ("ptr", "rptr", "rcol", "rval", "wk", "pm2", "level_tag", "cidx", "ccoef",
-                  "ext_values"):
+        for f in ("ptr", "rptr", "rcol", "rval", "wk", "pm2", "cidx", "ccoef", "ext_values"):
             with pytest.raises(ValueError):
                 getattr(plan, f).flat[0] = 0
 

@@ -1,10 +1,8 @@
 """Golden digests of whole quadrature plans.
 
 Each case builds a plan and pins two digests of its arrays (dtype, shape
-and bytes): the rows, which do not read the values; and the values, the
-ratio rho = `_frozen_ratio(plan.sums)` and `sums.field(rho)`, the field of
-the pass the plan hands back.  (The plan stored rho until commit 2e2cc0f;
-the digests are of the same arrays.)
+and bytes): the rows, which do not read the values; and the values,
+`plan.sums.total`, the operator values of the pass the plan hands back.
 A change to the kernel's rounding then re-pins the values alone and leaves
 the row pin standing.
 
@@ -29,18 +27,26 @@ place of stencils at the mirrored positions T(x + r d).  At lambda = 0 on an
 axis plane the reflection is an exact negation and the two agree bit for
 bit; the four lambda = +-0.5 view digests were re-recorded there, since the
 two are one rounding apart elsewhere (only `rval`, the row coefficient
-sums the plan then stored, `rho` and the field changed, the field by at
-most 1.1e-11 relative).
+sums the plan then stored and the values changed, the values by at most
+1.1e-11 relative).
 
 The rows and values were split at commit c94006e, where both digests of
 every case were recorded.  The plan then still stored each row's
 coefficient sum, which the row digest leaves out.  Once a row's difference
 became its center minus the interpolant, (c - m) - (R (v - m))_row, every
-row digest held and every value digest was re-recorded: the field moved by
-at most 7.3e-13 of its largest magnitude (1.1e-11 at one point, relative to
-its own value), and `rho` by at most 2.3e-8, except at 22 points of 8 cases
-whose two innermost level sums are round-off (below 1e-18 in magnitude: u is
-constant around the point), so that their ratio is round-off too.
+row digest held and every value digest was re-recorded: the values moved
+by at most 7.3e-13 of their largest magnitude (1.1e-11 at one point,
+relative to its own value).
+
+Both digests of every case were re-pinned when an operator value became the
+plain sum over the graded levels, with no extrapolated remainder.  That
+change deleted the plan's per-row level tag, which only the remainder read,
+and dropped it from the exterior merge key.  Each new digest is derived from
+the plan of the parent commit edbf08c, not merely re-recorded: there, the
+digest of the row arrays other than the level tag equals the new rows
+digest, and the digest of `plan.sums.total` equals the new values digest, at
+every case.  So no row moved and no kernel sum moved; only the remainder,
+which the old values digest pinned, is gone.
 """
 
 import hashlib
@@ -50,10 +56,10 @@ import pytest
 
 import fracvexp as fx
 from fracvexp.ball_solver import bump_profile, interior_mask
-from fracvexp.quadrature import _frozen_ratio, build_plan
+from fracvexp.quadrature import build_plan
 
 #: the row arrays, which do not read the values
-ROWS = ("ptr", "rptr", "rcol", "rval", "wk", "pm2", "level_tag", "cidx", "ccoef", "ext_values")
+ROWS = ("ptr", "rptr", "rcol", "rval", "wk", "pm2", "cidx", "ccoef", "ext_values")
 
 
 def _grid(n, dim, rule="zero_outside_ball", shift=0.0, hint=2):
@@ -131,61 +137,59 @@ def _digest(arrays) -> str:
 
 
 def plan_digests(spec, u, pts) -> tuple[str, str]:
-    """(rows, values): the digest of the row arrays, and of `rho` and the field."""
+    """(rows, values): the digest of the row arrays, and of the operator values."""
     plan = build_plan(spec, u, pts, fx.QuadratureConfig())
-    rho = _frozen_ratio(plan.sums)
-    return (_digest([getattr(plan, name) for name in ROWS]),
-            _digest([rho, plan.sums.field(rho)]))
+    return (_digest([getattr(plan, name) for name in ROWS]), _digest([plan.sums.total]))
 
 
 #: name -> (rows digest, values digest)
 GOLDEN = {
-    "1d_n101": ("00f378ff067c3c5ffba95e5e81aa40effbff61436c6522273deccb8a8d1d0d85",
-                "a724f9360c87e4b146513ce2cbfc6dafaa11967701fdf7057fea653ce64b9a9a"),
-    "2d_n15": ("68595def63d10459045f60960a769cbfd9314db3a27bbbc92cc273ca752f51f4",
-               "af451840d2e36a278e6895b9013f70e6a8a9d1f320df262ec64613d0d3e2356c"),
-    "2d_n41_subset": ("cd38f3c7da460ec77870a843bd9a5b063fd77759446a75fd72c92b7ca70c5402",
-                      "f99b3b039cbc92022c7bd556e872f562620906469b2dd2880c71a112da278bb9"),
-    "1d_constant_0.3": ("d0f7f3799b2083b18fb5ea36c6acfb74d0b74ce6c61c6467e66b22d1eb67202c",
-                        "7d663d63ecb284edace5f3c2e23b8b67ce473831cf8a73c6bd6c9b26fc3ad0f1"),
-    "1d_constant_0.2": ("4ab6bf670d2ceb5dfdc158e845b9c9f1e1783a6458a134a59c64bbd312a27e50",
-                        "e9847fad0001ab3459668d460dac06878cbf7e6990485ba9054d71bfc727d8b1"),
-    "1d_zero_outside_box": ("1cc86095246a02beaf26a3982b31246fe19cfa79f03291c29961aece4c839518",
-                            "5533052de6d876b417ad1349bd4be2dafd8a7893efd127831a01c3d0c4986c75"),
-    "1d_callable": ("e9ae9fbd34bfe8549cf2448763919579054d741ebdc0206e3114835133724ff3",
-                    "0032890d71276b7c839491f8723831b0b384a8aec43d45aeef27b7ef752b83ae"),
-    "2d_constant_0.2": ("af81513ee8861b286a7b11f23b9adb05b21612dd3d8684801c0bf7e9143c2776",
-                        "691089b9839b0c8368bf93cf4ee0dbf5a254478cc95ece4c49416f77248d988a"),
-    "1d_view_-0.5": ("c83b1907924dfb91ae26d3345354f15da4c057bf3ecdaf82a34701428ad89f75",
-                     "5689f80e384c6dad7bcff14af6d7c6ec1b0c82d526155aa5efe83d4c6729ef6e"),
-    "1d_view_+0.5": ("def35a787d7c0e2e919de37e7bd41ea9f3b11be499631a044bd88fdd7b3c6c65",
-                     "29b54678182c4796541d967142dbd54f85bbebe4966e5562696680b9dec82712"),
-    "2d_view_-0.5": ("37c20684fe4f72ec43a17217cd7d88d7cbd9e030ab755b175be8245a7ceeb479",
-                     "c8bc3eae6aab909f127749e49b11be8b12ead2b6062acfc15eaeb7defe81075e"),
-    "2d_view_+0.5": ("08631adc054c6e96ff4c3901bf5c08541a5fc91499ff39ad15e84e1fee2a8e88",
-                     "0989b5b549e81e0c5897aa91eb9a8530cc72be461a0ae65cf720ef739b325f3a"),
-    "1d_view_0": ("c77b75bf7f73b0af4219ab4ac91a42320a445056369b0e5e49e57584863f93d4",
-                  "6a6b1ef4d8fceb012a6569ebfeefbcbc445002dd80778a26010c2c0d02febbee"),
-    "2d_view_0": ("d42d65b5628e80113197b9f122f45e268d8e893b9074b03518d1ca906f1b75fd",
-                  "b506c6051a873145bb84685e2f078fb6dc18654d627c501fcdf620f3f53c6222"),
-    "1d_constant_p2": ("0b605bb4c6579eb7f063c92a3fd8cecf6d9da42240047e6cee7c7a44c081d495",
-                       "e2cc8637688cc9074ebbadf79fa936d679d96b5703d26fbdbec0475f0a1d51d7"),
-    "1d_constant_p2.5": ("8a81f4f5b8d1b509f04bf7218cfdecdd72ca41996d78b432ebc2ebfa9c850965",
-                         "dae39cd4cf12509b81c28795b6b370e4e48fd7e78e1dcead79c169ea532fc43a"),
-    "2d_constant_p2.5": ("3fbb663e2cc5c0f5eceb428e5a7686f89f0d95f815c8df28b7a162a3b2ecebb6",
-                         "d7258c7cc526ced69f15467271529793fe43f1eaccc353d2424319bb799e8947"),
-    "1d_example_i": ("22f68eda26d7ad8716c47bbe8bfc4f868a2dc5d194a5d966e1b40069c8c75dc4",
-                     "47e6b8c514e7346012d6af622268edbd30515cc0157845f4556320c8e9f9cbc0"),
-    "1d_table": ("0e4ad1c646a857925307b7f7640f8c7b5ce0365c97f0cd625e931675442e78db",
-                 "7a3e82d539de0d8b6ad5ec16b2a88d4cfe833a8811e13dcc61d846e5c66a362c"),
-    "2d_n15_cubic": ("0c9dc19f029427a1c0596e03972d9c832b0c4e051e71c2c6a0e29577aa161178",
-                     "d2ee049a8b832f1710bba01c235275e52ddef99eebc1136a8fc6cd1fddbdccc1"),
-    "1d_n101_cubic": ("bb2a503a5625baa24288a6f449406f00d0d297d156fe977d70a828f0ac94222f",
-                      "e21eedcf3b763d86919b02feddf6a00c2d873a1191c424622263f7b069398054"),
-    "2d_callable": ("4b7ee28fe3ea8f2ce6e9f4c5e5d14dc85f08c3328ebb580a0b7d317355c081a4",
-                    "2ff2093f24c0161a57b1c5cf30875fc861584681890cb56a47b54ba4a9aa7ad1"),
-    "2d_off_lattice": ("e253569bd26e9dfc08d8e1747c5d99a4b683ac1c46cdb794d76f16c132cff4dc",
-                       "45942838f3be32f3bca66a9453a8269e5a59542c5cc9215f4bea21479d5be254"),
+    "1d_n101": ("3501f6869cf25b1f686a6ab562e694b104c0600baa00124d3b2aa2bc11823a9e",
+                "9ce5b5b1bbaba45c1dd5d124677f5e8663fdb150a57f3ec1d3cf7eadc17162f9"),
+    "2d_n15": ("1cd9bd0cd6278689b3714727ab8dd62ed17e66dedd7845a13698b4598a061a25",
+               "4914c5cfddecdcf05c67cd1b14f188459b895179be91bdc07d0178aff09dcc0b"),
+    "2d_n41_subset": ("ade47d100ed3d1fbb8b23cf1f40141360b6d0faf1cb56b48d537e7109a7a62df",
+                      "506a826c9208df15072e6275b993ae988d09be537a74ef75ff1c71cc5ceff1ce"),
+    "1d_constant_0.3": ("1fa12ccc1318bcdc243e59d7a4b506d4e7d4e7d5df454df6abdeffeaca8810a6",
+                        "85ee1ca51ca1ab3f964ec8aa82e93dc2ebf53906333290b90762575dd1df5708"),
+    "1d_constant_0.2": ("ee324bfad2a0965c405f53e5b0c9150c2b6fce70d29bcd1ae3f7b9892a51817a",
+                        "b0c06c636f39bbfff506439e629d5735d251c4bb278a10787c0fba5cf65237ed"),
+    "1d_zero_outside_box": ("2a212a4aabd9adb98884897c4cbf286a537a91cf14bb493a03922160713c674b",
+                            "46b46d2352ecd3a932038e6adc2a6fa443a1ee3013cf2a10f4de05ec28c69cd9"),
+    "1d_callable": ("10f78c9bc0133c0f047f6632458b6fc12d54ae30bd00e560c4d7bc90fcf9d12c",
+                    "8b1480b805f1de75681b8d8fa9d6bd2a395061bf6013463909b0f358ce22dcec"),
+    "2d_constant_0.2": ("6d8d1b26d8199811fa97591dfa98573e916fb03644f668c31aa0329e69aafaac",
+                        "b77742e701aa58f1da9a100fe92712c0efcd46bc76a683e844af16515a5b634c"),
+    "1d_view_-0.5": ("e5f5594435aaba0e3b8b67cfef595cb4b6a34ebb4071c3b9c15b7d785390fa34",
+                     "18438f93d654202844ccdc8fe385f4864409870f2da79e21c4a41c8ec67caadf"),
+    "1d_view_+0.5": ("dd08ed9697921e0005a4578ddf6cd784fe338f3b768ac70940362d6ce486a282",
+                     "893b6cd90ddde2503dc114c8f7e7772df7590d8ea58b600689f9f84331cbe32f"),
+    "2d_view_-0.5": ("46819fd46bb0a50878f351098867a93776741b724245258cd700337abf8da5c7",
+                     "135767084359b11c49e7e91f07951eb8044a478ebc7bba9365be192669a4f923"),
+    "2d_view_+0.5": ("e3367daba505f6c2e32ad0fec10b95a55d2f5d2a95970b12b25279b0e036da99",
+                     "e042f1276ed76dd40e646dd1900d08b13687f8284bfa15433787274269e7f5aa"),
+    "1d_view_0": ("4660d325d82ddce7312f843f90748aec836c092da3e7daeae884c77ff3363fef",
+                  "d02e3d7309bc1d549e87ca04d0c8ff152f99ad55952942dab64b385a514ecdc4"),
+    "2d_view_0": ("72cf1d0abf45a240ac69b851793a3ffd7e4a05c98fb94dd6b4ee9eeca2d18fde",
+                  "3f539e61c4ba30aff74e4c290c9d17b6920f2b846162e5d07c5c58027cc6332f"),
+    "1d_constant_p2": ("4b7e397ce267b6130e8c972587dedb51f0ace686baa01b343cc2f0e99a810048",
+                       "c0c0da68c3eae4727cbf99e8503cd7e41e43ae30fb63963004eb8cf5f9a3f221"),
+    "1d_constant_p2.5": ("844d91aee159afd8415c3cf96b92480c1176424a383a56bddac1525d020037cc",
+                         "725f3d0b0e372cf954fbbc7d2e714396f029b1349f44728b2f8d808088c6cde8"),
+    "2d_constant_p2.5": ("539c87423dee67f8ccab3f6df9f4744cb4853e14b06fc821912134b93607a524",
+                         "b6945f7254c645aa7470723c9c017a0bc0ea9fefe45f21f82906e0e8ee2d6177"),
+    "1d_example_i": ("72d45b2addd6d723ba63a9c2493b9174a6b0657a4713ca0ce78aba4f4f05c187",
+                     "7295c642d2e58db0244f8bb80f3f509ce2fdc215aec8e5ccdc09450ea3d85d9e"),
+    "1d_table": ("c1a50f3748d4a888b4fc0a7c1e0228d8088143ee8fcf97a2e03cfce7e7890cd3",
+                 "56feac1bb60f25e6c013fcb251fe1b0f634b523712dc1ca551d85595a13bcfda"),
+    "2d_n15_cubic": ("7d3d7da4b1b4ac9c966e4a0643c176aa11df6c9e54a96698147bf778e488c29e",
+                     "41813250a1002ba0e570c42bb0a6cbaf642e09055706a6dd9c3a78f17b6d4cca"),
+    "1d_n101_cubic": ("756550b2414f5b2125f8c85722fc35f7fb5500de6625c632272bc4dfbe09dec0",
+                      "a1392ee7deefcdd9e685cf614c28b62adf589adbe2fe58b5a2d5a519e566f50b"),
+    "2d_callable": ("5ed7ca5799e569c0a0fcbf02405bf546196f806b0a80415ef2a67053432e2845",
+                    "732646b2ed8fa3caad92a07a2d7cee596d9c8e8f266eab8d3e59d0ec0d6e5c1d"),
+    "2d_off_lattice": ("90894bba3ca8df738fa48aff9c7dd06786a201a497856e70ce0cb09b7bda90fc",
+                       "ce5f127bc4d0da6d503e49d50de70e45ea0e68aa4e21b4955fd62cb24426c4ae"),
 }
 
 
