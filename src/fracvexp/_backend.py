@@ -1,11 +1,10 @@
-"""The plan-application kernel, its per-node reference and its Jacobian.
+"""The plan-application kernel and its Jacobian.
 
 `apply_plan` is the one kernel pass: `quadrature.build_plan` runs it on
 the values it certified and hands its sums back as `plan.sums`, and the
 solver runs it once per trial.  An operator value is `sums.total`, the plain
-sum of every node term over the graded levels.  `_apply_loop` is the
-plain-Python per-node reference of `apply_plan`; `jacobian` differentiates
-the totals.  All read v = [values, plan.ext_values].  A plan stores its row
+sum of every node term over the graded levels; `jacobian` differentiates
+the totals.  Both read v = [values, plan.ext_values].  A plan stores its row
 stencils as one sparse matrix `plan.R` over v (see `quadrature`).  A row's
 difference is its point's center value c minus the interpolant at its node,
 as everywhere else in the lab: t = (c - m) - (R (v - m))_row, one sparse
@@ -61,23 +60,6 @@ def apply_plan(plan, values: np.ndarray) -> KernelPass:
         contrib = plan.wk * np.abs(t) ** plan.pm2 * t
     contrib[t == 0.0] = 0.0
     return KernelPass(np.add.reduceat(contrib, plan.ptr[:-1]), c)
-
-
-def _apply_loop(plan, values: np.ndarray) -> KernelPass:
-    """Per-node loop twin of `apply_plan(plan, values)`: the same two arrays."""
-    values = np.asarray(values, dtype=float)
-    m, v = float(_shift(values)), np.concatenate([values, plan.ext_values])
-    v, rptr, rcol, rval, wk, pm2 = (a.tolist() for a in (
-        v, plan.rptr, plan.rcol, plan.rval, plan.wk, plan.pm2))
-    sums = np.empty((2, plan.n_points))
-    for i in range(plan.n_points):
-        c = sum(a * v[k] for a, k in zip(plan.ccoef[i].tolist(), plan.cidx[i].tolist()))
-        acc = 0.0
-        for j in range(plan.ptr[i], plan.ptr[i + 1]):
-            t = (c - m) - sum(rval[e] * (v[rcol[e]] - m) for e in range(rptr[j], rptr[j + 1]))
-            acc += wk[j] * abs(t) ** pm2[j] * t if t != 0.0 else 0.0
-        sums[:, i] = acc, c
-    return KernelPass(*sums)
 
 
 def jacobian(plan, values: np.ndarray) -> np.ndarray:

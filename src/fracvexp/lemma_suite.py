@@ -4,7 +4,10 @@ Covers the uniform mean-value constant for f(t) = |t|^(p-2) t, positivity
 of the kernel difference across a reflecting plane, positivity of the
 tail-weight infimum, and the sign of the exponent-comparison derivative
 feeding the antisymmetric maximum principle.  Certification is sampled
-evidence with reported margins, never a symbolic proof.
+evidence with reported margins, never a symbolic proof.  The mean-value and
+gprime suites check their samples in slices of `SUITE_CHUNK`, so their
+temporaries stay bounded as n grows, and report exactly what one pass over
+the whole batch would.
 """
 
 from __future__ import annotations
@@ -23,6 +26,9 @@ from .nonlocal_operator import f_power, kernel
 #: target residual of the mean-value equation, relative to max(1, |f2 - f1|)
 MV_RESIDUAL_TOL = 1e-10
 
+#: Samples per slice of the mean-value and gprime suites: 64 KiB per column, cache-sized.
+SUITE_CHUNK = 2 ** 13
+
 
 def _case_masks(t1, t2):
     """The case split as masks (opposite, close): signs, then |t_small| vs
@@ -35,10 +41,16 @@ def _case_masks(t1, t2):
 
 
 def _c0(opposite, close, p_minus, p_plus):
-    """The case constants of the uniform mean-value bound.  Vectorized."""
-    return np.where(close, 1.0 / 2.0 ** (p_plus - 2.0),
-                    np.where(opposite, 1.0 / (2.0 * (p_plus - 1.0)),
-                             (2.0 ** (p_minus - 1.0) - 1.0) / ((p_plus - 1.0) * 2.0 ** p_minus)))
+    """The case constants of the uniform mean-value bound; the close and far
+    constants are evaluated on their own samples only.  Vectorized."""
+    args = np.broadcast_arrays(opposite, close, p_minus, p_plus)
+    opposite, close, p_minus, p_plus = (v.ravel() for v in args)
+    out = 1.0 / (2.0 * (p_plus - 1.0))  # the opposite-sign constant
+    i = np.flatnonzero(close)
+    out[i] = 1.0 / 2.0 ** (p_plus[i] - 2.0)
+    i = np.flatnonzero(~(opposite | close))
+    out[i] = (2.0 ** (p_minus[i] - 1.0) - 1.0) / ((p_plus[i] - 1.0) * 2.0 ** p_minus[i])
+    return out.reshape(args[0].shape)
 
 
 def _mv_slope(t1, t2, p):
@@ -47,24 +59,16 @@ def _mv_slope(t1, t2, p):
     With magnitudes a <= b: opposite signs give (a^(p-1) + b^(p-1)) / (a + b);
     same sign with a >= b/2 (b - a exact) gives b^(p-2) (1 - (1-q)^(p-1)) / q
     with q = (b - a)/b via expm1/log1p; same sign with a < b/2 keeps the
-    direct quotient, which does not cancel there.  Vectorized; 0 where
-    t1 == t2.
+    direct quotient, which does not cancel there.  Each case is evaluated on
+    every sample and picked by `np.where`.  Vectorized; 0 where t1 == t2.
     """
     t1, t2, p = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (t1, t2, p)))
-    a = np.minimum(np.abs(t1), np.abs(t2))
-    b = np.maximum(np.abs(t1), np.abs(t2))
-    opp = t1 * t2 < 0.0
-    close = ~opp & (2.0 * a >= b) & (a < b)  # 2a is exact, unlike b/2 near underflow
-    far = ~opp & ~close & (a < b)
-    out = np.zeros(t1.shape)
-    ao, bo, po = a[opp], b[opp], p[opp]
-    out[opp] = (ao ** (po - 1.0) + bo ** (po - 1.0)) / (ao + bo)
-    bc, pc = b[close], p[close]
-    q = (bc - a[close]) / bc
-    out[close] = bc ** (pc - 2.0) * -np.expm1((pc - 1.0) * np.log1p(-q)) / q
-    af, bf, pf = a[far], b[far], p[far]
-    out[far] = (bf ** (pf - 1.0) - af ** (pf - 1.0)) / (bf - af)
-    return out
+    a, b = np.minimum(np.abs(t1), np.abs(t2)), np.maximum(np.abs(t1), np.abs(t2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pa, pb, q = a ** (p - 1.0), b ** (p - 1.0), (b - a) / b
+        close = b ** (p - 2.0) * -np.expm1((p - 1.0) * np.log1p(-q)) / q
+        same = np.where(2.0 * a >= b, close, (pb - pa) / (b - a))  # 2a is exact, unlike b/2
+        return np.where(t1 * t2 < 0.0, (pa + pb) / (a + b), np.where(a < b, same, 0.0))
 
 
 def mean_value_point(slope, k, lo, hi):
@@ -99,18 +103,17 @@ def witness_alpha(t1, t2, p):
     return np.where(slope == 0.0, np.where(a1 >= a2, t1, t2), alpha)
 
 
-def _mv_residual(t1, t2, p, alpha):
-    """|f(t2) - f(t1) - f'(alpha)(t2 - t1)| relative to max(1, |f(t2) - f(t1)|)."""
+def _mv_residual(t1, t2, p, alpha_pow):
+    """|f(t2) - f(t1) - f'(alpha)(t2 - t1)| / max(1, |f(t2) - f(t1)|), given |alpha|^(p-2)."""
     df = f_power(t2, p) - f_power(t1, p)
-    resid = np.abs(df - (p - 1.0) * np.abs(alpha) ** (p - 2.0) * (t2 - t1))
+    resid = np.abs(df - (p - 1.0) * alpha_pow * (t2 - t1))
     return resid / np.maximum(1.0, np.abs(df))
 
 
-def _c0_margin(alpha, t1, t2, p, c0):
-    """(ok, margin) of |alpha|^(p-2) >= c0 max(|t1|, |t2|)^(p-2), to a relative 1e-12."""
-    lhs = np.abs(alpha) ** (p - 2.0)
-    rhs = c0 * np.maximum(np.abs(t1), np.abs(t2)) ** (p - 2.0)
-    return lhs >= rhs * (1.0 - 1e-12), lhs - rhs
+def _c0_margin(alpha_pow, t_max_pow, c0):
+    """(ok, margin) of |alpha|^(p-2) >= c0 max|t|^(p-2), to a relative 1e-12, given both powers."""
+    rhs = c0 * t_max_pow
+    return alpha_pow >= rhs * (1.0 - 1e-12), alpha_pow - rhs
 
 
 @dataclass(frozen=True)
@@ -193,9 +196,7 @@ def check_cx_positive(spec: ExponentSpec, x, samples: int = 2000,
 def gprime_margin(t0, p1, p2):
     """(p1-1)|t0|^(p1-2) - (p2-1)|t0|^(p2-2), nonnegative when
     1 - 1/ln(m) <= p1 <= p2 and |t0| < m (vectorized)."""
-    a = np.abs(np.asarray(t0, dtype=float))
-    p1 = np.asarray(p1, dtype=float)
-    p2 = np.asarray(p2, dtype=float)
+    a, p1, p2 = np.abs(np.asarray(t0, dtype=float)), np.asarray(p1, float), np.asarray(p2, float)
     return (p1 - 1.0) * a ** (p1 - 2.0) - (p2 - 1.0) * a ** (p2 - 2.0)
 
 
@@ -229,9 +230,29 @@ def _brentq_alpha(slope: float, t_max: float, p: float) -> float:
     return brentq(psi, 0.0, t_max)
 
 
+def _chunked(check, n: int, *samples) -> tuple:
+    """(failures, min margin, max residual) over slices of `SUITE_CHUNK` of the n
+    samples; `check` maps a slice to per-sample (failed, margin, residual)."""
+    failures, margin, resid = 0, np.inf, 0.0
+    for lo in range(0, n, SUITE_CHUNK):
+        bad, m, r = check(*(v[lo:lo + SUITE_CHUNK] for v in samples))
+        failures += int(np.count_nonzero(bad))
+        margin, resid = np.minimum(margin, np.min(m)), np.maximum(resid, np.max(r))
+    return failures, float(margin), float(resid)
+
+
 def _require_samples(n: int) -> None:
     if n < 1:  # a suite's minima reduce over its samples
         raise PreconditionError(f"a lemma suite needs n >= 1 samples, got {n}")
+
+
+def _mean_value_chunk(t1, t2, p):
+    """Per pair: (failed, c0 margin, mean-value residual) of its witness."""
+    alpha_pow = np.abs(witness_alpha(t1, t2, p)) ** (p - 2.0)
+    t_max_pow = np.maximum(np.abs(t1), np.abs(t2)) ** (p - 2.0)
+    resid = _mv_residual(t1, t2, p, alpha_pow)
+    ok, margin = _c0_margin(alpha_pow, t_max_pow, _c0(*_case_masks(t1, t2), p, p))
+    return ~(ok & (resid <= MV_RESIDUAL_TOL)), margin, resid
 
 
 def run_mean_value_suite(n: int = 100_000, seed: int = 0,
@@ -250,23 +271,18 @@ def run_mean_value_suite(n: int = 100_000, seed: int = 0,
     t2 = rng.uniform(-1.0, 1.0, n)
     lo_p = np.nextafter(p_range[0], p_range[1])
     p = rng.uniform(lo_p, p_range[1], n)
-
-    alpha = witness_alpha(t1, t2, p)
-    resid = _mv_residual(t1, t2, p, alpha)
-    ok, margin = _c0_margin(alpha, t1, t2, p, _c0(*_case_masks(t1, t2), p, p))
-    ok &= resid <= MV_RESIDUAL_TOL
-
     idx = rng.choice(n, size=min(spot_checks, n), replace=False)
-    a = np.abs(alpha[idx])
-    slope = _mv_slope(t1[idx], t2[idx], p[idx])
-    t_max = np.maximum(np.abs(t1[idx]), np.abs(t2[idx]))
+
+    failures, margin, resid = _chunked(_mean_value_chunk, n, t1, t2, p)
+
+    t1, t2, p = t1[idx], t2[idx], p[idx]  # a pair's witness does not depend on its batch
+    a, t_max = np.abs(witness_alpha(t1, t2, p)), np.maximum(np.abs(t1), np.abs(t2))
     ref = np.array([_brentq_alpha(*args) for args in  # Python floats keep brentq fast
-                    zip(slope.tolist(), t_max.tolist(), p[idx].tolist())])
+                    zip(_mv_slope(t1, t2, p).tolist(), t_max.tolist(), p.tolist())])
     spot_fail = int(np.count_nonzero(np.abs(ref - a) > 1e-9 * np.maximum(1.0, a)))
 
-    failures = int(np.count_nonzero(~ok)) + spot_fail
-    return SuiteReport("mean_value_c0", failures == 0, n, failures,
-                       float(np.min(margin)), float(np.max(resid)), seed,
+    failures += spot_fail
+    return SuiteReport("mean_value_c0", failures == 0, n, failures, margin, resid, seed,
                        {"spot_checks": int(len(idx)), "spot_failures": spot_fail})
 
 
@@ -333,13 +349,15 @@ def run_gprime_suite(m: float, p_plus: float, n: int = 100_000,
         raise PreconditionError("p_plus below the m-tied lower bound")
     rng = np.random.default_rng(seed)
     t0 = rng.uniform(-m, m, n)
-    t0 = np.where(t0 == 0.0, m / 2.0, t0)
     p1 = rng.uniform(p_floor, p_plus, n)
     p2 = rng.uniform(p1, p_plus)
-    g = gprime_margin(t0, p1, p2)
-    failures = int(np.count_nonzero(g < -1e-12 * np.maximum(1.0, np.abs(g))))
-    return SuiteReport("gprime_sign", failures == 0, n, failures,
-                       float(np.min(g)), 0.0, seed,
+
+    def chunk(t0, p1, p2):
+        g = gprime_margin(np.where(t0 == 0.0, m / 2.0, t0), p1, p2)
+        return g < -1e-12 * np.maximum(1.0, np.abs(g)), g, 0.0
+
+    failures, margin, _ = _chunked(chunk, n, t0, p1, p2)
+    return SuiteReport("gprime_sign", failures == 0, n, failures, margin, 0.0, seed,
                        {"m": m, "p_floor": p_floor, "p_plus": p_plus})
 
 

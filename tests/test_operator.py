@@ -12,7 +12,7 @@ from scipy import integrate
 
 import fracvexp as fx
 from fracvexp import _backend
-from fracvexp._backend import _apply_loop, apply_plan, jacobian
+from fracvexp._backend import KernelPass, _shift, apply_plan, jacobian
 from fracvexp.ball_solver import bump_profile, interior_mask, manufacture
 from fracvexp import quadrature
 from fracvexp.oracles import brute_force_plap, constant_p_plap
@@ -276,6 +276,24 @@ class TestTailIntegrability:
     def test_radii_must_increase(self, spec_1d, u_bump_1d):
         with pytest.raises(fx.PreconditionError):
             fx.tail_integrability_check(spec_1d, u_bump_1d, [0.0], [4.0, 2.0])
+
+
+def _apply_loop(plan, values: np.ndarray) -> KernelPass:
+    """Per-node loop twin of `apply_plan(plan, values)`, the reference for its
+    arithmetic: the same two arrays."""
+    values = np.asarray(values, dtype=float)
+    m, v = float(_shift(values)), np.concatenate([values, plan.ext_values])
+    v, rptr, rcol, rval, wk, pm2 = (a.tolist() for a in (
+        v, plan.rptr, plan.rcol, plan.rval, plan.wk, plan.pm2))
+    sums = np.empty((2, plan.n_points))
+    for i in range(plan.n_points):
+        c = sum(a * v[k] for a, k in zip(plan.ccoef[i].tolist(), plan.cidx[i].tolist()))
+        acc = 0.0
+        for j in range(plan.ptr[i], plan.ptr[i + 1]):
+            t = (c - m) - sum(rval[e] * (v[rcol[e]] - m) for e in range(rptr[j], rptr[j + 1]))
+            acc += wk[j] * abs(t) ** pm2[j] * t if t != 0.0 else 0.0
+        sums[:, i] = acc, c
+    return KernelPass(*sums)
 
 
 class TestBackends:
