@@ -1,10 +1,10 @@
 """The plan-application kernel and its Jacobian.
 
 `apply_plan` is the one kernel pass: `quadrature.build_plan` runs it on
-the values it certified and hands its sums back as `plan.sums`, and the
-solver runs it once per trial.  An operator value is `sums.total`, the plain
-sum of every node term over the graded levels; `jacobian` differentiates
-the totals.  Both read v = [values, plan.ext_values].  A plan stores its row
+the values it certified and hands its operator values back as `plan.sums`,
+and the solver runs it once per trial.  A pass returns one array, per point
+the plain sum of every node term over the graded levels; `jacobian` is its
+derivative.  Both read v = [values, plan.ext_values].  A plan stores its row
 stencils as one sparse matrix `plan.R` over v (see `quadrature`).  A row's
 difference is its point's center value c minus the interpolant at its node,
 as everywhere else in the lab: t = (c - m) - (R (v - m))_row, one sparse
@@ -15,12 +15,11 @@ exactly, and the rounding of R v scales with the spread of the values rather
 than their size.  A row with t = 0 adds exactly 0, since f(0) = 0 for every
 p (wk |t|^(p-2) t would be inf * 0 where p < 2).  Each point's rows are
 summed in plan row order.  The centers stay dense stencils (`cidx`,
-`ccoef`), read with the einsum `grids.SampledFunction.point_eval` uses.
+`ccoef`), read with the einsum `grids.SampledFunction.point_eval` uses, and
+enter only t: at a grid node a center is the node value the caller holds.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -37,33 +36,25 @@ def _shift(values) -> float:
 
 def _differences(plan, values):
     """Per row, t = (c - m) - R (v - m), with v = [values, ext_values], c the
-    row's center value and m = `_shift(values)`; and the center values."""
+    row's center value and m = `_shift(values)`."""
     values = np.asarray(values, dtype=float)
     v, m = np.concatenate([values, plan.ext_values]), _shift(values)
     c = np.einsum("ps,ps->p", plan.ccoef, v[plan.cidx])
-    return np.repeat(c - m, np.diff(plan.ptr)) - plan.R @ (v - m), c
+    return np.repeat(c - m, np.diff(plan.ptr)) - plan.R @ (v - m)
 
 
-class KernelPass(NamedTuple):
-    """One kernel pass, per point: the sum of all node terms (the operator
-    value) and the center value."""
-
-    total: np.ndarray
-    centers: np.ndarray
-
-
-def apply_plan(plan, values: np.ndarray) -> KernelPass:
-    """One kernel pass of `plan` over a value vector (see module docs); the
-    operator values are `.total`, the center values `.centers`."""
-    t, c = _differences(plan, values)
+def apply_plan(plan, values: np.ndarray) -> np.ndarray:
+    """One kernel pass of `plan` over a value vector (see module docs): the
+    operator value at each point."""
+    t = _differences(plan, values)
     with np.errstate(divide="ignore", invalid="ignore"):
         contrib = plan.wk * np.abs(t) ** plan.pm2 * t
     contrib[t == 0.0] = 0.0
-    return KernelPass(np.add.reduceat(contrib, plan.ptr[:-1]), c)
+    return np.add.reduceat(contrib, plan.ptr[:-1])
 
 
 def jacobian(plan, values: np.ndarray) -> np.ndarray:
-    """Exact derivative of `apply_plan(plan, values).total`, shape
+    """Exact derivative of `apply_plan(plan, values)`, shape
     (points, values.size).
 
     Each row's slope d = wk·(p-1)·|t|^(p-2) enters its point's derivative
@@ -74,7 +65,7 @@ def jacobian(plan, values: np.ndarray) -> np.ndarray:
     is taken as 0.
     """
     n = np.size(values)
-    t, _ = _differences(plan, values)
+    t = _differences(plan, values)
     own = np.repeat(np.arange(plan.n_points), np.diff(plan.ptr))
     with np.errstate(divide="ignore", invalid="ignore"):
         d = plan.wk * (plan.pm2 + 1.0) * np.abs(t) ** plan.pm2

@@ -140,12 +140,12 @@ def residual(problem: ProblemSpec, u: SampledFunction,
     """r(x_i) = operator(u)(x_i) - rhs(x_i) over interior ball nodes.
 
     The plan is built for u: its tail certificate and kernel pass `sums`
-    come from u's values, and the operator is that pass's `total`; its rows
-    may be those of an earlier build on the same points (see `quadrature`)."""
+    come from u's values, and the rhs reads `u.values[idx]`; its rows may be
+    those of an earlier build on the same points (see `quadrature`)."""
     idx = np.nonzero(interior_mask(u))[0]
     pts = u.nodes()[idx]
     sums = build_plan(problem.exponent, u, pts, cfg or QuadratureConfig()).sums
-    return sums.total - problem.rhs(pts, sums.centers, idx)
+    return sums - problem.rhs(pts, u.values[idx], idx)
 
 
 def check_settings(tol_res: float, max_iters: int, eta: float) -> None:
@@ -169,14 +169,13 @@ def solve(problem: ProblemSpec, initial_guess: SampledFunction,
     Each step solves J d = r with the exact Jacobian (`lstsq` if singular)
     and halves d, at most MAX_HALVINGS times, until the sup residual of
     clip(u - d, 0, 1-eta) falls.  Every trial is measured against one
-    discrete equation, the plan's `sums.total` = rhs.  A trial is one kernel
-    pass (`apply_plan`; `applies` counts them, with the guess's pass, which
-    the plan build hands back as `plan.sums`); the accepted trial's sums
-    give its `history` row [step, sup residual, sup error to `u_star` or
-    None], which equals an independent `residual()`.  Stops
-    at tol_res, at `max_iters` applies or when the line search finds no
-    decrease; `checkpoint_every` is ignored.  The settings must pass
-    `check_settings`.
+    discrete equation, kernel pass = rhs at the trial's node values.  A trial
+    is one kernel pass (`apply_plan`; `applies` counts them, with the guess's
+    pass, `plan.sums`) and one residual; the accepted trial's gives its
+    `history` row [step, sup residual, sup error to `u_star` or None], which
+    equals an independent `residual()`.  Stops at tol_res, at `max_iters`
+    applies or when the line search finds no decrease; `checkpoint_every` is
+    ignored.  The settings must pass `check_settings`.
     """
     check_settings(tol_res, max_iters, eta)
     cfg = cfg or QuadratureConfig()
@@ -191,14 +190,14 @@ def solve(problem: ProblemSpec, initial_guess: SampledFunction,
         raise PreconditionError("initial guess must vanish outside the unit ball")
     plan = build_plan(problem.exponent, initial_guess, pts, cfg)
 
-    def sup_residual(sums):
-        res = sums.total - problem.rhs(pts, sums.centers, idx)
+    def sup_residual(sums, v):
+        res = sums - problem.rhs(pts, v[idx], idx)
         if not np.all(np.isfinite(res)):
             raise NumericError(f"non-finite residual at apply {applies}")
         return res, float(np.max(np.abs(res)))
 
-    sums, applies, history = plan.sums, 1, []  # the build's pass on the guess
-    res, res_sup = sup_residual(sums)
+    applies, history = 1, []  # the build's pass on the guess
+    res, res_sup = sup_residual(plan.sums, values)
     while True:
         history.append((len(history), res_sup, None if u_star is None
                         else float(np.max(np.abs(values - u_star.values)))))
@@ -213,15 +212,15 @@ def solve(problem: ProblemSpec, initial_guess: SampledFunction,
         for _ in range(MAX_HALVINGS + 1):
             trial = values.copy()
             trial[idx] = np.clip(values[idx] - step, 0.0, 1.0 - eta)
-            sums, applies = apply_plan(plan, trial), applies + 1
-            decreased = sup_residual(sums)[1] < res_sup
+            applies += 1
+            trial_res = sup_residual(apply_plan(plan, trial), trial)
+            decreased = trial_res[1] < res_sup
             if decreased or applies >= max_iters:
                 break
             step = 0.5 * step
         if not decreased:
             break
-        values = trial
-        res, res_sup = sup_residual(sums)
+        values, (res, res_sup) = trial, trial_res
 
     converged = res_sup <= tol_res
     message = ("" if converged else "apply budget exhausted before tolerance"

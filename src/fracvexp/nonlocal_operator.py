@@ -20,10 +20,10 @@ from .quadrature import QuadratureConfig, _gauss_on, build_plan, directions
 def f_power(t, p):
     """|t|^(p-2) t: odd and strictly increasing for p > 2, with f(0) = 0
     for every p.  Vectorized; scalar arguments give a float."""
-    t, p = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(p, dtype=float))
-    out = np.zeros(t.shape)
-    nz = t != 0.0
-    out[nz] = np.abs(t[nz]) ** (p[nz] - 2.0) * t[nz]
+    t = np.asarray(t, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 ** (p - 2) is inf for p < 2
+        out = np.asarray(np.abs(t) ** (np.asarray(p, dtype=float) - 2.0) * t)
+    np.copyto(out, 0.0, where=t == 0.0)
     return out if out.ndim else float(out)
 
 
@@ -52,9 +52,9 @@ def eval_plap_field(spec: ExponentSpec, u, points,
 
     Per-point summation order is fixed by the plan, so each result matches
     the evaluation of its point alone.  A single point may be given flat.
-    The values are the totals of the kernel pass the plan build makes on u.
+    The values are those of the kernel pass the plan build makes on u.
     """
-    return build_plan(spec, u, points, cfg or QuadratureConfig()).sums.total
+    return build_plan(spec, u, points, cfg or QuadratureConfig()).sums
 
 
 @dataclass(frozen=True)

@@ -82,21 +82,23 @@ position.  The held arrays are read-only, and a miss drops the held entry
 before it builds, so at most one row set is held beyond what callers keep;
 `R` is built once per row set and held with it.  What reads the values runs
 on every call, hit or miss: the input checks, `r_eff`, the tail certificate
-with `tail_bound`, and a full `apply_plan` pass, which the plan hands back
-as `sums`.  An operator value is `sums.total`, the plain sum over the graded
-levels, so evaluating at a point set costs one pass.  Each call gets its
-own frozen `EvalPlan` with its own `tail_bound`, `sums` and `meta`.
+`tail_bound` (one bound, at the largest far difference over the points) and
+a full `apply_plan` pass, whose operator values, the plain sums over the
+graded levels, the plan hands back as `sums`: a point set costs one pass.
+Each call gets its own frozen `EvalPlan` with its own `tail_bound`, `sums`
+and `meta`.
 """
 
 from __future__ import annotations
 
+import decimal
 import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import sparse
 
-from ._backend import KernelPass, apply_plan
+from ._backend import apply_plan
 from .errors import PreconditionError, TailError
 from .exponents import ExponentSpec
 from .grids import ReflectedFunction, SampledFunction
@@ -173,7 +175,7 @@ class EvalPlan:
     ext_values: np.ndarray  # (slots,) exterior values, slot k read as value n + k
     r_eff: float
     tail_bound: float
-    sums: KernelPass | None = None  # apply_plan on the values the plan was built on
+    sums: np.ndarray | None = None  # (npts,) apply_plan on the values the plan was built on
     meta: dict = field(default_factory=dict)
 
     @property
@@ -340,9 +342,9 @@ def build_plan(spec: ExponentSpec, u, points, cfg: QuadratureConfig) -> EvalPlan
     arrays allocated once (see the module docs).
 
     Every call checks its inputs, sizes `r_eff` from the values, certifies the
-    tail (`tail_bound`) and runs one `apply_plan` pass over the values, which
-    it hands back as `sums`: the operator values are `sums.total` and the
-    center values `sums.centers`.
+    tail (`tail_bound`; a `TailError` names the radius that certifies it) and
+    runs one `apply_plan` pass over the values, whose operator values it
+    hands back as `sums`.
     The rows (every other array, `r_eff` and `meta`) do not read the values,
     so calls that agree on `spec`, `cfg`, `r_eff`, the grid's shape, extent,
     exterior rule and smoothness hint, a view's plane and the exact points
@@ -368,24 +370,24 @@ def build_plan(spec: ExponentSpec, u, points, cfg: QuadratureConfig) -> EvalPlan
     r_eff = truncation_radius(spec, grid.values, grid.extent, cfg)
     dirs = directions(N, cfg.angular_nodes)[0]
 
-    # certify the discarded tail at every point before building any row
-    c_val = u.point_eval(pts)
+    # certify the discarded tail before building any row: the bound grows with
+    # t, so the one at the largest far difference is the largest of the points'
     far = u.point_eval((pts[:, None, :] + r_eff * dirs[None, :, :]).reshape(-1, N))
-    t_far = np.max(np.abs(c_val[:, None] - far.reshape(len(pts), len(dirs))), axis=1)
-    tail_reported = 0.0
-    for t in t_far:
-        fb = _f_abs_max(float(t), spec.p_minus, spec.p_plus)
-        bound = tail_bound_at(fb, N, s, spec.p_minus, r_eff)
-        tail_reported = max(tail_reported, bound)
-        if bound > cfg.tail_tolerance * (1.0 + 1e-9):
-            need = tail_radius_needed(fb, N, s, spec.p_minus, cfg.tail_tolerance)
-            raise TailError(
-                f"discarded tail bound {bound:.3g} exceeds tolerance at R = {r_eff:.6g}; "
-                f"use tail_radius >= {need:.6g}")
+    t_far = np.max(np.abs(u.point_eval(pts)[:, None] - far.reshape(len(pts), len(dirs))),
+                   initial=0.0)
+    fb = _f_abs_max(float(t_far), spec.p_minus, spec.p_plus)
+    bound = tail_bound_at(fb, N, s, spec.p_minus, r_eff)
+    if bound > cfg.tail_tolerance * (1.0 + 1e-9):
+        # the worst point's radius, rounded up to the printed digits so that it certifies
+        need = decimal.Context(prec=6, rounding=decimal.ROUND_CEILING).create_decimal(
+            tail_radius_needed(fb, N, s, spec.p_minus, cfg.tail_tolerance))
+        raise TailError(
+            f"discarded tail bound {bound:.3g} exceeds tolerance at R = {r_eff:.6g}; "
+            f"use tail_radius >= {float(need):.6g}")
 
     rows = _plan_rows(spec, u, grid, pts, cfg, r_eff)
-    sums = apply_plan(rows, grid.values)
-    return replace(rows, tail_bound=float(tail_reported), sums=sums, meta=dict(rows.meta))
+    return replace(rows, tail_bound=float(bound), sums=apply_plan(rows, grid.values),
+                   meta=dict(rows.meta))
 
 
 def _drop_rows() -> None:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 
 import fracvexp as fx
 from fracvexp import lemma_suite as ls
+from fracvexp.cli import _write_json
+from fracvexp.config import RunConfig
 
 
 def witness(t1, t2, p):
@@ -341,3 +344,26 @@ class TestChunkedSuites:
         finally:
             tracemalloc.stop()
         assert peak <= 5 * 8 * n
+
+
+#: sha256 of `certify_lemmas` at the default config (its seed and sample
+#: counts), written by the report writer, per dimension; recorded at commit
+#: 97128ca, before `f_power` stopped gathering its nonzero samples
+DEFAULT_REPORT = {
+    1: "d91ccb9e2bf6f7bfc31cda51a1f4a6a98d123991325d1c75afe78fa0c80ffd1c",
+    2: "8191be57850692112eee78ca6f5e0f5363259a3d32e86559384732f00ef6d931",
+}
+
+
+@pytest.mark.parametrize("dim", sorted(DEFAULT_REPORT))
+def test_default_report_is_pinned(dim, tmp_path):
+    # the report `reproduce-all` writes to lemmas.json, less the run stamp:
+    # 100,000 mean-value and g' samples, where the report goldens run 500
+    cfg = RunConfig.load()
+    cfg.override("exponent", "dimension", dim)
+    lem = cfg.section("lemmas")
+    report = ls.certify_lemmas(cfg.exponent_spec(), seed=cfg.seed, **lem)
+    assert report["passed"]
+    _write_json(tmp_path / "lemmas.json", report)
+    digest = hashlib.sha256((tmp_path / "lemmas.json").read_bytes()).hexdigest()
+    assert digest == DEFAULT_REPORT[dim]

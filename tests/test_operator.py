@@ -2,7 +2,9 @@ import dataclasses
 import gc
 import json
 import math
+import re
 import tracemalloc
+import warnings
 import weakref
 
 import mpmath
@@ -12,7 +14,7 @@ from scipy import integrate
 
 import fracvexp as fx
 from fracvexp import _backend
-from fracvexp._backend import KernelPass, _shift, apply_plan, jacobian
+from fracvexp._backend import _shift, apply_plan, jacobian
 from fracvexp.ball_solver import bump_profile, interior_mask, manufacture
 from fracvexp import quadrature
 from fracvexp.oracles import brute_force_plap, constant_p_plap
@@ -29,6 +31,24 @@ class TestFPower:
         np.testing.assert_array_equal(
             fx.f_power(np.array([-2.0, 0.0, 2.0, 0.0]), np.array([3.0, 1.5, 3.0, 2.0])),
             [-4.0, 0.0, 4.0, 0.0])
+
+    def test_exact_zeros_small_p_and_0d(self):
+        # f(+-0) is +0.0 for every p, with no warning where 0 ** (p - 2) is
+        # inf; p < 2 at t != 0 is the plain power; 0-d input gives a float
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fx.f_power(np.array([0.0, -0.0, 0.0, -0.0, 0.25, -4.0]),
+                             np.array([1.5, 1.5, 6.0, 2.0, 1.5, 1.5]))
+            np.testing.assert_array_equal(got.view(np.int64),
+                                          np.array([0.0, 0.0, 0.0, 0.0, 0.5, -2.0]).view(np.int64))
+            for t in (np.array(-0.0), np.float64(0.0), -0.0):
+                out = fx.f_power(t, np.float64(1.5))
+                assert type(out) is float and math.copysign(1.0, out) == 1.0 and out == 0.0
+        out = fx.f_power(np.array(-4.0), 1.5)
+        assert type(out) is float and out == -2.0
+        # a 0-d t against a vector of exponents broadcasts
+        np.testing.assert_array_equal(fx.f_power(-0.0, [1.5, 2.0, 3.0]).view(np.int64), 0)
+        np.testing.assert_array_equal(fx.f_power(np.array(2.0), [1.5, 3.0]), [2.0 ** 0.5, 4.0])
 
     def test_odd_and_increasing(self):
         ts = np.linspace(-2, 2, 41)
@@ -163,8 +183,8 @@ class TestEvalPlapBasics:
         x = np.array([[-0.4]])
         assert gap[np.argmin(np.abs(nodes + 0.4))] == 0.0
         plan = build_plan(spec_1d, u_bump_1d, x, qcfg)
-        eu = apply_plan(plan, u_bump_1d.values).total
-        ev = apply_plan(plan, v.values).total
+        eu = apply_plan(plan, u_bump_1d.values)
+        ev = apply_plan(plan, v.values)
         assert eu[0] >= ev[0] - 1e-9 * max(1.0, abs(eu[0]))
 
     def test_exterior_sign_for_nonneg_u(self, spec_1d, u_bump_1d, qcfg):
@@ -278,22 +298,23 @@ class TestTailIntegrability:
             fx.tail_integrability_check(spec_1d, u_bump_1d, [0.0], [4.0, 2.0])
 
 
-def _apply_loop(plan, values: np.ndarray) -> KernelPass:
+def _apply_loop(plan, values: np.ndarray) -> np.ndarray:
     """Per-node loop twin of `apply_plan(plan, values)`, the reference for its
-    arithmetic: the same two arrays."""
+    arithmetic: the operator value at each point, from centers it reads
+    itself."""
     values = np.asarray(values, dtype=float)
     m, v = float(_shift(values)), np.concatenate([values, plan.ext_values])
     v, rptr, rcol, rval, wk, pm2 = (a.tolist() for a in (
         v, plan.rptr, plan.rcol, plan.rval, plan.wk, plan.pm2))
-    sums = np.empty((2, plan.n_points))
+    sums = np.empty(plan.n_points)
     for i in range(plan.n_points):
         c = sum(a * v[k] for a, k in zip(plan.ccoef[i].tolist(), plan.cidx[i].tolist()))
         acc = 0.0
         for j in range(plan.ptr[i], plan.ptr[i + 1]):
             t = (c - m) - sum(rval[e] * (v[rcol[e]] - m) for e in range(rptr[j], rptr[j + 1]))
             acc += wk[j] * abs(t) ** pm2[j] * t if t != 0.0 else 0.0
-        sums[:, i] = acc, c
-    return KernelPass(*sums)
+        sums[i] = acc
+    return sums
 
 
 class TestBackends:
@@ -312,11 +333,8 @@ class TestBackends:
         for name, (spec, u, pts) in cases.items():
             plan = build_plan(spec, u, pts, qcfg)
             values = getattr(u, "base", u).values
-            loop, sums = _apply_loop(plan, values), apply_plan(plan, values)
-            np.testing.assert_allclose(loop.total, sums.total, rtol=1e-12, atol=1e-13,
-                                       err_msg=name)
-            np.testing.assert_allclose(loop.centers, sums.centers, rtol=1e-12, atol=1e-13,
-                                       err_msg=name)
+            np.testing.assert_allclose(_apply_loop(plan, values), apply_plan(plan, values),
+                                       rtol=1e-12, atol=1e-13, err_msg=name)
 
     @pytest.mark.parametrize("spec_name", ["spec_1d", "spec_2d", "const3_1d", "const3_2d"])
     def test_jacobian_matches_finite_differences(self, spec_name, qcfg, request):
@@ -337,8 +355,7 @@ class TestBackends:
         for k in range(v.size):
             e = np.zeros(v.size)
             e[k] = eps
-            fd[:, k] = (apply_plan(plan, v + e).total
-                        - apply_plan(plan, v - e).total) / (2.0 * eps)
+            fd[:, k] = (apply_plan(plan, v + e) - apply_plan(plan, v - e)) / (2.0 * eps)
         assert np.max(np.abs(jac - fd)) <= 1e-5 * np.max(np.abs(jac))
 
 
@@ -356,18 +373,17 @@ class TestZeroDifferences:
             fx.eval_plap_field(self.SPEC, u, [[0.3], [1.2]], qcfg), [0.0, 0.0])
         plan = build_plan(self.SPEC, u, [[0.3], [1.2]], qcfg)
         for sums in (plan.sums, _apply_loop(plan, u.values)):
-            np.testing.assert_array_equal(sums.total, 0.0)
+            np.testing.assert_array_equal(sums, 0.0)
 
     def test_value_outside_the_support_is_finite(self, u_bump_1d, qcfg):
         # at x = 1.2 the center and every node past |y| = 1 read 0, so the
         # innermost rows have t = 0 at p < 2
         plan = build_plan(self.SPEC, u_bump_1d, [[1.2]], qcfg)
-        t, _ = _backend._differences(plan, u_bump_1d.values)
+        t = _backend._differences(plan, u_bump_1d.values)
         assert np.any((t == 0.0) & (plan.pm2 < 0.0))
-        value = plan.sums.total
+        value = plan.sums
         assert np.isfinite(value[0]) and value[0] < 0.0
-        np.testing.assert_allclose(_apply_loop(plan, u_bump_1d.values).total, value,
-                                   rtol=1e-12)
+        np.testing.assert_allclose(_apply_loop(plan, u_bump_1d.values), value, rtol=1e-12)
         orc = brute_force_plap(self.SPEC, u_bump_1d, [1.2])
         assert value[0] == pytest.approx(orc.value, rel=1e-2)
 
@@ -442,7 +458,7 @@ class TestPlanLayout:
         spec_1d = request.getfixturevalue(spec_name)
         for name, u in self._views(u_bump_1d).items():
             plan = build_plan(spec_1d, u, self.POINTS, qcfg)
-            got = apply_plan(plan, getattr(u, "base", u).values).total
+            got = apply_plan(plan, getattr(u, "base", u).values)
             for i, x in enumerate(self.POINTS):
                 pos, wk, pm2 = _uncollapsed_nodes(spec_1d, plan, x, u_bump_1d.extent, qcfg)
                 c = u.point_eval(x[None, :])[0]
@@ -497,11 +513,30 @@ class TestPlanLayout:
             assert np.max(np.abs(sums - 1.0)) <= 4 * np.finfo(float).eps, name
 
     def test_centers_are_point_eval(self, spec_1d, u_bump_1d, qcfg):
-        # the kernel's centers and point_eval come from one linear form
+        # the plan's center stencils and point_eval come from one linear form,
+        # read with one einsum, off the nodes and under a view too
         for name, u in self._views(u_bump_1d).items():
             plan = build_plan(spec_1d, u, self.POINTS, qcfg)
-            c = apply_plan(plan, getattr(u, "base", u).values).centers
+            v = np.concatenate([getattr(u, "base", u).values, plan.ext_values])
+            c = np.einsum("ps,ps->p", plan.ccoef, v[plan.cidx])
             np.testing.assert_array_equal(c, u.point_eval(self.POINTS), err_msg=name)
+
+    @pytest.mark.parametrize("dim, n", [(1, 101), (2, 15), (2, 41)])
+    def test_node_centers_are_unit_stencils(self, dim, n, qcfg, request):
+        # at a collocation node the center stencil is 1.0 on that node and
+        # +-0 elsewhere, so the center values are the node values bit for bit
+        # and the solver's rhs reads values[idx]
+        spec = request.getfixturevalue(f"spec_{dim}d")
+        u = fx.SampledFunction.from_function(bump_profile(0.5, 0.5), 1.5, n, dim)
+        idx = np.nonzero(interior_mask(u))[0]
+        plan = build_plan(spec, u, u.nodes()[idx], qcfg)
+        on = plan.cidx == idx[:, None]
+        np.testing.assert_array_equal(np.count_nonzero(on, axis=1), 1)
+        np.testing.assert_array_equal(plan.ccoef[on], 1.0)
+        np.testing.assert_array_equal(plan.ccoef[~on], 0.0)
+        v = np.random.default_rng(n).uniform(0.0, 1.0, u.values.size)
+        c = np.einsum("ps,ps->p", plan.ccoef, np.concatenate([v, plan.ext_values])[plan.cidx])
+        np.testing.assert_array_equal(c, v[idx])
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_empty_point_set(self, dim, qcfg, request):
@@ -511,8 +546,7 @@ class TestPlanLayout:
         assert plan.rval.size == plan.rcol.size == 0
         np.testing.assert_array_equal(plan.rptr, [0])
         assert plan.R.shape == (0, u.values.size) and plan.counters()["entries"] == 0
-        sums = apply_plan(plan, u.values)
-        assert sums.total.shape == sums.centers.shape == (0,)
+        assert apply_plan(plan, u.values).shape == (0,)
 
     def test_plan_does_not_depend_on_blocks(self, spec_1d, spec_2d, u_bump_1d, qcfg, monkeypatch):
         # x = 1.3 has a smaller pairing radius than the other points, so the 1-d
@@ -617,6 +651,24 @@ class TestTailCertificate:
                              fx.QuadratureConfig(tail_radius=2.32e7))
         assert value == pytest.approx(-4.2004, abs=1e-4)
         assert np.isfinite(fx.eval_plap(spec_model, bump("constant:2.0"), [0.3], qcfg))
+
+    def test_printed_radius_certifies(self, spec_model, qcfg):
+        # the error names the worst point's radius (x = 0.9 needs 6.40502e7 and
+        # x = 0 5.81467e7), rounded up to the printed digits, so a rebuild at
+        # the printed radius certifies; the plan's one bound is the largest of
+        # the points' own bounds
+        u = fx.SampledFunction.from_function(bump_profile(0.5, 0.5), 1.5, 101, 1,
+                                             exterior_rule="constant:5")
+        pts = np.array([[0.0], [0.9]])
+        with pytest.raises(fx.TailError, match=r"use tail_radius >= 6\.40503e\+07$") as err:
+            build_plan(spec_model, u, pts, qcfg)
+        radius = float(re.search(r">= (\S+)$", str(err.value)).group(1))
+        plan = build_plan(spec_model, u, pts, fx.QuadratureConfig(tail_radius=radius))
+        assert plan.r_eff == radius and np.all(np.isfinite(plan.sums))
+        per_point = [quadrature.tail_bound_at(quadrature._f_abs_max(
+            abs(c - 5.0), spec_model.p_minus, spec_model.p_plus), 1, spec_model.order,
+            spec_model.p_minus, radius) for c in u.point_eval(pts)]
+        assert plan.tail_bound == max(per_point) <= qcfg.tail_tolerance * (1.0 + 1e-9)
 
     def test_r_eff_covers_box_diameter(self, spec_2d):
         # a loose tolerance alone would stop the far ray from the corner inside
@@ -753,8 +805,8 @@ class TestRowMemo:
         assert a.tail_bound != b.tail_bound
         # the build's kernel pass is handed back with the plan, on each call's values
         for plan, values in ((a, u.values), (b, guess.values)):
-            assert all(np.array_equal(x, y) for x, y in zip(plan.sums, apply_plan(plan, values)))
-        assert not np.array_equal(a.sums.total, b.sums.total)
+            np.testing.assert_array_equal(plan.sums, apply_plan(plan, values))
+        assert not np.array_equal(a.sums, b.sums)
 
     def test_each_key_part_forces_a_miss(self, spec_1d, const3_1d, u_bump_1d, qcfg):
         pts = TestPlanLayout.POINTS

@@ -2,7 +2,7 @@
 
 Each case builds a plan and pins two digests of its arrays (dtype, shape
 and bytes): the rows, which do not read the values; and the values,
-`plan.sums.total`, the operator values of the pass the plan hands back.
+`plan.sums`, the operator values of the pass the plan hands back.
 A change to the kernel's rounding then re-pins the values alone and leaves
 the row pin standing.
 
@@ -47,6 +47,11 @@ digest of the row arrays other than the level tag equals the new rows
 digest, and the digest of `plan.sums.total` equals the new values digest, at
 every case.  So no row moved and no kernel sum moved; only the remainder,
 which the old values digest pinned, is gone.
+
+When a kernel pass became one array of operator values, `plan.sums`
+replaced `plan.sums.total` (the first field of a (total, centers) pair) in
+the values digest; its dtype, shape and bytes are those of the old field,
+so every digest held.
 """
 
 import hashlib
@@ -139,7 +144,7 @@ def _digest(arrays) -> str:
 def plan_digests(spec, u, pts) -> tuple[str, str]:
     """(rows, values): the digest of the row arrays, and of the operator values."""
     plan = build_plan(spec, u, pts, fx.QuadratureConfig())
-    return (_digest([getattr(plan, name) for name in ROWS]), _digest([plan.sums.total]))
+    return (_digest([getattr(plan, name) for name in ROWS]), _digest([plan.sums]))
 
 
 #: name -> (rows digest, values digest)
