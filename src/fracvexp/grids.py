@@ -358,22 +358,29 @@ class OffsetForm:
     offsets: np.ndarray
     tables: list
 
-    def block(self, lo: int, hi: int, stencils: bool = False):
+    def block(self, lo: int, hi: int):
         """(interp, ext, nz) at the positions of points lo..hi, each (P, T).
 
         `interp` and `ext` are what `linear_form` gives for the positions in
         point-major order, `nz` the nonzero coefficients of each position's
-        stencil.  With `stencils`, idx (int32) and coef follow: the stencils
-        of every position, interpolated or not, stencil-major (P, S^N, T).
+        stencil.
         """
-        g, k = self.grid, 5 if stencils else 3
-        box, sq, nz, *stencil = zip(*([f[inv[lo:hi]] for f in table[:k]]
-                                      for inv, table in self.tables))
+        g = self.grid
+        box, sq, nz = zip(*([f[inv[lo:hi]] for f in table[:3]] for inv, table in self.tables))
         in_box, interp = g._source(box, sq)
-        found = (interp,
-                 g._exterior(in_box, lambda: (self.pts[lo:hi, None, :] + self.offsets)[~in_box]),
-                 functools.reduce(np.multiply, nz))
-        return found + g._tensor(*stencil) if stencils else found
+        return (interp,
+                g._exterior(in_box, lambda: (self.pts[lo:hi, None, :] + self.offsets)[~in_box]),
+                functools.reduce(np.multiply, nz))
+
+    def stencils(self, j: int, keep: np.ndarray):
+        """(idx, coef): the stencils of point j at the positions where the (T,)
+        mask `keep` is set, shape (keep.sum(), S^N) as in
+        `SampledFunction.stencils`; idx is int32."""
+        at = np.flatnonzero(keep)
+        idx, coef = self.grid._tensor(*zip(*((table[3][inv[j]].take(at),
+                                              table[4][inv[j]].take(at, axis=-1))
+                                             for inv, table in self.tables)))
+        return np.ascontiguousarray(idx.T), np.ascontiguousarray(coef.T)
 
 
 @dataclass

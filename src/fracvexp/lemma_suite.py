@@ -30,14 +30,23 @@ MV_RESIDUAL_TOL = 1e-10
 SUITE_CHUNK = 2 ** 13
 
 
-def _case_masks(t1, t2):
-    """The case split as masks (opposite, close): signs, then |t_small| vs
-    |t_big|/2 (2 t_small is exact).  Vectorized."""
+def _flat(*args):
+    """(shape, flat): the arguments as float arrays broadcast to one shape,
+    and each of them flattened."""
+    args = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in args))
+    return args[0].shape, [v.ravel() for v in args]
+
+
+def _pairs(t1, t2):
+    """Per pair (opposite, close, a, b): the case split as masks (signs, then
+    |t_small| vs |t_big|/2; 2 t_small is exact) and the magnitudes a <= b of
+    t1 and t2.  A slice computes them once, for the slope, the witness and
+    the case constants.  Vectorized."""
     t1, t2 = np.asarray(t1, dtype=float), np.asarray(t2, dtype=float)
+    a1, a2 = np.abs(t1), np.abs(t2)
+    a, b = np.minimum(a1, a2), np.maximum(a1, a2)
     opposite = t1 * t2 < 0.0
-    ts = np.minimum(np.abs(t1), np.abs(t2))
-    tb = np.maximum(np.abs(t1), np.abs(t2))
-    return opposite, ~opposite & (2.0 * ts >= tb)
+    return opposite, ~opposite & (2.0 * a >= b), a, b
 
 
 def _c0(opposite, close, p_minus, p_plus):
@@ -59,16 +68,28 @@ def _mv_slope(t1, t2, p):
     With magnitudes a <= b: opposite signs give (a^(p-1) + b^(p-1)) / (a + b);
     same sign with a >= b/2 (b - a exact) gives b^(p-2) (1 - (1-q)^(p-1)) / q
     with q = (b - a)/b via expm1/log1p; same sign with a < b/2 keeps the
-    direct quotient, which does not cancel there.  Each case is evaluated on
-    every sample and picked by `np.where`.  Vectorized; 0 where t1 == t2.
+    direct quotient, which does not cancel there.  Vectorized; 0 where t1 == t2.
     """
-    t1, t2, p = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (t1, t2, p)))
-    a, b = np.minimum(np.abs(t1), np.abs(t2)), np.maximum(np.abs(t1), np.abs(t2))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pa, pb, q = a ** (p - 1.0), b ** (p - 1.0), (b - a) / b
-        close = b ** (p - 2.0) * -np.expm1((p - 1.0) * np.log1p(-q)) / q
-        same = np.where(2.0 * a >= b, close, (pb - pa) / (b - a))  # 2a is exact, unlike b/2
-        return np.where(t1 * t2 < 0.0, (pa + pb) / (a + b), np.where(a < b, same, 0.0))
+    shape, (t1, t2, p) = _flat(t1, t2, p)
+    return _slope(_pairs(t1, t2), p).reshape(shape)
+
+
+def _slope(pairs, p):
+    """`_mv_slope` from the `_pairs` of flat samples, each case evaluated
+    on its own samples only."""
+    opposite, close, a, b = pairs
+    out = np.zeros(a.size)
+    i = np.flatnonzero(opposite)
+    ac, bc, pc = a[i], b[i], p[i]
+    out[i] = (ac ** (pc - 1.0) + bc ** (pc - 1.0)) / (ac + bc)
+    i = np.flatnonzero(close & (a < b))  # 0 where a == b
+    ac, bc, pc = a[i], b[i], p[i]
+    q = (bc - ac) / bc
+    out[i] = bc ** (pc - 2.0) * -np.expm1((pc - 1.0) * np.log1p(-q)) / q
+    i = np.flatnonzero(~(opposite | close))  # 2a < b, so a < b
+    ac, bc, pc = a[i], b[i], p[i]
+    out[i] = (bc ** (pc - 1.0) - ac ** (pc - 1.0)) / (bc - ac)
+    return out
 
 
 def mean_value_point(slope, k, lo, hi):
@@ -94,13 +115,19 @@ def witness_alpha(t1, t2, p):
     endpoint of larger magnitude, a valid witness in that degenerate
     arithmetic.  Vectorized.
     """
-    t1, t2, p = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (t1, t2, p)))
-    slope = _mv_slope(t1, t2, p)
-    a1, a2 = np.abs(t1), np.abs(t2)
-    lo = np.where(t1 * t2 < 0.0, 0.0, np.minimum(a1, a2))
-    a = mean_value_point(slope, p - 1.0, lo, np.maximum(a1, a2))
-    alpha = np.where(a <= np.maximum(t1, t2), a, -a)  # a >= min(t1, t2) by the bracket
-    return np.where(slope == 0.0, np.where(a1 >= a2, t1, t2), alpha)
+    shape, (t1, t2, p) = _flat(t1, t2, p)
+    return _witness(t1, t2, p, _pairs(t1, t2)).reshape(shape)
+
+
+def _witness(t1, t2, p, pairs):
+    """`witness_alpha` of flat samples, from their `_pairs`."""
+    opposite, _, a, b = pairs
+    slope = _slope(pairs, p)
+    m = mean_value_point(slope, p - 1.0, np.where(opposite, 0.0, a), b)
+    alpha = np.where(m <= np.maximum(t1, t2), m, -m)  # m >= min(t1, t2) by the bracket
+    i = np.flatnonzero(slope == 0.0)
+    alpha[i] = np.where(np.abs(t1[i]) == b[i], t1[i], t2[i])
+    return alpha
 
 
 def _mv_residual(t1, t2, p, alpha_pow):
@@ -248,10 +275,10 @@ def _require_samples(n: int) -> None:
 
 def _mean_value_chunk(t1, t2, p):
     """Per pair: (failed, c0 margin, mean-value residual) of its witness."""
-    alpha_pow = np.abs(witness_alpha(t1, t2, p)) ** (p - 2.0)
-    t_max_pow = np.maximum(np.abs(t1), np.abs(t2)) ** (p - 2.0)
+    pairs = _pairs(t1, t2)
+    alpha_pow = np.abs(_witness(t1, t2, p, pairs)) ** (p - 2.0)
     resid = _mv_residual(t1, t2, p, alpha_pow)
-    ok, margin = _c0_margin(alpha_pow, t_max_pow, _c0(*_case_masks(t1, t2), p, p))
+    ok, margin = _c0_margin(alpha_pow, pairs[3] ** (p - 2.0), _c0(*pairs[:2], p, p))
     return ~(ok & (resid <= MV_RESIDUAL_TOL)), margin, resid
 
 
@@ -262,7 +289,7 @@ def run_mean_value_suite(n: int = 100_000, seed: int = 0,
     case bound and the mean-value residual tolerance.
 
     The witnesses come from `witness_alpha`, the bound from `_c0_margin`
-    with the case constants `_c0` of `_case_masks`; `spot_checks` samples
+    with the case constants `_c0` of the cases of `_pairs`; `spot_checks` samples
     are re-derived by `_brentq_alpha` and must agree to 1e-9.
     """
     _require_samples(n)

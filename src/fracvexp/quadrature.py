@@ -37,16 +37,18 @@ over the same blocks.  The first sizes the plan: it counts each point's
 interior rows (its interpolated near nodes) and the block's entries (per
 interior row, the product of its axes' nonzero stencil weight counts), and
 merges the block's exterior nodes into their rows, which it keeps (one entry
-each, a few percent of the rows under a named rule).  Then every plan array
-is allocated once, at its final size, and the second pass writes each block
-straight into its slices from stencil-major (point, stencil, node) arrays,
-dropping zero coefficients and exterior nodes in one compress: no interior
-row or entry is kept between the passes, nothing is concatenated, and
-`rptr` is written as running sums.  So a build holds about one copy of the
-plan, and never a dense (rows, stencil) array.  Exterior keys there also
-carry the point, and each point's exterior rows follow its interior rows in
-the order above, so every row and weight sum is the one a point built alone
-gets.
+each, a few percent of the rows under a named rule), with each near node's
+entry count (one byte, 0 where the node is not interpolated).  So the box,
+ball and exterior tests run once per node.  Then every plan array is
+allocated once, at its final size, and the second pass fills each block's
+slices: it forms one point's stencils at a time, at its interpolated nodes
+only, and writes their nonzero coefficients straight into the point's run
+of entries.  No interior row or entry is kept between the passes, nothing
+is concatenated, and `rptr` is written as running sums.  So a build holds
+about one copy of the plan, and never a dense (rows, stencil) array beyond
+one point's.  Exterior keys there also carry the point, and each point's
+exterior rows follow its interior rows in the order above, so every row
+and weight sum is the one a point built alone gets.
 
 Only near nodes get stencils, from per-axis tables (`offset_form`).  A near
 node's axis coordinate is fl(x_a + fl(r d_a)), a function of the point's
@@ -425,9 +427,10 @@ def _plan_rows(spec: ExponentSpec, u, grid: SampledFunction, pts: np.ndarray,
     run = None  # (start, node template, form) of the one run whose tables are held
 
     def blocks():
-        """Each block of points lo..hi in turn, with its run's node template and
-        its `OffsetForm.block`.  One run's tables are held at a time, so a set
-        with one pairing radius builds them once for both passes."""
+        """Each block of points lo..hi in turn, with its run's node template,
+        its run's `OffsetForm` and its first point's index in that form.  One
+        run's tables are held at a time, so a set with one pairing radius
+        builds them once for both passes."""
         nonlocal run
         for a, b in zip(starts, [*starts[1:], len(pts)]):  # runs of points with one delta
             if run is None or run[0] != a:
@@ -446,23 +449,23 @@ def _plan_rows(spec: ExponentSpec, u, grid: SampledFunction, pts: np.ndarray,
             _, tm, form = run
             per = max(1, PLAN_BLOCK // len(tm[0]))
             for lo in range(a, b, per):
-                hi = min(lo + per, b)
-                yield lo, hi, tm, functools.partial(form.block, lo - a, hi - a)
+                yield lo, min(lo + per, b), tm, form, lo - a
 
     # size the plan: each point's rows and the interior entries; the merged
     # exterior rows (one entry each, a few percent of the rows under a named
-    # rule) are made here and kept for the second pass
+    # rule) are made here and kept for the second pass, with each near node's
+    # entry count, 0 where it is not interpolated (a stencil has a nonzero)
     ptr = np.zeros(len(pts) + 1, dtype=np.int64)
-    ext_rows, n_ent, n_uncollapsed = [], 0, 0
-    for lo, hi, tm, block in blocks():
-        interp, ext, nz = block()
+    sized, n_ent, n_uncollapsed = [], 0, 0
+    for lo, hi, tm, form, j0 in blocks():
+        interp, ext, nz = form.block(j0, j0 + hi - lo)
         *rows_x, n_ext = _exterior_rows(tm, interp, ext, c_far)
-        ext_rows.append(rows_x)
+        sized.append((np.where(interp, nz, np.int8(0)), *rows_x))
         ptr[lo + 1:hi + 1] = np.count_nonzero(interp, axis=1) + n_ext
         n_ent += int(np.sum(nz, where=interp)) + len(rows_x[0])
         n_uncollapsed += (hi - lo) * len(tm[0])
     np.cumsum(ptr, out=ptr)
-    n_out = sum(len(x_t) for x_t, _, _ in ext_rows)
+    n_out = sum(len(x_t) for _, x_t, _, _ in sized)
 
     # then allocate every array once and fill it block by block
     nnz = int(ptr[-1])
@@ -474,9 +477,9 @@ def _plan_rows(spec: ExponentSpec, u, grid: SampledFunction, pts: np.ndarray,
     ext_all[n_out:] = c_ext[~c_interp]
     ext_at = np.empty(n_out, dtype=np.int64)  # the entry of each exterior row
     k0 = 0
-    for (lo, hi, tm, block), (x_t, x_val, x_wk) in zip(blocks(), ext_rows):
+    for (lo, hi, tm, form, j0), (nz, x_t, x_val, x_wk) in zip(blocks(), sized):
         wk_t, pm2_t = tm[:2]
-        interp, _, nz, idx, coef = block(stencils=True)
+        interp = nz != 0
         # each point's interior rows in enumeration order, then its merged
         # exterior rows
         in_j, in_t = np.nonzero(interp)
@@ -496,14 +499,14 @@ def _plan_rows(spec: ExponentSpec, u, grid: SampledFunction, pts: np.ndarray,
         rptr[r0 + 1:r1 + 1] = rptr[r0] + np.cumsum(ent)
         ext_at[k0:k1], ext_all[k0:k1] = rptr[r0 + 1:r1 + 1][ext_row] - 1, x_val
         rval[ext_at[k0:k1]] = 1.0
-        kt = np.moveaxis((coef != 0.0) & interp[:, None, :], -2, -1)
-        cols, vals = np.moveaxis(idx, -2, -1)[kt], np.moveaxis(coef, -2, -1)[kt]
-        # a point's interior entries are one run, in cols and vals and in the plan
-        cut = np.cumsum(np.sum(nz, axis=1, where=interp))
-        for i, j, e in zip([0, *cut[:-1]], cut, rptr[ptr[lo:hi]]):
-            rcol[e:e + j - i], rval[e:e + j - i] = cols[i:j], vals[i:j]
+        # a point's interior entries are one run in the plan, formed and written
+        # one point at a time
+        for j, e in enumerate(rptr[ptr[lo:hi]]):
+            idx, coef = form.stencils(j0 + j, interp[j])
+            nonzero = coef != 0.0
+            cols = idx[nonzero]
+            rcol[e:e + cols.size], rval[e:e + cols.size] = cols, coef[nonzero]
         k0 = k1
-        del idx, coef, kt, cols, vals  # so two blocks' stencils never coexist
 
     first, slot = _first_use_groups(ext_all)
     n = grid.values.size

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .exponents import ExponentSpec
-from .grids import SampledFunction, ZERO_BALL
-from .nonlocal_operator import f_power
-from .quadrature import sphere_measure
+from fracvexp.exponents import ExponentSpec
+from fracvexp.grids import SampledFunction, ZERO_BALL
+from fracvexp.nonlocal_operator import f_power
+from fracvexp.quadrature import sphere_measure
 
 #: cutoff ladder in units of the coarse grid spacing, descending
 EPS_LADDER_1D = (2.0 ** -3, 2.0 ** -4, 2.0 ** -5, 2.0 ** -6, 2.0 ** -7)

@@ -19,8 +19,9 @@ from fracvexp import max_principles as mp
 from fracvexp import moving_planes as mvp
 from fracvexp._backend import apply_plan
 from fracvexp.cli import main as cli_main
-from fracvexp.oracles import brute_force_plap, constant_p_plap
 from fracvexp.quadrature import build_plan
+
+from oracles import brute_force_plap, constant_p_plap
 
 SEED = 20260810
 

@@ -20,7 +20,7 @@ def witness(t1, t2, p):
     t1, t2, p = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (t1, t2, p))
     alpha = ls.witness_alpha(t1, t2, p)
     alpha_pow = np.abs(alpha) ** (p - 2.0)
-    c0 = ls._c0(*ls._case_masks(t1, t2), p, p)
+    c0 = ls._c0(*ls._pairs(t1, t2)[:2], p, p)
     ok, margin = ls._c0_margin(alpha_pow, np.maximum(np.abs(t1), np.abs(t2)) ** (p - 2.0), c0)
     return alpha, c0, ok, ls._mv_residual(t1, t2, p, alpha_pow), margin
 
@@ -77,7 +77,7 @@ class TestMeanValueAlpha:
         # f(t) = t^2 on positives: 4 - 1 = 2 alpha, alpha = 1.5
         alpha, c0, ok, _, _ = witness(1.0, 2.0, 3.0)
         assert alpha[0] == pytest.approx(1.5, abs=1e-9)
-        assert ls._case_masks(1.0, 2.0) == (False, True)  # same sign, close
+        assert ls._pairs(1.0, 2.0)[:2] == (False, True)  # same sign, close
         assert ok[0] and c0[0] == pytest.approx(0.5)
         assert abs(alpha[0]) >= 0.5 * 2.0 - 1e-12
 
@@ -85,7 +85,7 @@ class TestMeanValueAlpha:
         # f(t) = t^3: 2 = 3 alpha^2 * 2, |alpha| = 1/sqrt(3)
         alpha, c0, ok, _, _ = witness(-1.0, 1.0, 4.0)
         assert abs(alpha[0]) == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-9)
-        assert ls._case_masks(-1.0, 1.0) == (True, False)
+        assert ls._pairs(-1.0, 1.0)[:2] == (True, False)
         assert ok[0] and c0[0] == pytest.approx(1.0 / 6.0)
 
     def test_alpha_between_endpoints(self):
@@ -140,12 +140,12 @@ class TestMeanValueAlpha:
 class TestClassification:
     def test_cases(self):
         # (opposite, close): same sign and close, opposite signs, far apart
-        assert ls._case_masks(1.0, 2.0) == (False, True)
-        assert ls._case_masks(-1.0, 1.0) == (True, False)
-        assert ls._case_masks(0.1, 2.0) == (False, False)
-        assert ls._case_masks(0.0, 2.0) == (False, False)  # zero counts as far
-        assert ls._case_masks(0.0, 5e-324) == (False, False)
-        assert ls._case_masks(5e-324, 0.0) == (False, False)
+        assert ls._pairs(1.0, 2.0)[:2] == (False, True)
+        assert ls._pairs(-1.0, 1.0)[:2] == (True, False)
+        assert ls._pairs(0.1, 2.0)[:2] == (False, False)
+        assert ls._pairs(0.0, 2.0)[:2] == (False, False)  # zero counts as far
+        assert ls._pairs(0.0, 5e-324)[:2] == (False, False)
+        assert ls._pairs(5e-324, 0.0)[:2] == (False, False)
 
     def test_constants(self):
         assert ls._c0(False, True, 3.0, 3.0) == pytest.approx(0.5)
@@ -165,7 +165,7 @@ class TestClassification:
 
     def test_c0_matches_case_forms_on_edge_pairs(self):
         t1, t2, p = edge_grid()
-        opposite, close = ls._case_masks(t1, t2)
+        opposite, close = ls._pairs(t1, t2)[:2]
         assert opposite.any() and close.any() and (~opposite & ~close).any()
         p_minus = p - 0.25 * (p - 2.0)  # p_minus < p_plus reaches the far form's mix
         for pm in (p, p_minus):
@@ -313,9 +313,10 @@ class TestChunkedSuites:
     def test_failures_add_up_across_chunks(self, n, monkeypatch):
         # a witness off by 1e-6 where t1 > 0 fails the residual tolerance there:
         # the counts, the extreme margins and which spot checks fail (so which
-        # samples the generator picked) still match the whole batch
-        closed_form = ls.witness_alpha
-        monkeypatch.setattr(ls, "witness_alpha", lambda t1, t2, p: closed_form(t1, t2, p)
+        # samples the generator picked) still match the whole batch.  The
+        # slices and `witness_alpha` both take their witnesses from `_witness`
+        closed_form = ls._witness
+        monkeypatch.setattr(ls, "_witness", lambda t1, t2, p, pairs: closed_form(t1, t2, p, pairs)
                             * np.where(t1 > 0.0, 1.0 + 1e-6, 1.0))
         rep = ls.run_mean_value_suite(n, seed=5, spot_checks=20)
         assert rep == whole_batch_mean_value(n, 5, spot_checks=20)

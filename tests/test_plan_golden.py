@@ -52,6 +52,11 @@ When a kernel pass became one array of operator values, `plan.sums`
 replaced `plan.sums.total` (the first field of a (total, centers) pair) in
 the values digest; its dtype, shape and bytes are those of the old field,
 so every digest held.
+
+`JACOBIAN_GOLDEN` pins `_backend.jacobian` on the solver's plan over the
+manufactured problem, at u* and at `reproduce-all`'s perturbed guess, in
+1-d at n=101 and in 2-d at n=15.  The finite-difference tests hold the
+Jacobian only to a tolerance; these digests hold it to the bit.
 """
 
 import hashlib
@@ -60,7 +65,10 @@ import numpy as np
 import pytest
 
 import fracvexp as fx
+from fracvexp._backend import jacobian
 from fracvexp.ball_solver import bump_profile, interior_mask
+from fracvexp.cli import _manufactured_problem
+from fracvexp.config import RunConfig
 from fracvexp.quadrature import build_plan
 
 #: the row arrays, which do not read the values
@@ -203,3 +211,30 @@ def test_plan_bytes_are_pinned(name):
     rows, values = plan_digests(*_case(name))
     assert rows == GOLDEN[name][0], (name, "rows")
     assert values == GOLDEN[name][1], (name, "values")
+
+
+def jacobian_digest(dim, n, at):
+    """The digest of `jacobian` on the solver's plan over the manufactured
+    problem: at u* or at `reproduce-all`'s perturbed guess."""
+    cfg = RunConfig.load()
+    cfg.override("exponent", "dimension", dim)
+    spec = cfg.exponent_spec()
+    u_star, _, guess = _manufactured_problem(cfg, spec, n)
+    plan = build_plan(spec, guess, guess.nodes()[interior_mask(guess)], cfg.quadrature())
+    return _digest([jacobian(plan, {"u_star": u_star, "guess": guess}[at].values)])
+
+
+#: (dim, n, values) -> digest of the Jacobian, recorded at commit c347f70 before
+#: the kernel pass and the Jacobian formed their products in one work array
+JACOBIAN_GOLDEN = {
+    (1, 101, "guess"): "0dbcfad4641d558a2638c3fddd00838d9041e3e4efab79d430d74e7b54dae4d8",
+    (1, 101, "u_star"): "2bd798aae68e19f94f822df6877611b1487dbf38d70167740b1b04c73e2f9da7",
+    (2, 15, "guess"): "4ea4ac6e7de1a4165b584bd197323031f61c63ab6379ee7c9d3b4ce0832def34",
+    (2, 15, "u_star"): "22f8ccfbc3727d6e8fb60f68de1cfdd9bcc64759a498a09173c494b58e22c79e",
+}
+
+
+@pytest.mark.parametrize("case", sorted(JACOBIAN_GOLDEN),
+                         ids=lambda case: "{}d_n{}_{}".format(*case))
+def test_jacobian_bytes_are_pinned(case):
+    assert jacobian_digest(*case) == JACOBIAN_GOLDEN[case], case
