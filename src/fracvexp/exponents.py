@@ -64,6 +64,10 @@ class ExponentSpec:
             raise EvaluationError(f"Q(t) not finite at t={bad.flat[0]!r}")
         return out if out.shape else float(out)
 
+    def kernel(self, r):
+        """The kernel r^(-(N + s Q(r))) at distances r > 0 (scalar or array)."""
+        return r ** (-(self.dimension + self.order * self.q(r)))
+
 
 @dataclass(frozen=True)
 class CheckResult:

@@ -349,8 +349,7 @@ class OffsetForm:
     """`SampledFunction.linear_form` at pts[j] + offsets[t], block by block.
 
     `tables` holds per axis (inv, table): each point's table row, and the
-    `_axis_table` fields (box, sq, nz, i0, w) per (distinct coordinate,
-    offset).
+    `_axis_table` fields (box, sq, nz, i0, w) per (distinct coordinate, offset).
     """
 
     grid: SampledFunction
@@ -381,6 +380,10 @@ class OffsetForm:
                                               table[4][inv[j]].take(at, axis=-1))
                                              for inv, table in self.tables)))
         return np.ascontiguousarray(idx.T), np.ascontiguousarray(coef.T)
+
+    def drop_tests(self) -> None:
+        """Free the box, square and count tables, which only `block` reads."""
+        self.tables = [(inv, (None,) * 3 + table[3:]) for inv, table in self.tables]
 
 
 @dataclass

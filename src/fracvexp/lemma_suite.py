@@ -319,7 +319,7 @@ def run_kernel_monotone_suite(spec: ExponentSpec, n: int = 10_000,
     the plane and exactly zero on it."""
     _require_samples(n)
     rng = np.random.default_rng(seed)
-    N, s = spec.dimension, spec.order
+    N = spec.dimension
     lam = rng.uniform(-1.0, 0.5, n)
     if N == 1:
         e = np.ones((n, 1))
@@ -341,9 +341,7 @@ def run_kernel_monotone_suite(spec: ExponentSpec, n: int = 10_000,
     d1 = np.linalg.norm(x0 - y, axis=1)
     d2 = np.linalg.norm(x0 - y_l, axis=1)
     keep = d1 > 1e-12
-    q1 = np.asarray(spec.q(d1[keep]), dtype=float)
-    q2 = np.asarray(spec.q(d2[keep]), dtype=float)
-    kap = d1[keep] ** (-(N + s * q1)) - d2[keep] ** (-(N + s * q2))
+    kap = spec.kernel(d1[keep]) - spec.kernel(d2[keep])
     failures = int(np.count_nonzero(kap <= 0.0))
 
     # boundary fixed point: kappa must vanish to round-off

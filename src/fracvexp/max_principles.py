@@ -226,7 +226,7 @@ def j1_j2_split(spec: ExponentSpec, u: SampledFunction, plane: PlaneGeometry,
     """
     cfg = cfg or QuadratureConfig()
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    N, s = spec.dimension, spec.order
+    N = spec.dimension
     if not plane.in_halfspace(x0, strict=False):
         raise PreconditionError("x0 must lie in the closed half-space")
 
@@ -240,10 +240,8 @@ def j1_j2_split(spec: ExponentSpec, u: SampledFunction, plane: PlaneGeometry,
     y_l = plane.reflect(y)
     r1 = np.repeat(rs, len(dirs))[in_h]
     r2 = np.linalg.norm(x0[None, :] - y_l, axis=1)
-    q1 = np.asarray(spec.q(r1), dtype=float)
-    q2 = np.asarray(spec.q(r2), dtype=float)
-    k1 = r1 ** (-(N + s * q1))
-    k2 = r2 ** (-(N + s * q2))
+    q1, q2 = (np.asarray(spec.q(r), dtype=float) for r in (r1, r2))
+    k1, k2 = spec.kernel(r1), spec.kernel(r2)
 
     u_x0 = float(u.point_eval(x0[None, :])[0])
     ul_x0 = float(u.point_eval(plane.reflect(x0[None, :]))[0])

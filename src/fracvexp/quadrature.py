@@ -16,13 +16,13 @@ which take the exterior rule's one value.
 
 Every stencil indexes the extended value vector [u.values, plan.ext_values]:
 slot k past the grid nodes holds the k-th distinct exterior value, in order
-of first use.  The row stencils form one CSR matrix `R` with a row per plan
-row and a column per entry of that vector, with its zero coefficients
-dropped and int32 column indices.  An interior row's coefficients are
-Lagrange weights, which sum to one, so the kernel forms a row's difference
-as the center minus the row's product with the values, and no per-row sum
-is stored.  An exterior row is one entry, 1.0 on its slot's column n + slot;
-an exterior center is the dense center stencil (1, 0, ...) on its slot.
+of first use.  Every stencil, row or center, is a row of one CSR matrix `R`
+with a column per entry of that vector, zero coefficients dropped and int32
+column indices: the nnz plan rows, then point i's center as row nnz + i.
+An interpolated stencil's coefficients are Lagrange weights, which sum to
+one, so the kernel forms a row's difference as its center row's product with
+the values minus its own, and no per-row sum is stored.  An exterior row or
+center is one entry, 1.0 on its slot's column n + slot.
 Each point's segment of rows holds its interior nodes first
 (those whose value comes from the interpolant), in node enumeration order.
 After them comes one row per distinct exterior key (p - 2, slot), in order
@@ -33,22 +33,20 @@ removes most exterior nodes.  The Gauss reference rule behind every radial
 interval is computed once per order, and each radial rule once per delta.
 
 `build_plan` makes these rows a block of points at a time, in two passes
-over the same blocks.  The first sizes the plan: it counts each point's
-interior rows (its interpolated near nodes) and the block's entries (per
-interior row, the product of its axes' nonzero stencil weight counts), and
-merges the block's exterior nodes into their rows, which it keeps (one entry
-each, a few percent of the rows under a named rule), with each near node's
-entry count (one byte, 0 where the node is not interpolated).  So the box,
-ball and exterior tests run once per node.  Then every plan array is
-allocated once, at its final size, and the second pass fills each block's
-slices: it forms one point's stencils at a time, at its interpolated nodes
-only, and writes their nonzero coefficients straight into the point's run
-of entries.  No interior row or entry is kept between the passes, nothing
-is concatenated, and `rptr` is written as running sums.  So a build holds
-about one copy of the plan, and never a dense (rows, stencil) array beyond
-one point's.  Exterior keys there also carry the point, and each point's
-exterior rows follow its interior rows in the order above, so every row
-and weight sum is the one a point built alone gets.
+over the same blocks.  The first sizes the plan: each point's interior rows
+(its interpolated near nodes) and each block's entries (per interior row,
+the product of its axes' nonzero weight counts).  It merges the block's
+exterior nodes into their rows and keeps them (a few percent of the rows
+under a named rule) with each near node's entry count (one byte, 0 where the
+node is not interpolated), so the box, ball and exterior tests run once per
+node.  Then every array is allocated once, at its final size, the centers
+(`linear_form` at the points) are written after the node rows, and the held
+tables' box tests are dropped.  The second pass forms one point's stencils
+at a time, at its interpolated nodes only, and writes their nonzero
+coefficients straight into its run of entries; `rptr` is written as running
+sums.  So a build holds about one copy of the plan and no dense (rows,
+stencil) array beyond one point's.  Exterior keys also carry the point, so
+every row and weight sum is the one a point built alone gets.
 
 Only near nodes get stencils, from per-axis tables (`offset_form`).  A near
 node's axis coordinate is fl(x_a + fl(r d_a)), a function of the point's
@@ -154,26 +152,25 @@ class QuadratureConfig:
 class EvalPlan:
     """Frozen quadrature for a batch of evaluation points (see module docs).
 
-    The row stencils are `R`, a scipy CSR matrix over the stored arrays
-    `rval`, `rcol` and `rptr` (int32 indices; int64 past 2^31 entries).  A
-    row's entries are Lagrange weights that sum to one, so no per-row sum is
-    stored: a row's difference is its center value minus the row's product
-    with the values (see `_backend`).  `R` is built once per row set, and
-    the arrays stay fields, so byte counts and comparisons of plans see
-    them.  The row arrays are read-only and may be shared with other plans
-    on the same point set; `tail_bound`, `sums` and `meta` are each plan's
-    own.  The fields cannot be assigned.
+    Every stencil is a row of `R`, a scipy CSR matrix over the stored arrays
+    `rval`, `rcol` and `rptr` (int32 indices; int64 past 2^31 entries): the
+    nnz plan rows, then point i's center as row nnz + i.  A stencil's entries
+    are Lagrange weights that sum to one (or one 1.0 on an exterior slot), so
+    no per-row sum is stored: a row's difference is its center row's product
+    with the values minus its own (see `_backend`).  `R` is built once per
+    row set, and the arrays stay fields, so byte counts and comparisons of
+    plans see them.  The row arrays are read-only and may be shared with
+    other plans on the same point set; `tail_bound`, `sums` and `meta` are
+    each plan's own.  The fields cannot be assigned.
     """
 
     ptr: np.ndarray        # (npts+1,) segment offsets: point i's rows are ptr[i]..ptr[i+1]-1
-    rptr: np.ndarray       # (nnz+1,) offsets of each row's entries in rcol and rval
-    rcol: np.ndarray       # (entries,) columns in [values, ext_values] (n + slot on exterior rows)
-    rval: np.ndarray       # (entries,) nonzero stencil coefficients (1.0 on exterior rows)
+    rptr: np.ndarray       # (nnz+npts+1,) offsets of each row's entries; center i is row nnz+i
+    rcol: np.ndarray       # (entries,) columns in [values, ext_values] (n + slot if exterior)
+    rval: np.ndarray       # (entries,) nonzero stencil coefficients (1.0 if exterior)
     R: sparse.csr_array = field(repr=False, compare=False)  # CSR view of rval, rcol, rptr
     wk: np.ndarray         # (nnz,) quadrature weight times kernel, summed over a merged key
     pm2: np.ndarray        # (nnz,) p(r) - 2
-    cidx: np.ndarray       # (npts, S) center stencil indices into [values, ext_values]
-    ccoef: np.ndarray      # (npts, S) center stencil coefficients ((1, 0, ...) if exterior)
     ext_values: np.ndarray  # (slots,) exterior values, slot k read as value n + k
     r_eff: float
     tail_bound: float
@@ -186,7 +183,8 @@ class EvalPlan:
 
     def counters(self) -> dict:
         """Deterministic size counters and plan constants, for reports."""
-        return {"points": self.n_points, "nodes": self.wk.size, "entries": self.rval.size,
+        return {"points": self.n_points, "nodes": self.wk.size,
+                "entries": int(self.rptr[self.wk.size]),  # node rows only
                 "nodes_uncollapsed": self.meta["nodes_uncollapsed"],
                 "r_eff": self.r_eff, "tail_bound": self.tail_bound}
 
@@ -332,7 +330,7 @@ def build_plan(spec: ExponentSpec, u, points, cfg: QuadratureConfig) -> EvalPlan
     `u` may be a SampledFunction or a ReflectedFunction view.  Near rows come
     from `u.offset_form`, per-axis stencil tables (a view's are its base
     grid's at the mirrored points and offsets, so the view needs no
-    resampling); `u.linear_form` gives every center.  `r_eff` is sized for
+    resampling); `u.linear_form` gives every center row.  `r_eff` is sized for
     |u| <= max(max|values|, 1), so the plan stays valid on other value
     vectors in that range (solver iterates), and a grid's plans share it.
     An empty point set gives an empty plan.
@@ -413,14 +411,10 @@ def _plan_rows(spec: ExponentSpec, u, grid: SampledFunction, pts: np.ndarray,
         return _held[1]
     _drop_rows()  # free the held rows before this build's peak
 
-    s, N = spec.order, spec.dimension
+    N = spec.dimension
     dirs, aw = directions(N, cfg.angular_nodes)
     n_dirs = len(dirs)
     c_interp, c_idx, c_coef, c_ext = u.linear_form(pts)
-    cidx = np.zeros((len(pts), c_idx.shape[1]), dtype=np.int64)
-    ccoef = np.zeros(cidx.shape)
-    cidx[c_interp], ccoef[c_interp] = c_idx, c_coef
-
     r_far, c_far = _far_field(u, pts)
     starts = np.flatnonzero(np.diff(_pairing_radius(pts, grid.extent, cfg), prepend=np.nan))
 
@@ -428,17 +422,15 @@ def _plan_rows(spec: ExponentSpec, u, grid: SampledFunction, pts: np.ndarray,
 
     def blocks():
         """Each block of points lo..hi in turn, with its run's node template,
-        its run's `OffsetForm` and its first point's index in that form.  One
-        run's tables are held at a time, so a set with one pairing radius
-        builds them once for both passes."""
+        its run's `OffsetForm` (one run's tables are held at a time) and its
+        first point's index in that form."""
         nonlocal run
         for a, b in zip(starts, [*starts[1:], len(pts)]):  # runs of points with one delta
             if run is None or run[0] != a:
                 run = None  # drop the held tables before building these
                 rs, _, w_node = paired_nodes(pts[a], grid.extent, r_eff, cfg, dirs, aw)
-                q_r = np.asarray(spec.q(rs), dtype=float)
-                wk_t = w_node * np.repeat(rs ** (-(N + s * q_r)), n_dirs)
-                pm2_t = np.repeat(q_r - 2.0, n_dirs)
+                wk_t = w_node * np.repeat(spec.kernel(rs), n_dirs)
+                pm2_t = np.repeat(np.asarray(spec.q(rs), dtype=float) - 2.0, n_dirs)
                 # the radii ascend, so a point's near nodes are the first m_near of its
                 # template, at offsets fl(r d); its far nodes all read c_far and fall
                 # into one group per p - 2, each led by its first node
@@ -466,16 +458,27 @@ def _plan_rows(spec: ExponentSpec, u, grid: SampledFunction, pts: np.ndarray,
         n_uncollapsed += (hi - lo) * len(tm[0])
     np.cumsum(ptr, out=ptr)
     n_out = sum(len(x_t) for _, x_t, _, _ in sized)
+    if run is not None:  # the second pass reads only the held tables' stencils
+        run[2].drop_tests()
 
-    # then allocate every array once and fill it block by block
-    nnz = int(ptr[-1])
-    index = np.int32 if n_ent < 2 ** 31 else np.int64
-    rptr, rcol, rval = np.zeros(nnz + 1, dtype=index), np.empty(n_ent, dtype=index), np.empty(n_ent)
+    # then allocate every array once and fill it block by block; center i is
+    # row nnz + i: its stencil's nonzero coefficients, or one exterior entry
+    nnz, c_nz = int(ptr[-1]), c_coef != 0.0
+    c_ent = np.ones(len(pts), dtype=np.int64)
+    c_ent[c_interp] = np.count_nonzero(c_nz, axis=1)
+    c_out = np.repeat(~c_interp, c_ent)  # per center entry: is it exterior
+    n_all = n_ent + len(c_out)
+    index = np.int32 if n_all < 2 ** 31 else np.int64
+    rptr = np.zeros(nnz + len(pts) + 1, dtype=index)
+    rcol, rval = np.empty(n_all, dtype=index), np.empty(n_all)
+    rptr[nnz + 1:] = n_ent + np.cumsum(c_ent)
+    rcol[n_ent:][~c_out], rval[n_ent:][~c_out] = c_idx[c_nz], c_coef[c_nz]
     wk, pm2 = np.empty(nnz), np.empty(nnz)
     # exterior rows, then exterior centers, read their slots in order of first use
     ext_all = np.empty(n_out + np.count_nonzero(~c_interp))
     ext_all[n_out:] = c_ext[~c_interp]
-    ext_at = np.empty(n_out, dtype=np.int64)  # the entry of each exterior row
+    ext_at = np.empty(len(ext_all), dtype=np.int64)  # the entry of each exterior row or center
+    ext_at[n_out:] = n_ent + np.flatnonzero(c_out)
     k0 = 0
     for (lo, hi, tm, form, j0), (nz, x_t, x_val, x_wk) in zip(blocks(), sized):
         wk_t, pm2_t = tm[:2]
@@ -492,13 +495,11 @@ def _plan_rows(spec: ExponentSpec, u, grid: SampledFunction, pts: np.ndarray,
         wk[r0:r1][~ext_row], wk[r0:r1][ext_row] = wk_t[in_t], x_wk
         pm2[r0:r1] = pm2_t[row_t]
         # an interior row holds its stencil's nonzero coefficients in stencil
-        # order; an exterior row is one entry, 1.0 on a column set to n + slot
-        # once every slot is known
+        # order; an exterior row one entry, set once every slot is known
         ent = np.ones(r1 - r0, dtype=np.int64)
         ent[~ext_row] = nz[interp]
         rptr[r0 + 1:r1 + 1] = rptr[r0] + np.cumsum(ent)
         ext_at[k0:k1], ext_all[k0:k1] = rptr[r0 + 1:r1 + 1][ext_row] - 1, x_val
-        rval[ext_at[k0:k1]] = 1.0
         # a point's interior entries are one run in the plan, formed and written
         # one point at a time
         for j, e in enumerate(rptr[ptr[lo:hi]]):
@@ -510,14 +511,13 @@ def _plan_rows(spec: ExponentSpec, u, grid: SampledFunction, pts: np.ndarray,
 
     first, slot = _first_use_groups(ext_all)
     n = grid.values.size
-    rcol[ext_at] = n + slot[:n_out]
-    cidx[~c_interp], ccoef[~c_interp, 0] = n + slot[n_out:, None], 1.0
+    rcol[ext_at], rval[ext_at] = n + slot, 1.0
 
     arrays = {"ptr": ptr, "rptr": rptr, "rcol": rcol, "rval": rval, "wk": wk, "pm2": pm2,
-              "cidx": cidx, "ccoef": ccoef, "ext_values": ext_all[first]}
+              "ext_values": ext_all[first]}
     for a in arrays.values():
         a.flags.writeable = False
-    R = sparse.csr_array((rval, rcol, rptr), shape=(nnz, n + len(first)))
+    R = sparse.csr_array((rval, rcol, rptr), shape=(nnz + len(pts), n + len(first)))
     rows = EvalPlan(**arrays, R=R, r_eff=float(r_eff), tail_bound=float("nan"),
                     meta={"dim": N, "nodes_uncollapsed": n_uncollapsed})
     _held = (key, rows)

@@ -301,18 +301,20 @@ class TestTailIntegrability:
 
 def _apply_loop(plan, values: np.ndarray) -> np.ndarray:
     """Per-node loop twin of `apply_plan(plan, values)`, the reference for its
-    arithmetic: the operator value at each point, from centers it reads
-    itself."""
+    arithmetic: the operator value at each point, from the point's center row
+    and its node rows, each entry read one at a time."""
     values = np.asarray(values, dtype=float)
     m, v = float(_shift(values)), np.concatenate([values, plan.ext_values])
     v, rptr, rcol, rval, wk, pm2 = (a.tolist() for a in (
         v, plan.rptr, plan.rcol, plan.rval, plan.wk, plan.pm2))
+
+    def row(j):  # (R (v - m))_j
+        return sum(rval[e] * (v[rcol[e]] - m) for e in range(rptr[j], rptr[j + 1]))
     sums = np.empty(plan.n_points)
     for i in range(plan.n_points):
-        c = sum(a * v[k] for a, k in zip(plan.ccoef[i].tolist(), plan.cidx[i].tolist()))
-        acc = 0.0
+        c, acc = row(len(wk) + i), 0.0
         for j in range(plan.ptr[i], plan.ptr[i + 1]):
-            t = (c - m) - sum(rval[e] * (v[rcol[e]] - m) for e in range(rptr[j], rptr[j + 1]))
+            t = c - row(j)
             acc += wk[j] * abs(t) ** pm2[j] * t if t != 0.0 else 0.0
         sums[i] = acc
     return sums
@@ -375,6 +377,20 @@ class TestZeroDifferences:
         plan = build_plan(self.SPEC, u, [[0.3], [1.2]], qcfg)
         for sums in (plan.sums, _apply_loop(plan, u.values)):
             np.testing.assert_array_equal(sums, 0.0)
+        # off the nodes a stencil's coefficients times c need not sum to c in
+        # floating point, but the centers are read as C (v - m), so every
+        # difference is exactly 0, on a grid and under an oblique view
+        rng = np.random.default_rng(11)
+        for dim, n in ((1, 101), (2, 15)):
+            spec = fx.make_spec("example_ii", dimension=dim, order=0.5, m=0.3)
+            pts = rng.uniform(-0.9, 0.9, (40, dim))
+            plane = fx.PlaneGeometry((0.6, 0.8) if dim == 2 else (1.0,), -0.3)
+            for c in (0.7, 0.3, 1 / 3):
+                u = fx.SampledFunction(np.full(n ** dim, c), (n,) * dim, 1.5,
+                                       exterior_rule=f"constant:{c!r}")
+                for w in (u, fx.ReflectedFunction(u, plane)):
+                    np.testing.assert_array_equal(fx.eval_plap_field(spec, w, pts, qcfg), 0.0,
+                                                  err_msg=f"{dim}-d, c = {c}, {type(w).__name__}")
 
     def test_value_outside_the_support_is_finite(self, u_bump_1d, qcfg):
         # at x = 1.2 the center and every node past |y| = 1 read 0, so the
@@ -476,7 +492,7 @@ class TestPlanLayout:
             # no stored zero; R is a view of the stored arrays, one column per slot
             assert np.all(plan.rval != 0.0), name
             assert plan.rcol.dtype == plan.rptr.dtype == np.int32, name
-            assert plan.R.shape == (plan.wk.size, n + plan.ext_values.size), name
+            assert plan.R.shape == (plan.wk.size + plan.n_points, n + plan.ext_values.size), name
             assert all(np.shares_memory(getattr(plan.R, k), a) for k, a in
                        (("data", plan.rval), ("indices", plan.rcol), ("indptr", plan.rptr))), name
             for i, (a, b) in enumerate(zip(plan.ptr[:-1], plan.ptr[1:])):
@@ -513,31 +529,54 @@ class TestPlanLayout:
             sums = np.add.reduceat(plan.rval, plan.rptr[:-1])
             assert np.max(np.abs(sums - 1.0)) <= 4 * np.finfo(float).eps, name
 
-    def test_centers_are_point_eval(self, spec_1d, u_bump_1d, qcfg):
-        # the plan's center stencils and point_eval come from one linear form,
-        # read with one einsum, off the nodes and under a view too
-        for name, u in self._views(u_bump_1d).items():
-            plan = build_plan(spec_1d, u, self.POINTS, qcfg)
-            v = np.concatenate([getattr(u, "base", u).values, plan.ext_values])
-            c = np.einsum("ps,ps->p", plan.ccoef, v[plan.cidx])
-            np.testing.assert_array_equal(c, u.point_eval(self.POINTS), err_msg=name)
+    def test_centers_are_point_eval(self, spec_1d, spec_2d, u_bump_1d, qcfg):
+        # center i is row nnz + i of R: the stencil of linear_form, the code
+        # point_eval reads, with its zeros dropped, in stencil order; an
+        # exterior center is one 1.0 on a slot that holds point_eval's value.
+        # Off the nodes and under views too, an oblique one in 2-d
+        cases = {name: (spec_1d, u, self.POINTS) for name, u in self._views(u_bump_1d).items()}
+        u2 = fx.SampledFunction.from_function(bump_profile(0.5, 0.5), 1.5, 15, 2)
+        pts2 = np.random.default_rng(4).uniform(-1.2, 1.2, (12, 2))
+        cases["2d oblique view"] = (spec_2d, fx.ReflectedFunction(
+            u2, fx.PlaneGeometry((0.6, 0.8), -0.3)), pts2)
+        seen = set()
+        for name, (spec, u, pts) in cases.items():
+            plan = build_plan(spec, u, pts, qcfg)
+            n, nnz = getattr(u, "base", u).values.size, plan.wk.size
+            interp, idx, coef, _ = u.linear_form(pts)
+            seen.update(interp.tolist())
+            at = np.cumsum(interp) - 1
+            for i in range(len(pts)):
+                lo, hi = plan.rptr[nnz + i:nnz + i + 2]
+                cols, vals = plan.rcol[lo:hi], plan.rval[lo:hi]
+                if interp[i]:
+                    keep = coef[at[i]] != 0.0
+                    np.testing.assert_array_equal(cols, idx[at[i]][keep], err_msg=name)
+                    np.testing.assert_array_equal(vals, coef[at[i]][keep], err_msg=name)
+                else:
+                    assert vals.tolist() == [1.0] and cols[0] >= n, (name, i)
+                    assert plan.ext_values[cols[0] - n] == u.point_eval(pts[i])[0], (name, i)
+        assert seen == {False, True}
 
     @pytest.mark.parametrize("dim, n", [(1, 101), (2, 15), (2, 41)])
     def test_node_centers_are_unit_stencils(self, dim, n, qcfg, request):
-        # at a collocation node the center stencil is 1.0 on that node and
-        # +-0 elsewhere, so the center values are the node values bit for bit
+        # at a collocation node the center row is one entry, 1.0 on that
+        # node, so a pass's center values are the node values bit for bit
         # and the solver's rhs reads values[idx]
         spec = request.getfixturevalue(f"spec_{dim}d")
         u = fx.SampledFunction.from_function(bump_profile(0.5, 0.5), 1.5, n, dim)
         idx = np.nonzero(interior_mask(u))[0]
         plan = build_plan(spec, u, u.nodes()[idx], qcfg)
-        on = plan.cidx == idx[:, None]
-        np.testing.assert_array_equal(np.count_nonzero(on, axis=1), 1)
-        np.testing.assert_array_equal(plan.ccoef[on], 1.0)
-        np.testing.assert_array_equal(plan.ccoef[~on], 0.0)
+        nnz = plan.wk.size
+        lo, hi = plan.rptr[nnz:-1], plan.rptr[nnz + 1:]
+        np.testing.assert_array_equal(hi - lo, 1)
+        np.testing.assert_array_equal(plan.rcol[lo], idx)
+        np.testing.assert_array_equal(plan.rval[lo], 1.0)
+        # the centers a pass reads, C (v - m), are the shifted node values
         v = np.random.default_rng(n).uniform(0.0, 1.0, u.values.size)
-        c = np.einsum("ps,ps->p", plan.ccoef, np.concatenate([v, plan.ext_values])[plan.cidx])
-        np.testing.assert_array_equal(c, v[idx])
+        m = _shift(v)
+        c = (plan.R @ (np.concatenate([v, plan.ext_values]) - m))[nnz:]
+        np.testing.assert_array_equal(c, v[idx] - m)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_empty_point_set(self, dim, qcfg, request):
@@ -575,12 +614,14 @@ class TestPlanLayout:
     def test_row_build_peak_stays_near_the_plan_size(self, spec_2d, qcfg, n, bound, plane):
         # the rows are sized first, then written once into arrays allocated
         # once, each point's stencils straight into its slice, so one build
-        # holds about one copy of the plan (1.20x at n=15 and 1.06x at n=41;
+        # holds about one copy of the plan (1.18x at n=15 and 1.05x at n=41;
+        # 1.20x and 1.06x while the second pass held the tables' box tests,
         # 1.33x and 1.07x when a block's stencils were formed whole, 2.29x and
         # 2.12x when the blocks were kept and concatenated).  A view on the
         # Omega nodes of a plane uses its grid's tables at the mirror images,
         # which across an oblique plane share no coordinate, so one run's
-        # tables hold every near node (1.16x axis, 1.71x oblique)
+        # tables hold every near node (1.14x axis, 1.54x oblique; 1.16x and
+        # 1.71x with the box tests held)
         u = fx.SampledFunction.from_function(bump_profile(0.5, 0.5), 1.5, n, 2)
         pts, w = u.nodes()[interior_mask(u)], u
         if plane is not None:
@@ -863,7 +904,7 @@ class TestRowMemo:
 
     def test_rows_are_read_only(self, spec_1d, u_bump_1d, qcfg):
         plan = build_plan(spec_1d, u_bump_1d, TestPlanLayout.POINTS, qcfg)
-        for f in ("ptr", "rptr", "rcol", "rval", "wk", "pm2", "cidx", "ccoef", "ext_values"):
+        for f in ("ptr", "rptr", "rcol", "rval", "wk", "pm2", "ext_values"):
             with pytest.raises(ValueError):
                 getattr(plan, f).flat[0] = 0
 

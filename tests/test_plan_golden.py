@@ -53,6 +53,18 @@ replaced `plan.sums.total` (the first field of a (total, centers) pair) in
 the values digest; its dtype, shape and bytes are those of the old field,
 so every digest held.
 
+Every rows digest was re-recorded on top of commit 6ce73e5, when each
+point's center stencil became row nnz + i of `R` in place of the dense
+(points, S) arrays `cidx` and `ccoef`.  Each new rows digest is derived from
+the parent's plan, not merely re-recorded: there, `rptr` extended by each
+center's nonzero count, and each center's nonzero coefficients and their
+columns (an exterior center's one 1.0 on its slot column n + slot) appended
+to `rval` and `rcol` in stencil order, give the new digest at every case.
+Only the values digests of the cases whose centers lie off the nodes moved,
+`1d_view_+-0.5`, `2d_view_+-0.5` and `2d_off_lattice`: by at most 3.9e-13
+of their largest magnitude (2.5e-12 at one point, relative to its own
+value).  Every other values digest and every `JACOBIAN_GOLDEN` digest held.
+
 `JACOBIAN_GOLDEN` pins `_backend.jacobian` on the solver's plan over the
 manufactured problem, at u* and at `reproduce-all`'s perturbed guess, in
 1-d at n=101 and in 2-d at n=15.  The finite-difference tests hold the
@@ -72,7 +84,7 @@ from fracvexp.config import RunConfig
 from fracvexp.quadrature import build_plan
 
 #: the row arrays, which do not read the values
-ROWS = ("ptr", "rptr", "rcol", "rval", "wk", "pm2", "cidx", "ccoef", "ext_values")
+ROWS = ("ptr", "rptr", "rcol", "rval", "wk", "pm2", "ext_values")
 
 
 def _grid(n, dim, rule="zero_outside_ball", shift=0.0, hint=2):
@@ -157,52 +169,52 @@ def plan_digests(spec, u, pts) -> tuple[str, str]:
 
 #: name -> (rows digest, values digest)
 GOLDEN = {
-    "1d_n101": ("3501f6869cf25b1f686a6ab562e694b104c0600baa00124d3b2aa2bc11823a9e",
+    "1d_n101": ("085a4a6deadf1740c42a9e9bad01ad5a8a8435158737ba835aed409decb08b65",
                 "9ce5b5b1bbaba45c1dd5d124677f5e8663fdb150a57f3ec1d3cf7eadc17162f9"),
-    "2d_n15": ("1cd9bd0cd6278689b3714727ab8dd62ed17e66dedd7845a13698b4598a061a25",
+    "2d_n15": ("a03256767675eb2f695344a6a051d80f381a6141134e8c19edc4a1420dbef879",
                "4914c5cfddecdcf05c67cd1b14f188459b895179be91bdc07d0178aff09dcc0b"),
-    "2d_n41_subset": ("ade47d100ed3d1fbb8b23cf1f40141360b6d0faf1cb56b48d537e7109a7a62df",
+    "2d_n41_subset": ("50955a58c265e9636ba2afd8c5bd5c35f452ccd343619be4341dc2fef9ee5aeb",
                       "506a826c9208df15072e6275b993ae988d09be537a74ef75ff1c71cc5ceff1ce"),
-    "1d_constant_0.3": ("1fa12ccc1318bcdc243e59d7a4b506d4e7d4e7d5df454df6abdeffeaca8810a6",
+    "1d_constant_0.3": ("e60f15cd6b4d4bd115d28bc828f2b7f1cbd0f4d73439a0e2dcb0523a36ae7b73",
                         "85ee1ca51ca1ab3f964ec8aa82e93dc2ebf53906333290b90762575dd1df5708"),
-    "1d_constant_0.2": ("ee324bfad2a0965c405f53e5b0c9150c2b6fce70d29bcd1ae3f7b9892a51817a",
+    "1d_constant_0.2": ("6ed751f2a9b057c6849c7d31f5beb5f5fbab179dead4520d3ad259d6ee7b07ff",
                         "b0c06c636f39bbfff506439e629d5735d251c4bb278a10787c0fba5cf65237ed"),
-    "1d_zero_outside_box": ("2a212a4aabd9adb98884897c4cbf286a537a91cf14bb493a03922160713c674b",
+    "1d_zero_outside_box": ("22da884be010a943e6007fe5acbc00503443a772ad3b28aa9eaeddfaac55cedd",
                             "46b46d2352ecd3a932038e6adc2a6fa443a1ee3013cf2a10f4de05ec28c69cd9"),
-    "1d_callable": ("10f78c9bc0133c0f047f6632458b6fc12d54ae30bd00e560c4d7bc90fcf9d12c",
+    "1d_callable": ("0030bc213b9f9707a6f504e6e7acd385b1f7dc1d62e7bd731bccc5f6e4702bf6",
                     "8b1480b805f1de75681b8d8fa9d6bd2a395061bf6013463909b0f358ce22dcec"),
-    "2d_constant_0.2": ("6d8d1b26d8199811fa97591dfa98573e916fb03644f668c31aa0329e69aafaac",
+    "2d_constant_0.2": ("ab6f9f5ea1e68bdc58306c4ea82281a441c4bb3c42c3cb25ea0855453a6469f9",
                         "b77742e701aa58f1da9a100fe92712c0efcd46bc76a683e844af16515a5b634c"),
-    "1d_view_-0.5": ("e5f5594435aaba0e3b8b67cfef595cb4b6a34ebb4071c3b9c15b7d785390fa34",
-                     "18438f93d654202844ccdc8fe385f4864409870f2da79e21c4a41c8ec67caadf"),
-    "1d_view_+0.5": ("dd08ed9697921e0005a4578ddf6cd784fe338f3b768ac70940362d6ce486a282",
-                     "893b6cd90ddde2503dc114c8f7e7772df7590d8ea58b600689f9f84331cbe32f"),
-    "2d_view_-0.5": ("46819fd46bb0a50878f351098867a93776741b724245258cd700337abf8da5c7",
-                     "135767084359b11c49e7e91f07951eb8044a478ebc7bba9365be192669a4f923"),
-    "2d_view_+0.5": ("e3367daba505f6c2e32ad0fec10b95a55d2f5d2a95970b12b25279b0e036da99",
-                     "e042f1276ed76dd40e646dd1900d08b13687f8284bfa15433787274269e7f5aa"),
-    "1d_view_0": ("4660d325d82ddce7312f843f90748aec836c092da3e7daeae884c77ff3363fef",
+    "1d_view_-0.5": ("5eb5a5488ae5e64e68d2542cce555ad238d31f86b797d61c22871531cf090a55",
+                     "7ae50dbb6f94faf2fcdb4f5cbe5830fa70e28ba255e8b3d265f402073e87f89e"),
+    "1d_view_+0.5": ("c3fe0cf8555230a87115a0c4d664ec20f81313a75db885c0a011a99348defda0",
+                     "73d9477afe1fd9acea26f19dfed0a71b1ed0d5f61147e64fbc0e4dcb5f88276e"),
+    "2d_view_-0.5": ("a1d5fd088a1584d85aec7e74f2ced1bdefc1af62297cf71a470c5c25f7438e1e",
+                     "5c9bd4d52b65c31dc7a1d427691f342cf74ba1946bdfb59436673ac5857da7fb"),
+    "2d_view_+0.5": ("2db1440958c1aa709d2620da6eda7dd2c9972552bd6b8241335f41693caffa9c",
+                     "344eef77b3b15d168addacaf3b41c92ba2c9541987f8bc78dd33cb9bdb441dd3"),
+    "1d_view_0": ("105fbdf8cfce5af69d75cbf33f0cc0a5cabc76cd8991299b40f6bdc488ca05c9",
                   "d02e3d7309bc1d549e87ca04d0c8ff152f99ad55952942dab64b385a514ecdc4"),
-    "2d_view_0": ("72cf1d0abf45a240ac69b851793a3ffd7e4a05c98fb94dd6b4ee9eeca2d18fde",
+    "2d_view_0": ("74362d7c5e8f0d42e579d385573d560ade1edb57c1d921b3216769f54d8400e2",
                   "3f539e61c4ba30aff74e4c290c9d17b6920f2b846162e5d07c5c58027cc6332f"),
-    "1d_constant_p2": ("4b7e397ce267b6130e8c972587dedb51f0ace686baa01b343cc2f0e99a810048",
+    "1d_constant_p2": ("0cc53d3351105438b847fe3c23539265f4245e0e010f86fa697fbbcc9c5809a7",
                        "c0c0da68c3eae4727cbf99e8503cd7e41e43ae30fb63963004eb8cf5f9a3f221"),
-    "1d_constant_p2.5": ("844d91aee159afd8415c3cf96b92480c1176424a383a56bddac1525d020037cc",
+    "1d_constant_p2.5": ("76f93134644ccb9cd2d554194d92e4e06e341f75678edccc8f0f86845853af71",
                          "725f3d0b0e372cf954fbbc7d2e714396f029b1349f44728b2f8d808088c6cde8"),
-    "2d_constant_p2.5": ("539c87423dee67f8ccab3f6df9f4744cb4853e14b06fc821912134b93607a524",
+    "2d_constant_p2.5": ("013ce390419c00730a680485632dde000164aa62e61d68e753157d38259248e8",
                          "b6945f7254c645aa7470723c9c017a0bc0ea9fefe45f21f82906e0e8ee2d6177"),
-    "1d_example_i": ("72d45b2addd6d723ba63a9c2493b9174a6b0657a4713ca0ce78aba4f4f05c187",
+    "1d_example_i": ("3317a3c11febffb9676147199afc2a95d45d1c6aa57ac9942734cc3a380636a1",
                      "7295c642d2e58db0244f8bb80f3f509ce2fdc215aec8e5ccdc09450ea3d85d9e"),
-    "1d_table": ("c1a50f3748d4a888b4fc0a7c1e0228d8088143ee8fcf97a2e03cfce7e7890cd3",
+    "1d_table": ("befc01cd3dbe4fc221f5cb1e5112e7aece5fb63dbb03b165440ebcae95f05a8f",
                  "56feac1bb60f25e6c013fcb251fe1b0f634b523712dc1ca551d85595a13bcfda"),
-    "2d_n15_cubic": ("7d3d7da4b1b4ac9c966e4a0643c176aa11df6c9e54a96698147bf778e488c29e",
+    "2d_n15_cubic": ("0ed683ca48a05c71a158fc7e2460864fd4364c867218cb14de897481c414e09d",
                      "41813250a1002ba0e570c42bb0a6cbaf642e09055706a6dd9c3a78f17b6d4cca"),
-    "1d_n101_cubic": ("756550b2414f5b2125f8c85722fc35f7fb5500de6625c632272bc4dfbe09dec0",
+    "1d_n101_cubic": ("27d2c0cccbc39721c229105529d35c8e316efc9e6c4bba225ee8db3d3e9c3f1e",
                       "a1392ee7deefcdd9e685cf614c28b62adf589adbe2fe58b5a2d5a519e566f50b"),
-    "2d_callable": ("5ed7ca5799e569c0a0fcbf02405bf546196f806b0a80415ef2a67053432e2845",
+    "2d_callable": ("9d973a1c3456d915ef01f6d095372a35275929955f3f278ff850cd3ecb088f56",
                     "732646b2ed8fa3caad92a07a2d7cee596d9c8e8f266eab8d3e59d0ec0d6e5c1d"),
-    "2d_off_lattice": ("90894bba3ca8df738fa48aff9c7dd06786a201a497856e70ce0cb09b7bda90fc",
-                       "ce5f127bc4d0da6d503e49d50de70e45ea0e68aa4e21b4955fd62cb24426c4ae"),
+    "2d_off_lattice": ("e302541314ca2e2ac3d5ad473eed986c46d66be15bd6cfc838c3a29179ce42e3",
+                       "1fad68119cd9fc6e54ac7818d89dc29f93727d53404e43e068ce5d522e94271c"),
 }
 
 

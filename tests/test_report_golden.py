@@ -25,6 +25,13 @@ top of commit edbf08c once an operator value became the plain sum over the
 graded levels, with no extrapolated remainder: the solution moved by at most
 1.6e-5 in `u.csv` (2.5e-6 in 2-d), each solve still took 3 Newton steps and
 4 kernel passes, and no verdict, flag or string moved.
+`mp_boundary.json` of both runs, and `mp_antisym.json` and `summary.json` of
+the 2-d run, were re-recorded on top of commit 6ce73e5 once each center
+became a row of the plan's stencil matrix, read as C (v - m) by the same
+sparse product as the rows: the boundary probe's ratios and margin and the
+antisymmetric control's gamma moved by round-off (at most 2.8e-10 relative
+to max(1, |value|), the 2-d probe margin, which Gamma/delta amplifies), and
+no verdict, flag, string or iteration count did.
 The configs keep the lemma suites, sweeps and solver small so the two runs
 stay near a second.
 """
@@ -58,7 +65,7 @@ GOLDEN = {
     "1d_n61": {
         "lemmas.json": "67a5d57b7535e89491509ad99deb529b8b0bd1988e629bc4526129ab655bb326",
         "mp_antisym.json": "48db44ecb284cc8336def78502a7e7338790982e3754e04e64e1f3bbbad02c45",
-        "mp_boundary.json": "9e477462a7c1a901ed44ea042ea14245d9367d9f326f86d6a92737daacf8def0",
+        "mp_boundary.json": "f8950927b3b6944d00024744115a95995bff4ba73b926122729695c69eb1bbf4",
         "mp_strong.json": "cd47a85448a145118be793168540c434235fe32e4c6e86d4e8ff6239fbe91b00",
         "profile.csv": "2a7f97b396cef6ccae339ffd1aa4c054e3b33c8642b529aac277367c098ac948",
         "residual_history.csv": "475ff872b32f22bff99463e6ee2f7c9fe2675aeafcc8e1ee439a27b95446d6d0",
@@ -72,13 +79,13 @@ GOLDEN = {
     },
     "2d_n15": {
         "lemmas.json": "61d3dc30abf435264a50ce46672e56c6636d21cd7edac678d961953196213b56",
-        "mp_antisym.json": "a2770b02b1f208891f22827168358101368f57df6bd5e535bc555aeeeccf7cfb",
-        "mp_boundary.json": "0840279c44ef70de85b9f4e5cfd96b3066ce6a3f4da0b750ff0965ab7313debc",
+        "mp_antisym.json": "5c52f6f49e9924ae84d23155192366b08c1ea2ddb6bd440a37963e568cd345df",
+        "mp_boundary.json": "c0190ff399dc7c13e668406c0ec50bc6c4a4617ee3e4a6abbec0ebf8e007f872",
         "mp_strong.json": "f77cc4a9900c1d291153fbbda1324369dcde4bb866da68e368da03a3926f302c",
         "profile.csv": "c3f62b67bffefa00847253361a31db75257854a655730e97c8ebed3cf4581709",
         "residual_history.csv": "ff88f27710b0e857b99618d715d57103f1e6d5a55f8e2992f3e76abd6deb1291",
         "solve.json": "c33d7dd2fee1d5d84541cb4b5ac7107dc448fdaaee730a13fe86bd7156161a74",
-        "summary.json": "522b1019ca4602cd45ec26fc13d6873aad9c99d784ed65625027d093dedea65b",
+        "summary.json": "f7021af9e1d6f8a15d6b397486be4194fa2a7e308c8bd1859f95d049e40adfde",
         "sweep.csv": "cb3a4677c50328e3d9a41453281a25b2c593547502b2ccdb424d57051155f4d3",
         "sweep.json": "7c87e02977f366ef869810e047746bb5da87b76f0e3dd72205dae3c9dc970ecd",
         "u.csv": "ed5178560db5716c774df795e6ea377adfdd9770bf6e589fdd458e30ea53dea1",
