@@ -1,6 +1,9 @@
 """Desk-scale collocation solver for the model Dirichlet problem on the
 unit ball: operator(u) = rhs(u) at interior nodes, u = 0 outside.
 
+The ball, its nodes (`interior_mask`) and exterior rule are `grids`'; a
+`ProblemSpec` reads its dimension from its exponent.
+
 The scheme is projected Newton on [0, 1-eta] with the exact Jacobian of the
 plan (`_backend.jacobian`) and a backtracking line search; it has no
 step-size schedule.  Existence of a nontrivial discrete solution is not
@@ -19,7 +22,7 @@ import numpy as np
 from ._backend import apply_plan, jacobian
 from .errors import NumericError, PreconditionError
 from .exponents import ExponentSpec
-from .grids import SampledFunction, ZERO_BALL
+from .grids import SampledFunction, ZERO_BALL, interior_mask
 from .nonlocal_operator import eval_plap_field
 from .quadrature import QuadratureConfig, build_plan
 
@@ -35,19 +38,20 @@ FD_STEP = 1e-6
 
 @dataclass
 class ProblemSpec:
-    """Problem data: exponent spec, reaction term, and domain flavor."""
+    """Problem data: exponent spec, reaction term, and the domain `ball_{N}d`."""
 
     exponent: ExponentSpec
     q_function: Callable | float | None = None
-    domain: str = "ball_1d"
+    domain: str | None = None                 # ball_{N}d, the default and only value
     rhs_mode: str = POWER
     h_field: np.ndarray | None = None         # manufactured right-hand side
     f: Callable | None = None                 # general_f reaction
     f_prime: Callable | None = None
 
     def __post_init__(self):
-        if self.domain not in ("ball_1d", "ball_2d"):
-            raise PreconditionError(f"unknown domain {self.domain!r}")
+        if self.domain not in (None, f"ball_{self.dim}d"):
+            raise PreconditionError(f"domain {self.domain!r} is not the {self.dim}-d exponent's")
+        self.domain = f"ball_{self.dim}d"
         if self.rhs_mode not in (POWER, MANUFACTURED, GENERAL_F):
             raise PreconditionError(f"unknown rhs_mode {self.rhs_mode!r}")
         if self.rhs_mode == POWER and self.q_function is None:
@@ -64,7 +68,7 @@ class ProblemSpec:
 
     @property
     def dim(self) -> int:
-        return 1 if self.domain == "ball_1d" else 2
+        return self.exponent.dimension
 
     def q_values(self, pts: np.ndarray) -> np.ndarray:
         if callable(self.q_function):
@@ -100,17 +104,11 @@ class SolveReport:
     final_residual_sup: float
     converged: bool
     solution: SampledFunction
-    range_ok: bool
     trivial_limit: bool = False
     history: list = field(default_factory=list)   # rows: [step, res_sup, err_sup]
     applies: int = 0
     message: str = ""
     plan: dict = field(default_factory=dict)      # EvalPlan.counters() of the solver plan
-
-
-def interior_mask(u: SampledFunction) -> np.ndarray:
-    """Nodes strictly inside the unit ball (the collocation set)."""
-    return np.linalg.norm(u.nodes(), axis=1) < 1.0
 
 
 def bump_profile(a: float, s: float) -> Callable:
@@ -227,6 +225,6 @@ def solve(problem: ProblemSpec, initial_guess: SampledFunction,
                if applies >= max_iters else "line search found no decrease")
     return SolveReport(
         iterations=len(history) - 1, final_residual_sup=res_sup, converged=converged,
-        solution=initial_guess.with_values(values), range_ok=True,
+        solution=initial_guess.with_values(values),
         trivial_limit=bool(converged and problem.rhs_mode == POWER and np.max(values) <= 10 * eta),
         history=history, applies=applies, message=message, plan=plan.counters())

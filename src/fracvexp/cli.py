@@ -20,16 +20,16 @@ import numpy as np
 
 from . import __version__
 from .ball_solver import (GENERAL_F, MANUFACTURED, POWER, ProblemSpec, bump_profile,
-                          check_settings, interior_mask, manufacture, solve)
+                          check_settings, manufacture, solve)
 from .config import RunConfig
 from .errors import EvaluationError, NumericError, PreconditionError, TailError
 from .exponents import validate
 from .geometry import PlaneGeometry, axis_plane
-from .grids import SampledFunction, ZERO_BOX
+from .grids import SampledFunction, ZERO_BOX, interior_mask
 from .lemma_suite import certify_lemmas
 from .max_principles import (HOLDS, VIOLATED, boundary_estimate_probe,
                              check_antisym_mp, check_strong_mp)
-from .moving_planes import sweep, sweep_directions
+from .moving_planes import BALL, plane_offsets, sweep, sweep_directions
 from .nonlocal_operator import eval_plap, eval_plap_field, tail_integrability_check
 
 EXIT_OK = 0
@@ -215,15 +215,24 @@ def _load_function(path: str) -> SampledFunction:
 # subcommand handlers (return True iff every requested check passed)
 # ---------------------------------------------------------------------------
 
+def _validate_report(cfg: RunConfig, spec, outdir: Path):
+    """`validate` of spec, written to validate.json."""
+    report = validate(spec)
+    _write_json(outdir / "validate.json", _stamp(report, cfg))
+    return report
+
+
+def _lemma_report(cfg: RunConfig, spec, outdir: Path) -> dict:
+    """`certify_lemmas` of spec at the [lemmas] sizes, written to lemmas.json."""
+    lem = cfg.section("lemmas")
+    report = certify_lemmas(spec, seed=cfg.seed, n_mean_value=lem["n_mean_value"],
+                            n_kernel=lem["n_kernel"], n_gprime=lem["n_gprime"])
+    _write_json(outdir / "lemmas.json", _stamp(report, cfg))
+    return report
+
+
 def _cmd_validate(args, cfg: RunConfig, outdir: Path) -> bool:
-    spec = cfg.exponent_spec()
-    report = validate(spec, sample_count=1000)
-    payload = _stamp(report, cfg)
-    payload["spec"] = {"name": spec.name, "dimension": spec.dimension,
-                       "order": spec.order, "p_minus": spec.p_minus,
-                       "p_plus": spec.p_plus, "m": spec.m_bound}
-    _write_json(outdir / "validate.json", payload)
-    return report.passed
+    return _validate_report(cfg, cfg.exponent_spec(), outdir).passed
 
 
 def _cmd_eval(args, cfg: RunConfig, outdir: Path) -> bool:
@@ -247,14 +256,7 @@ def _cmd_tail_check(args, cfg: RunConfig, outdir: Path) -> bool:
 
 
 def _cmd_certify_lemmas(args, cfg: RunConfig, outdir: Path) -> bool:
-    spec = cfg.exponent_spec()
-    lem = cfg.section("lemmas")
-    report = certify_lemmas(spec, seed=cfg.seed,
-                            n_mean_value=lem["n_mean_value"],
-                            n_kernel=lem["n_kernel"],
-                            n_gprime=lem["n_gprime"])
-    _write_json(outdir / "lemmas.json", _stamp(report, cfg))
-    return bool(report["passed"])
+    return bool(_lemma_report(cfg, cfg.exponent_spec(), outdir)["passed"])
 
 
 def _cmd_check_mp(args, cfg: RunConfig, outdir: Path) -> bool:
@@ -313,16 +315,14 @@ def _cmd_solve(args, cfg: RunConfig, outdir: Path) -> bool:
         if mode == POWER:
             space = ("x", "r") if spec.dimension == 1 else ("x", "y", "r")
             problem = ProblemSpec(exponent=spec, rhs_mode=mode,
-                                  q_function=_expr_function(args.q, space),
-                                  domain=f"ball_{spec.dimension}d")
+                                  q_function=_expr_function(args.q, space))
         else:
             if args.f_expr is None:
                 raise SystemExit_Usage("--mode general-f needs --f-expr")
             problem = ProblemSpec(exponent=spec, rhs_mode=mode,
                                   f=_expr_function(args.f_expr, ("t",)),
                                   f_prime=_expr_function(args.fp_expr, ("t",))
-                                  if args.fp_expr else None,
-                                  domain=f"ball_{spec.dimension}d")
+                                  if args.fp_expr else None)
         guess = SampledFunction.from_function(
             bump_profile(sol["amplitude"], spec.order), sol["extent"], n,
             spec.dimension)
@@ -340,8 +340,7 @@ def _manufactured_problem(cfg: RunConfig, spec, n: int):
     sol = cfg.section("solver")
     check_settings(sol["tol_res"], sol["max_iters"], sol["eta"])  # before eta clips the guess
     u_star, h = manufacture(spec, n, sol["extent"], sol["amplitude"], cfg=cfg.quadrature())
-    problem = ProblemSpec(exponent=spec, rhs_mode=MANUFACTURED, h_field=h,
-                          domain=f"ball_{spec.dimension}d")
+    problem = ProblemSpec(exponent=spec, rhs_mode=MANUFACTURED, h_field=h)
     guess = u_star.with_values(np.clip(
         u_star.values + _perturbation(u_star, sol["perturbation"]), 0.0, 1.0 - sol["eta"]))
     return u_star, problem, guess
@@ -378,12 +377,11 @@ def _cmd_sweep(args, cfg: RunConfig, outdir: Path) -> bool:
     u = _load_function(args.input)
     sw = cfg.section("sweep")
     dirs = _parse_directions(args.directions, u.dim, cfg.seed)
-    mode = args.mode
-    grid = np.linspace(-1.0 if mode == "ball" else -u.extent, 0.0, sw["count"])
+    grid = plane_offsets(u, args.mode, sw["count"])
     reports = []
     ok = True
     for k, d in enumerate(dirs):
-        rep = sweep(u, d, grid, tol=sw["tol"], mode=mode,
+        rep = sweep(u, d, grid, tol=sw["tol"], mode=args.mode,
                     refine=sw["refine"], decay_tol=sw["decay_tol"],
                     radial_tol=sw["radial_tol"])
         reports.append(rep)
@@ -413,20 +411,15 @@ def run_reproduce_all(cfg: RunConfig, outdir: Path) -> dict:
 
     # 1. exponent hypotheses (sp+ < N is reported; the model config in 1-d
     #    deliberately runs with s p+ > 1, see README)
-    vrep = validate(spec)
+    vrep = _validate_report(cfg, spec, outdir)
     core = [c for c in vrep.checks if c.name != "sp_plus_below_dimension"]
-    _write_json(outdir / "validate.json", _stamp(vrep, cfg))
     step("validate_exponent", all(c.ok for c in core),
          {"full_p1_p2": vrep.passed,
           "sp_plus_below_dimension": next(c.ok for c in vrep.checks
                                           if c.name == "sp_plus_below_dimension")})
 
     # 2. lemma suites
-    lem = cfg.section("lemmas")
-    lrep = certify_lemmas(spec, seed=cfg.seed,
-                          n_mean_value=lem["n_mean_value"],
-                          n_kernel=lem["n_kernel"], n_gprime=lem["n_gprime"])
-    _write_json(outdir / "lemmas.json", _stamp(lrep, cfg))
+    lrep = _lemma_report(cfg, spec, outdir)
     step("certify_lemmas", lrep["passed"],
          {"suites": [s["name"] for s in lrep["suites"]]})
 
@@ -440,7 +433,7 @@ def run_reproduce_all(cfg: RunConfig, outdir: Path) -> dict:
 
     # 4. sweeps: recovered solution must read symmetric, a translate must not
     dirs = sweep_directions(spec.dimension, sw["directions"], cfg.seed)
-    grid = np.linspace(-1.0, 0.0, sw["count"])
+    grid = plane_offsets(u_hat, BALL, sw["count"])
     sweeps = []
     sym_ok = True
     for k, d in enumerate(dirs):

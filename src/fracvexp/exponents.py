@@ -64,9 +64,9 @@ class ExponentSpec:
             raise EvaluationError(f"Q(t) not finite at t={bad.flat[0]!r}")
         return out if out.shape else float(out)
 
-    def kernel(self, r):
-        """The kernel r^(-(N + s Q(r))) at distances r > 0 (scalar or array)."""
-        return r ** (-(self.dimension + self.order * self.q(r)))
+    def kernel(self, r, q):
+        """The kernel r^(-(N + s q)) at distances r > 0, given q = Q(r)."""
+        return r ** (-(self.dimension + self.order * q))
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,8 @@
 A SampledFunction carries node values, an exterior rule deciding values
 off the grid (or past the unit ball), and a smoothness hint selecting the
 local interpolation order used to emulate a C^{1,1} representative.
+The model domain, the unit ball, is decided here: u = 0 outside it under
+`ZERO_BALL`, and `interior_mask` is every reader's set of nodes with |x| < 1.
 """
 
 from __future__ import annotations
@@ -73,8 +75,7 @@ class SampledFunction:
         if self.exterior_rule == ZERO_BALL and self.extent < 1.0:
             raise PreconditionError("zero_outside_ball needs the grid box to contain the unit ball")
         if self.exterior_rule == ZERO_BALL:
-            r = np.linalg.norm(self.nodes(), axis=1)
-            off = (r >= 1.0) & (self.values != 0.0)
+            off = ~interior_mask(self) & (self.values != 0.0)
             if np.any(off):
                 raise PreconditionError(
                     "zero_outside_ball requires zero values at nodes with |x| >= 1 "
@@ -113,10 +114,9 @@ class SampledFunction:
         shape = (n,) * dim
         probe = cls(np.zeros(int(np.prod(shape))), shape, extent,
                     ZERO_BOX, smoothness_hint)
-        pts = probe.nodes()
-        vals = np.asarray(fn(pts), dtype=float).ravel()
+        vals = np.asarray(fn(probe.nodes()), dtype=float).ravel()
         if exterior_rule == ZERO_BALL:
-            vals = np.where(np.linalg.norm(pts, axis=1) < 1.0, vals, 0.0)
+            vals = np.where(interior_mask(probe), vals, 0.0)
         return cls(vals, shape, extent, exterior_rule, smoothness_hint)
 
     def with_values(self, values: np.ndarray) -> "SampledFunction":
@@ -342,6 +342,11 @@ class SampledFunction:
                        meta["exterior_rule"], int(hint))
         except (ValueError, TypeError, KeyError, IndexError) as exc:
             raise PreconditionError(f"malformed sampled function {csv_path}: {exc!r}") from exc
+
+
+def interior_mask(u: SampledFunction) -> np.ndarray:
+    """The nodes of u strictly inside the unit ball, |x| < 1."""
+    return np.linalg.norm(u.nodes(), axis=1) < 1.0
 
 
 @dataclass

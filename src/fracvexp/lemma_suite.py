@@ -341,7 +341,8 @@ def run_kernel_monotone_suite(spec: ExponentSpec, n: int = 10_000,
     d1 = np.linalg.norm(x0 - y, axis=1)
     d2 = np.linalg.norm(x0 - y_l, axis=1)
     keep = d1 > 1e-12
-    kap = spec.kernel(d1[keep]) - spec.kernel(d2[keep])
+    d1, d2 = d1[keep], d2[keep]
+    kap = spec.kernel(d1, spec.q(d1)) - spec.kernel(d2, spec.q(d2))
     failures = int(np.count_nonzero(kap <= 0.0))
 
     # boundary fixed point: kappa must vanish to round-off

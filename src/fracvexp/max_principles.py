@@ -23,7 +23,7 @@ import numpy as np
 from .errors import NumericError, PreconditionError
 from .exponents import ExponentSpec
 from .geometry import PlaneGeometry, axis_plane, reflect_points
-from .grids import ReflectedFunction, SampledFunction
+from .grids import ReflectedFunction, SampledFunction, interior_mask
 from .nonlocal_operator import eval_plap_field, f_power
 from .quadrature import (QuadratureConfig, directions, paired_nodes,
                          truncation_radius)
@@ -103,7 +103,7 @@ def check_strong_mp(spec: ExponentSpec, u: SampledFunction, domain_mask,
 
     # one operator pass, on Omega and the collocation set (the nodes strictly
     # inside the unit ball and the box), so it reuses the solver's row set
-    at = mask | ((np.linalg.norm(nodes, axis=1) < 1.0) & u.inside_box(nodes, strict=True))
+    at = mask | (interior_mask(u) & u.inside_box(nodes, strict=True))
     field = np.zeros(u.values.shape)
     field[at] = eval_plap_field(spec, u, nodes[at], cfg)
     if min_u < -concl_tol:
@@ -241,7 +241,7 @@ def j1_j2_split(spec: ExponentSpec, u: SampledFunction, plane: PlaneGeometry,
     r1 = np.repeat(rs, len(dirs))[in_h]
     r2 = np.linalg.norm(x0[None, :] - y_l, axis=1)
     q1, q2 = (np.asarray(spec.q(r), dtype=float) for r in (r1, r2))
-    k1, k2 = spec.kernel(r1), spec.kernel(r2)
+    k1, k2 = spec.kernel(r1, q1), spec.kernel(r2, q2)
 
     u_x0 = float(u.point_eval(x0[None, :])[0])
     ul_x0 = float(u.point_eval(plane.reflect(x0[None, :]))[0])
@@ -298,7 +298,7 @@ def boundary_estimate_probe(spec: ExponentSpec, u: SampledFunction,
     # limiting-plane positivity on ball half-space nodes
     pl0 = planes[-1]
     nodes = u.nodes()
-    omega0 = pl0.in_halfspace(nodes) & (np.linalg.norm(nodes, axis=1) < 1.0)
+    omega0 = pl0.in_halfspace(nodes) & interior_mask(u)
     if np.any(omega0):
         w0 = reflection_difference(u, pl0.e, pl0.offset, nodes[omega0])
         if float(np.min(w0)) <= 0.0:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .geometry import PlaneGeometry, inner, reflect_points
-from .grids import SampledFunction
+from .grids import SampledFunction, interior_mask
 from .max_principles import reflection_difference
 
 BALL = "ball"
@@ -69,29 +69,32 @@ def _lambda0_from(grid: np.ndarray, mins: np.ndarray, tol: float) -> float:
     return float(grid[bad[0] - 1])
 
 
+def plane_offsets(u: SampledFunction, mode: str, count: int) -> np.ndarray:
+    """`count` plane offsets from -1 (ball mode) or -L (whole-space mode) up to 0."""
+    return np.linspace(-1.0 if mode == BALL else -u.extent, 0.0, count)
+
+
 def sweep(u: SampledFunction, direction, lambda_grid=None, tol: float = SWEEP_TOL,
           mode: str = BALL, refine: int = REFINE_FACTOR, decay_tol: float = 1e-6,
           radial_tol: float = 1e-4) -> SweepReport:
     """Sweep the reflecting plane along `direction` over lambda_grid.
 
-    lambda_grid holds >= 2 finite, strictly increasing offsets <= 0.  Ball
-    mode restricts minima to half-space nodes inside the unit ball;
-    whole-space mode uses all half-space nodes and additionally requires a
-    decay certificate (max |u| over the outer 10% shell below decay_tol),
-    reporting `inconclusive` without it.  The radial-profile check is about
-    the origin.  One batched evaluation of w gives the minima of all planes;
-    a second batch of refine - 1 planes before the first violation tightens
-    the lambda0 estimate before reporting.
+    lambda_grid holds >= 2 finite, strictly increasing offsets <= 0 (101
+    `plane_offsets` by default).  Ball mode restricts minima to half-space
+    nodes inside the unit ball; whole-space mode uses all half-space nodes
+    and additionally requires a decay certificate (max |u| over the outer
+    10% shell below decay_tol), reporting `inconclusive` without it.  The
+    radial-profile check is about the origin.  One batched evaluation of w
+    gives the minima of all planes; a second batch of refine - 1 planes
+    before the first violation tightens the lambda0 estimate.
     """
     e = np.asarray(direction, dtype=float)
     e = PlaneGeometry(tuple(e / np.linalg.norm(e)), 0.0).e  # rejects NaN and zero
     nodes = u.nodes()
     coord = inner(nodes, e)
 
-    if lambda_grid is None:
-        lo = -1.0 if mode == BALL else -u.extent
-        lambda_grid = np.linspace(lo, 0.0, 101)
-    grid = np.asarray(lambda_grid, dtype=float)
+    grid = np.asarray(plane_offsets(u, mode, 101) if lambda_grid is None else lambda_grid,
+                      dtype=float)
     # one plane has no step to set tol_lambda from; NaN passes no comparison
     if grid.ndim != 1 or grid.size < 2 or not np.all(np.isfinite(grid)):
         raise PreconditionError("lambda_grid needs at least 2 finite offsets")
@@ -102,14 +105,12 @@ def sweep(u: SampledFunction, direction, lambda_grid=None, tol: float = SWEEP_TO
     if refine < 0:
         raise PreconditionError(f"refine must be >= 0, got {refine}")
 
-    ball_mask = np.linalg.norm(nodes, axis=1) < 1.0 if mode == BALL else None
+    ball_mask = interior_mask(u) if mode == BALL else None
 
     decay_ok = None
     if mode == WHOLE_SPACE:
         shell = np.max(np.abs(nodes), axis=1) >= 0.9 * u.extent
         decay_ok = bool(np.max(np.abs(u.values[shell])) <= decay_tol)
-
-    if mode == WHOLE_SPACE:
         # reflected evaluation points must stay inside the sampled box:
         # outside it the decaying function is unknown, not zero
         for lam in (grid[0], grid[-1]):

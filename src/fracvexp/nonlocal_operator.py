@@ -33,7 +33,7 @@ def kernel(spec: ExponentSpec, x, y) -> float:
     r = float(np.sqrt(np.sum(dx * dx)))
     if r == 0.0:
         raise NumericError("kernel is singular at x = y")
-    return spec.kernel(r)
+    return spec.kernel(r, spec.q(r))
 
 
 def eval_plap(spec: ExponentSpec, u, x, cfg: QuadratureConfig | None = None) -> float:

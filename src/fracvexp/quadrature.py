@@ -429,8 +429,9 @@ def _plan_rows(spec: ExponentSpec, u, grid: SampledFunction, pts: np.ndarray,
             if run is None or run[0] != a:
                 run = None  # drop the held tables before building these
                 rs, _, w_node = paired_nodes(pts[a], grid.extent, r_eff, cfg, dirs, aw)
-                wk_t = w_node * np.repeat(spec.kernel(rs), n_dirs)
-                pm2_t = np.repeat(np.asarray(spec.q(rs), dtype=float) - 2.0, n_dirs)
+                q_t = np.asarray(spec.q(rs), dtype=float)
+                wk_t = w_node * np.repeat(spec.kernel(rs, q_t), n_dirs)
+                pm2_t = np.repeat(q_t - 2.0, n_dirs)
                 # the radii ascend, so a point's near nodes are the first m_near of its
                 # template, at offsets fl(r d); its far nodes all read c_far and fall
                 # into one group per p - 2, each led by its first node

@@ -224,8 +224,10 @@ def test_c7_manufactured_solve(model_solve):
     err = float(np.max(np.abs(rep.solution.values - u_star.values)))
     tail = rep.history[-10:]
     residual_monotone = all(b[1] <= a[1] + 1e-15 for a, b in zip(tail, tail[1:]))
+    in_range = np.all((rep.solution.values >= 0.0)
+                      & (rep.solution.values <= 1.0 - 1e-3))  # solve's default eta
     ok = (rep.converged and err <= 5e-3 and residual_monotone
-          and rep.range_ok and elapsed <= 120)
+          and in_range and elapsed <= 120)
     _report("C7 manufactured-solve", ok,
             f"sup error {err:.2e}, residual {rep.final_residual_sup:.2e}, "
             f"{rep.iterations} iterations, {elapsed:.0f}s")

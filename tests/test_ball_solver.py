@@ -74,11 +74,25 @@ class TestProblemSpec:
         with pytest.raises(fx.PreconditionError):
             bs.ProblemSpec(exponent=spec_model, rhs_mode=bs.GENERAL_F)
 
-    def test_unknown_domain_and_mode(self, spec_model):
+    def test_unknown_domain_and_mode(self, spec_model, spec_2d):
         with pytest.raises(fx.PreconditionError, match="domain"):
             bs.ProblemSpec(exponent=spec_model, q_function=2.0, domain="ball_3d")
+        # a domain must be the exponent's ball
+        with pytest.raises(fx.PreconditionError, match="domain 'ball_2d'"):
+            bs.ProblemSpec(exponent=spec_model, q_function=2.0, domain="ball_2d")
+        with pytest.raises(fx.PreconditionError, match="domain 'ball_1d'"):
+            bs.ProblemSpec(exponent=spec_2d, q_function=2.0, domain="ball_1d")
+        assert bs.ProblemSpec(exponent=spec_2d, q_function=2.0, domain="ball_2d").dim == 2
         with pytest.raises(fx.PreconditionError, match="rhs_mode"):
             bs.ProblemSpec(exponent=spec_model, q_function=2.0, rhs_mode="linear")
+
+    def test_dimension_read_from_the_exponent(self, spec_2d, qcfg):
+        u_star, h = bs.manufacture(spec_2d, n=15, amplitude=0.5, cfg=qcfg)
+        problem = bs.ProblemSpec(exponent=spec_2d, rhs_mode=bs.MANUFACTURED, h_field=h)
+        assert problem.dim == 2 and problem.domain == "ball_2d"
+        rep = bs.solve(problem, u_star.with_values(0.9 * u_star.values), qcfg,
+                       tol_res=1e-4, u_star=u_star)
+        assert rep.converged and rep.iterations >= 1
 
     def test_general_f_sign_check(self, spec_model):
         with pytest.raises(fx.PreconditionError):
@@ -226,7 +240,9 @@ class TestSolve:
         pert = 0.05 * np.sin(3 * nodes) * np.maximum(0.0, 1.0 - nodes ** 2)
         guess = u_star.with_values(np.clip(u_star.values + pert, 0.0, 1.0 - 1e-3))
         rep = bs.solve(problem, guess, qcfg, tol_res=1e-4, u_star=u_star)
-        assert rep.converged and rep.range_ok
+        assert rep.converged
+        assert np.all((rep.solution.values >= 0.0)
+                      & (rep.solution.values <= 1.0 - 1e-3))  # solve's default eta
         assert np.max(np.abs(rep.solution.values - u_star.values)) <= 1e-6
         tail = rep.history[-10:]
         assert all(b[1] <= a[1] + 1e-15 for a, b in zip(tail, tail[1:]))

@@ -66,6 +66,8 @@ def test_workload_bindings_exist(monkeypatch, fresh):
     # Solve2D.run passes both by keyword
     assert "checkpoint_every" in inspect.signature(bs.solve).parameters
     assert "domain" in inspect.signature(bs.ProblemSpec).parameters
+    # Diagnose2D.run takes its collocation mask from it
+    assert callable(getattr(bs, "interior_mask", None))
 
 
 def test_trace_counters_read_a_plan(monkeypatch, spec_1d, u_bump_1d, qcfg):

@@ -746,6 +746,9 @@ class TestReports:
             assert all(set(c) == self.fields(MPReport) for c in checks)
         assert set(load("mp_boundary.json")) == self.fields(ProbeReport) | self.STAMP
 
+        # validate-exponent writes the same report as reproduce-all's step 1
+        assert main(["validate-exponent", "--config", str(cfg)]) in (0, 2)
+        assert set(load("validate.json")) == self.fields(ValidationReport) | self.STAMP
         u = make_bump_csv(tmp_path)
         assert main(["tail-check", "--config", str(cfg), "--input", str(u), "--at", "0.2"]) == 0
         assert set(load("tail.json")) == self.fields(TailReport) | self.STAMP

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import fracvexp as fx
 from fracvexp import ball_solver as bs
 from fracvexp import max_principles as mp
+from fracvexp import moving_planes as mvp
 from fracvexp.grids import ReflectedFunction
 from fracvexp.moving_planes import sweep_directions
 
@@ -354,3 +355,47 @@ class TestMPReportInvariant:
             mp.MPReport(mp.HOLDS, witness_point=(0.0,))
         with pytest.raises(fx.PreconditionError):
             mp.MPReport(mp.VIOLATED)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_unit_ball_masks_keep_the_norm_test(monkeypatch, dim, request, qcfg):
+    """Every reader of the unit ball takes the nodes with |x| < 1 as
+    `np.linalg.norm(nodes, axis=1) < 1.0` does, on a grid (extent 1.5, n = 7)
+    with nodes exactly on |x| = 1."""
+    spec = request.getfixturevalue("spec_model" if dim == 1 else "spec_2d")
+    u = fx.SampledFunction.from_function(lambda p: np.ones(len(p)), 1.5, 7, dim)
+    nodes = u.nodes()
+    ball = np.linalg.norm(nodes, axis=1) < 1.0
+    assert np.any(np.isclose(np.linalg.norm(nodes, axis=1), 1.0) & ~ball)
+    np.testing.assert_array_equal(bs.interior_mask(u), ball)
+    np.testing.assert_array_equal(u.values, ball.astype(float))  # from_function
+
+    seen = {}
+
+    def minima(u, e, offsets, nodes, coord, ball_mask):
+        seen["sweep"] = ball_mask
+        return np.zeros(len(offsets))
+
+    monkeypatch.setattr(mvp, "_plane_minima", minima)
+    mvp.sweep(u, np.eye(dim)[0], [-1.0, 0.0])
+    np.testing.assert_array_equal(seen["sweep"], ball)
+
+    def field(spec, u, pts, cfg):
+        seen["strong"] = pts
+        return np.zeros(len(pts))
+
+    monkeypatch.setattr(mp, "eval_plap_field", field)
+    corner = np.zeros(u.values.size, bool)
+    corner[0] = True
+    mp.check_strong_mp(spec, u, corner, qcfg)
+    np.testing.assert_array_equal(
+        seen["strong"], nodes[corner | (ball & np.all(np.abs(nodes) < 1.5, axis=1))])
+
+    def difference(u, e, offset, pts):
+        seen["probe"] = pts
+        return -np.ones(len(pts))
+
+    monkeypatch.setattr(mp, "reflection_difference", difference)
+    plane = fx.axis_plane(dim, 0.0)
+    mp.boundary_estimate_probe(spec, u, [plane], [-0.25 * plane.e], qcfg)
+    np.testing.assert_array_equal(seen["probe"], nodes[plane.in_halfspace(nodes) & ball])
