@@ -22,7 +22,7 @@ from . import __version__
 from .ball_solver import (GENERAL_F, MANUFACTURED, POWER, ProblemSpec, bump_profile,
                           check_settings, manufacture, solve)
 from .config import RunConfig
-from .errors import EvaluationError, NumericError, PreconditionError, TailError
+from .errors import EvaluationError, NumericError, PreconditionError
 from .exponents import validate
 from .geometry import PlaneGeometry, axis_plane
 from .grids import SampledFunction, ZERO_BOX, interior_mask
@@ -326,9 +326,8 @@ def _cmd_solve(args, cfg: RunConfig, outdir: Path) -> bool:
         guess = SampledFunction.from_function(
             bump_profile(sol["amplitude"], spec.order), sol["extent"], n,
             spec.dimension)
-    report, _ = _solve_and_write(cfg, problem, guess, u_star, outdir,
-                                 args.report or "solve.json", args.out or "u.csv",
-                                 mode=args.mode)
+    report, _ = _solve_and_write(cfg, problem, guess, u_star, outdir, args.mode,
+                                 args.report or "solve.json", args.out or "u.csv")
     return report.converged
 
 
@@ -346,16 +345,17 @@ def _manufactured_problem(cfg: RunConfig, spec, n: int):
     return u_star, problem, guess
 
 
-def _solve_and_write(cfg: RunConfig, problem, guess, u_star, outdir: Path,
-                     report_name: str = "solve.json", u_name: str = "u.csv", **extra):
-    """Solve with the [solver] settings; write the report, u, residual history and
-    profile.  Returns the report and, given u_star, the sup error to it."""
+def _solve_and_write(cfg: RunConfig, problem, guess, u_star, outdir: Path, mode: str,
+                     report_name: str = "solve.json", u_name: str = "u.csv"):
+    """Solve with the [solver] settings; write the report (with the command-line
+    `mode`), u, residual history and profile.  Returns the report and, given
+    u_star, the sup error to it."""
     sol = cfg.section("solver")
     report = solve(problem, guess, cfg.quadrature(), tol_res=sol["tol_res"],
                    max_iters=sol["max_iters"], eta=sol["eta"], u_star=u_star)
     payload = _stamp(report, cfg)
     u = payload.pop("solution")  # its values go to u.csv
-    payload.update(grid={"shape": list(u.shape), "extent": u.extent}, **extra)
+    payload.update(grid={"shape": list(u.shape), "extent": u.extent}, mode=mode)
     sup_err = None
     if u_star is not None:
         sup_err = float(np.max(np.abs(report.solution.values - u_star.values)))
@@ -373,22 +373,35 @@ def _perturbation(u_star: SampledFunction, amplitude: float) -> np.ndarray:
     return amplitude * np.sin(3.0 * pts[:, 0]) * np.maximum(0.0, 1.0 - r2)
 
 
+def _sweeps(cfg: RunConfig, u: SampledFunction, directions, mode: str) -> list:
+    """`sweep` of u along each direction at the [sweep] settings, over the
+    `plane_offsets` of mode."""
+    sw = cfg.section("sweep")
+    grid = plane_offsets(u, mode, sw["count"])
+    return [sweep(u, d, grid, tol=sw["tol"], mode=mode, refine=sw["refine"],
+                  decay_tol=sw["decay_tol"], radial_tol=sw["radial_tol"])
+            for d in directions]
+
+
+def _sweep_report(cfg: RunConfig, u: SampledFunction, path: Path, directions, mode: str):
+    """`_sweeps` of u along `directions` (None: the [sweep] directions count),
+    written to path.  Returns the sweeps and `all_symmetric`: every direction
+    reads symmetric (conclusive) and radially monotone."""
+    if directions is None:
+        directions = sweep_directions(u.dim, cfg.section("sweep")["directions"], cfg.seed)
+    reports = _sweeps(cfg, u, directions, mode)
+    ok = all(r.symmetric_verdict and r.monotone_verdict for r in reports)
+    _write_json(path, _stamp({"sweeps": reports, "all_symmetric": ok}, cfg))
+    return reports, ok
+
+
 def _cmd_sweep(args, cfg: RunConfig, outdir: Path) -> bool:
     u = _load_function(args.input)
-    sw = cfg.section("sweep")
-    dirs = _parse_directions(args.directions, u.dim, cfg.seed)
-    grid = plane_offsets(u, args.mode, sw["count"])
-    reports = []
-    ok = True
-    for k, d in enumerate(dirs):
-        rep = sweep(u, d, grid, tol=sw["tol"], mode=args.mode,
-                    refine=sw["refine"], decay_tol=sw["decay_tol"],
-                    radial_tol=sw["radial_tol"])
-        reports.append(rep)
+    text = args.directions
+    dirs = None if text is None else _parse_directions(text, u.dim, cfg.seed)
+    reports, ok = _sweep_report(cfg, u, outdir / (args.out or "sweep.json"), dirs, args.mode)
+    for k, rep in enumerate(reports):
         write_sweep_csv(rep, outdir / f"sweep_{k}.csv")
-        ok = ok and rep.symmetric_verdict and not rep.inconclusive
-    payload = _stamp({"sweeps": reports, "all_symmetric": bool(ok)}, cfg)
-    _write_json(outdir / (args.out or "sweep.json"), payload)
     return ok
 
 
@@ -402,7 +415,6 @@ def run_reproduce_all(cfg: RunConfig, outdir: Path) -> dict:
     spec = cfg.exponent_spec()
     qcfg = cfg.quadrature()
     sol = cfg.section("solver")
-    sw = cfg.section("sweep")
     mp_cfg = cfg.section("mp")
     steps = []
 
@@ -425,36 +437,23 @@ def run_reproduce_all(cfg: RunConfig, outdir: Path) -> dict:
 
     # 3. manufactured solve from an asymmetrically perturbed guess
     u_star, problem, guess = _manufactured_problem(cfg, spec, sol["nodes"])
-    srep, sup_err = _solve_and_write(cfg, problem, guess, u_star, outdir)
+    srep, sup_err = _solve_and_write(cfg, problem, guess, u_star, outdir, MANUFACTURED)
     step("manufactured_solve", srep.converged and sup_err <= 5e-3,
          {"sup_error": sup_err, "iterations": srep.iterations,
           "residual": srep.final_residual_sup})
     u_hat = srep.solution
 
     # 4. sweeps: recovered solution must read symmetric, a translate must not
-    dirs = sweep_directions(spec.dimension, sw["directions"], cfg.seed)
-    grid = plane_offsets(u_hat, BALL, sw["count"])
-    sweeps = []
-    sym_ok = True
-    for k, d in enumerate(dirs):
-        rep = sweep(u_hat, d, grid, tol=sw["tol"], refine=sw["refine"],
-                    radial_tol=sw["radial_tol"])
-        sweeps.append(rep)
-        if k == 0:
-            write_sweep_csv(rep, outdir / "sweep.csv")
-        sym_ok = sym_ok and rep.symmetric_verdict and rep.monotone_verdict
-    _write_json(outdir / "sweep.json",
-                _stamp({"sweeps": sweeps, "all_symmetric": bool(sym_ok)}, cfg))
-    step("sweep_recovered", sym_ok, {"directions": len(dirs)})
+    sweeps, sym_ok = _sweep_report(cfg, u_hat, outdir / "sweep.json", None, BALL)
+    write_sweep_csv(sweeps[0], outdir / "sweep.csv")
+    step("sweep_recovered", sym_ok, {"directions": len(sweeps)})
 
     shift = np.zeros(spec.dimension)
     shift[0] = 0.2
     trans = SampledFunction.from_function(
         lambda p: bump_profile(sol["amplitude"], spec.order)(p - shift[None, :]),
         sol["extent"], sol["nodes"], spec.dimension, exterior_rule=ZERO_BOX)
-    t_reports = [sweep(trans, d, grid, tol=sw["tol"], refine=sw["refine"],
-                       radial_tol=sw["radial_tol"])
-                 for d in sweep_directions(spec.dimension, 2, cfg.seed)]
+    t_reports = _sweeps(cfg, trans, sweep_directions(spec.dimension, 2, cfg.seed), BALL)
     trans_ok = not all(r.symmetric_verdict for r in t_reports)
     step("sweep_translated_control", trans_ok,
          {"lambda0": [r.lambda0_estimate for r in t_reports]})
@@ -561,8 +560,9 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("sweep-planes", help="moving-planes sweep")
     common(sp)
     sp.add_argument("--input", required=True)
-    sp.add_argument("--directions", default="8",
-                    help="a count, or ';'-separated direction vectors")
+    sp.add_argument("--directions",
+                    help="a count, or ';'-separated direction vectors "
+                         "(default: the [sweep] directions count)")
     sp.add_argument("--mode", default="ball", choices=("ball", "whole-space"))
     sp.add_argument("--out", help="report JSON name")
 
@@ -579,6 +579,7 @@ _HANDLERS = {
     "check-mp": _cmd_check_mp,
     "solve": _cmd_solve,
     "sweep-planes": _cmd_sweep,
+    "reproduce-all": lambda args, cfg, outdir: run_reproduce_all(cfg, outdir)["passed"],
 }
 
 
@@ -602,11 +603,7 @@ def main(argv=None) -> int:
         outdir = cfg.output_dir
         outdir.mkdir(parents=True, exist_ok=True)
 
-        if args.command == "reproduce-all":
-            summary = run_reproduce_all(cfg, outdir)
-            ok = bool(summary["passed"])
-        else:
-            ok = _HANDLERS[args.command](args, cfg, outdir)
+        ok = _HANDLERS[args.command](args, cfg, outdir)
         _write_meta(outdir, argv, t0)
         return EXIT_OK if ok else EXIT_CHECK
     except SystemExit_Usage as exc:
@@ -615,7 +612,7 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"precondition error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (TailError, NumericError, EvaluationError) as exc:
+    except (NumericError, EvaluationError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

@@ -37,7 +37,7 @@ def _coerce(section: str, key: str, value):
     """A key's value as the type of its default; a number must be finite,
     since a NaN or infinite tolerance would turn a falsifiable check into a
     pass, and an integer key's number integral (15.0 loads as 15, 15.9 is
-    refused)."""
+    refused); the seed must be >= 0."""
     default = DEFAULTS[section][key]
     if isinstance(default, str):
         return str(value)
@@ -51,6 +51,8 @@ def _coerce(section: str, key: str, value):
         return number
     if not number.is_integer():
         raise PreconditionError(f"bad value {value!r} for key {key!r}: not an integer")
+    if key == "seed" and number < 0:  # numpy's generators take no negative seed
+        raise PreconditionError(f"bad value {value!r} for key {key!r}: negative")
     return int(number)
 
 

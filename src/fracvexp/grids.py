@@ -46,7 +46,10 @@ class SampledFunction:
 
     def __post_init__(self):
         self.values = np.ascontiguousarray(self.values, dtype=float).ravel()
-        self.shape = tuple(int(n) for n in np.atleast_1d(self.shape))
+        shape = np.atleast_1d(self.shape).tolist()
+        self.shape = tuple(int(n) for n in shape)
+        if any(float(n) != m for n, m in zip(shape, self.shape)):  # [41.5] is not 41 nodes
+            raise PreconditionError(f"grid shape must be whole node counts, got {shape}")
         if len(self.shape) not in (1, 2) or len(set(self.shape)) != 1:
             raise PreconditionError(f"grid shape must be (n,) or (n, n), got {self.shape}")
         if not 0.0 < self.extent < np.inf:  # NaN fails too
@@ -63,15 +66,18 @@ class SampledFunction:
             raise PreconditionError("node values must be finite")
         if self.smoothness_hint not in (2, 3):
             raise PreconditionError("smoothness_hint must be 2 or 3")
-        if isinstance(self.exterior_rule, str) and self.exterior_rule not in _RULES \
-                and not self.exterior_rule.startswith(CONSTANT_PREFIX):
-            raise PreconditionError(f"unknown exterior rule {self.exterior_rule!r}")
-        if isinstance(self.exterior_rule, str) and self.exterior_rule.startswith(CONSTANT_PREFIX):
+        rule = self.exterior_rule
+        if not (isinstance(rule, str) or callable(rule)):
+            raise PreconditionError(f"exterior_rule must be a name or a callable, got {rule!r}")
+        if isinstance(rule, str) and rule.startswith(CONSTANT_PREFIX):
             try:
-                float(self.exterior_rule[len(CONSTANT_PREFIX):])
+                level = float(rule[len(CONSTANT_PREFIX):])
             except ValueError:
-                raise PreconditionError(
-                    f"constant exterior rule needs a number: {self.exterior_rule!r}") from None
+                level = np.nan
+            if not np.isfinite(level):  # a NaN level made every operator value NaN
+                raise PreconditionError(f"constant exterior rule needs a finite number: {rule!r}")
+        elif isinstance(rule, str) and rule not in _RULES:
+            raise PreconditionError(f"unknown exterior rule {rule!r}")
         if self.exterior_rule == ZERO_BALL and self.extent < 1.0:
             raise PreconditionError("zero_outside_ball needs the grid box to contain the unit ball")
         if self.exterior_rule == ZERO_BALL:
@@ -326,7 +332,9 @@ class SampledFunction:
     def load(cls, csv_path) -> "SampledFunction":
         """Read what `save` wrote.  A missing file raises OSError; a malformed
         header (a smoothness hint other than 2 or 3, a `dim` other than the
-        shape's length) or a non-numeric cell raises PreconditionError."""
+        shape's length, a fractional shape, an exterior rule that is not a
+        string or a constant that is not finite) or a non-numeric cell raises
+        PreconditionError."""
         csv_path = Path(csv_path)
         try:
             meta = json.loads(csv_path.with_suffix(".json").read_text())

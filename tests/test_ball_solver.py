@@ -277,14 +277,25 @@ class TestSolve:
 
 
 class TestReportShape:
+    # solve.json is the report's fields like every report, except that the
+    # solution grid, saved to u.csv, is replaced by its shape and extent
+    KEYS = ({f.name for f in dataclasses.fields(bs.SolveReport)} - {"solution"}) | {
+        "grid", "mode", "sup_error_vs_target", "config_hash", "seed", "version"}
+
     def test_solve_json_keys(self, tmp_path):
-        # solve.json is the report's fields like every report, except that the
-        # solution grid, saved to u.csv, is replaced by its shape and extent
         cfg = tmp_path / "config.ini"
         cfg.write_text(f"[run]\noutput_dir = {tmp_path}\n[solver]\nnodes = 101\n")
         assert main(["solve", "--config", str(cfg)]) == 0
         rep = json.loads((tmp_path / "solve.json").read_text())
-        fields = {f.name for f in dataclasses.fields(bs.SolveReport)} - {"solution"}
-        assert set(rep) == fields | {"grid", "mode", "sup_error_vs_target",
-                                     "config_hash", "seed", "version"}
+        assert set(rep) == self.KEYS
         assert rep["grid"]["shape"] == [101]
+
+    def test_reproduce_all_writes_the_same_solve_json_keys(self, tmp_path):
+        # one schema: reproduce-all's manufactured solve used to write no `mode`
+        cfg = tmp_path / "config.ini"
+        cfg.write_text(f"[run]\noutput_dir = {tmp_path}\n[solver]\nnodes = 61\ntol_res = 1e-3\n"
+                       "[lemmas]\nn_mean_value = 500\nn_kernel = 500\nn_gprime = 500\n"
+                       "[sweep]\ncount = 21\ndirections = 2\n")
+        assert main(["reproduce-all", "--config", str(cfg)]) in (0, 2)
+        rep = json.loads((tmp_path / "solve.json").read_text())
+        assert set(rep) == self.KEYS and rep["mode"] == "manufactured"

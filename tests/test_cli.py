@@ -209,14 +209,20 @@ class TestExitCodes:
         assert main(["eval", "--config", str(cfg), "--input", str(u), "--at", "0.0"]) == code
 
     @pytest.mark.parametrize("header", [
-        {"smoothness_hint": 3.9}, {"smoothness_hint": 2.5}, {"dim": 2}])
-    def test_inexact_header_is_precondition(self, tmp_path, header):
-        # a fractional hint used to load truncated, and a dim unlike the shape's used to load
+        {"smoothness_hint": 3.9}, {"smoothness_hint": 2.5}, {"dim": 2}, {"shape": [101.5]},
+        {"exterior_rule": 5}, {"exterior_rule": None}, {"exterior_rule": ["zero_outside_ball"]},
+        {"exterior_rule": "constant:nan"}, {"exterior_rule": "constant:inf"}])
+    def test_inexact_header_is_precondition(self, tmp_path, capsys, header):
+        # a fractional hint or shape used to load truncated, a dim unlike the shape's
+        # used to load, an exterior rule that is not a string loaded and ended the
+        # evaluation in an AttributeError, and a NaN constant exterior loaded and
+        # wrote a null value with exit 0
         cfg = small_config(tmp_path)
         u = make_bump_csv(tmp_path)
         meta = json.loads(u.with_suffix(".json").read_text())
         u.with_suffix(".json").write_text(json.dumps({**meta, **header}))
         assert main(["eval", "--config", str(cfg), "--input", str(u), "--at", "0.3"]) == 3
+        assert capsys.readouterr().err.startswith("precondition error:")
 
     @pytest.mark.parametrize("damage, message", [
         ("unknown exterior rule", "unknown exterior rule"),
@@ -432,6 +438,17 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("precondition error:")
 
     @pytest.mark.parametrize("command", ["certify-lemmas", "reproduce-all"])
+    @pytest.mark.parametrize("where", ["command line", "config"])
+    def test_negative_seed_is_precondition(self, tmp_path, capsys, command, where):
+        # numpy's generators refuse a negative seed with a raw ValueError
+        if where == "config":
+            args = ["--config", str(small_config(tmp_path, **{"run.seed": -1}))]
+        else:
+            args = ["--config", str(small_config(tmp_path)), "--seed", "-1"]
+        assert main([command, *args]) == 3
+        assert capsys.readouterr().err.startswith("precondition error:")
+
+    @pytest.mark.parametrize("command", ["certify-lemmas", "reproduce-all"])
     @pytest.mark.parametrize("key", ["n_mean_value", "n_kernel", "n_gprime"])
     @pytest.mark.parametrize("value", [0, -1])
     def test_empty_lemma_suite_is_precondition(self, tmp_path, capsys, command, key, value):
@@ -630,6 +647,32 @@ class TestSweepCommand:
         u = make_bump_csv(tmp_path, n=201)
         assert main(["sweep-planes", "--config", str(cfg), "--input", str(u),
                      "--directions", "1;-1"]) == 0
+
+    def test_directions_default_to_the_config_count(self, tmp_path):
+        # a literal default of 8 on the command line shadowed [sweep] directions
+        cfg = small_config(tmp_path)
+        assert RunConfig.load(cfg).section("sweep")["directions"] == 2
+        assert main(["sweep-planes", "--config", str(cfg), "--input",
+                     str(make_bump_csv(tmp_path, n=201))]) == 0
+        out = tmp_path / "out"
+        assert len(json.loads((out / "sweep.json").read_text())["sweeps"]) == 2
+        assert sorted(p.name for p in out.glob("sweep_*.csv")) == ["sweep_0.csv", "sweep_1.csv"]
+
+    def test_non_radial_even_function_is_not_symmetric(self, tmp_path):
+        # 0.4(1 - x^2 - 4y^2)_+^2 is even in x, so every plane normal to (1, 0)
+        # holds, but it is not radially monotone: reproduce-all's rule (symmetric
+        # and monotone) fails it, and sweep-planes used to pass it
+        u = fx.SampledFunction.from_function(
+            lambda p: 0.4 * np.maximum(0.0, 1.0 - p[:, 0] ** 2 - 4.0 * p[:, 1] ** 2) ** 2,
+            1.5, 31, 2)
+        u.save(tmp_path / "u.csv")
+        cfg = small_config(tmp_path, **{"sweep.count": 21})
+        assert main(["sweep-planes", "--config", str(cfg), "--input", str(tmp_path / "u.csv"),
+                     "--directions", "1,0"]) == 2
+        rep = json.loads((tmp_path / "out" / "sweep.json").read_text())
+        (sw,) = rep["sweeps"]
+        assert sw["symmetric_verdict"] and not sw["monotone_verdict"]
+        assert rep["all_symmetric"] is False
 
 
 class TestReproduceAll:

@@ -99,10 +99,13 @@ class TestEvalPlapBasics:
 
     @pytest.mark.parametrize("edit", [
         {"smoothness_hint": 3.9}, {"smoothness_hint": 2.5}, {"smoothness_hint": "3"},
-        {"smoothness_hint": 1}, {"dim": 2}, {"dim": "1"}, {"dim": None}])
+        {"smoothness_hint": 1}, {"dim": 2}, {"dim": "1"}, {"dim": None},
+        {"shape": [11.5]}, {"exterior_rule": 5}, {"exterior_rule": None},
+        {"exterior_rule": ["zero_outside_ball"]}])
     def test_load_refuses_a_header_it_cannot_keep(self, tmp_path, edit):
-        # a hint other than exactly 2 or 3 was truncated by int(), and the
-        # header's dim was never read
+        # a hint other than exactly 2 or 3, or a fractional shape, was truncated
+        # by int(), the header's dim was never read, and an exterior rule that is
+        # neither a name nor a callable loaded and failed at the first evaluation
         u = fx.SampledFunction.from_function(lambda p: np.zeros(len(p)), 1.5, 11)
         u.save(tmp_path / "u.csv")
         header = tmp_path / "u.json"
@@ -115,7 +118,8 @@ class TestEvalPlapBasics:
                                              smoothness_hint=3)
         u.save(tmp_path / "u.csv")
         header = tmp_path / "u.json"
-        header.write_text(json.dumps({**json.loads(header.read_text()), "smoothness_hint": 3.0}))
+        header.write_text(json.dumps({**json.loads(header.read_text()), "smoothness_hint": 3.0,
+                                      "shape": [11.0, 11.0]}))
         back = fx.SampledFunction.load(tmp_path / "u.csv")
         assert back.smoothness_hint == 3 and type(back.smoothness_hint) is int
         assert back.shape == (11, 11)

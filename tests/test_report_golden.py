@@ -36,6 +36,10 @@ The two `solve.json` digests were re-recorded on top of commit e89db3b once
 `SolveReport` lost `range_ok`, which `solve` always set to true (every trial
 is clipped to [0, 1-eta]): a JSON diff against that commit's reports shows
 the missing `"range_ok": true` as the only change.
+The two `solve.json` digests were re-recorded on top of commit ded71b1 once
+`reproduce-all` wrote `solve.json` with the same keys as `solve`: a JSON diff
+against that commit's reports shows the added `"mode": "manufactured"` as the
+only change.
 The configs keep the lemma suites, sweeps and solver small so the two runs
 stay near a second.
 """
@@ -73,7 +77,7 @@ GOLDEN = {
         "mp_strong.json": "cd47a85448a145118be793168540c434235fe32e4c6e86d4e8ff6239fbe91b00",
         "profile.csv": "2a7f97b396cef6ccae339ffd1aa4c054e3b33c8642b529aac277367c098ac948",
         "residual_history.csv": "475ff872b32f22bff99463e6ee2f7c9fe2675aeafcc8e1ee439a27b95446d6d0",
-        "solve.json": "dd0ca9725a1576a4146289cbc62e343642678b55404a61cef2cbcaed64f3e312",
+        "solve.json": "a8583c7986c2f922b7bd06b7bf824d6e1c7df9d14ad54f8496764cf6ed1af5d8",
         "summary.json": "71985319338d470a30869c659052ce8b5766d15164af126e01190211c2f976e0",
         "sweep.csv": "9be97a45828d1eda3ae5aed01fbf38d1aade492aacfb3f50018fbec3ff7f4863",
         "sweep.json": "b02b6417abd195a304291a4e8c73ab95112af1097b7b79c39a939d1e00aaee4e",
@@ -88,7 +92,7 @@ GOLDEN = {
         "mp_strong.json": "f77cc4a9900c1d291153fbbda1324369dcde4bb866da68e368da03a3926f302c",
         "profile.csv": "c3f62b67bffefa00847253361a31db75257854a655730e97c8ebed3cf4581709",
         "residual_history.csv": "ff88f27710b0e857b99618d715d57103f1e6d5a55f8e2992f3e76abd6deb1291",
-        "solve.json": "e8afa7979650b7b634e2573915346745a23ef40650190ee9e17785a9445ba81b",
+        "solve.json": "36e3c82a728673de71122025499b4b44d01d976655ba8f0c04d5bcad03ba803c",
         "summary.json": "f7021af9e1d6f8a15d6b397486be4194fa2a7e308c8bd1859f95d049e40adfde",
         "sweep.csv": "cb3a4677c50328e3d9a41453281a25b2c593547502b2ccdb424d57051155f4d3",
         "sweep.json": "7c87e02977f366ef869810e047746bb5da87b76f0e3dd72205dae3c9dc970ecd",
